@@ -1,6 +1,6 @@
 """Run one workload of the isocenter benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload resonance_deep --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload resonance_deep --seed 1 --seconds 12 --trace 0
 
 Run from the root of a checkout that holds src/isocenter.  The run makes
 its field files from --seed (perfbench/fixtures.py), times the set-up in
@@ -8,9 +8,10 @@ fresh interpreters, then runs whole rounds of the workload's operations,
 one after the other, until --seconds have passed, and checks the outputs
 (perfbench/checks.py).  With --trace 1 the rounds run under the tracer
 (perfbench/tracing.py) after as many untraced ones, and the per-layer metrics
-are printed instead of the end-to-end ones.  The last line of standard
-output is one JSON object: correct, attempted, failed and metrics; the
-line before it holds the run's details.
+are printed instead of the end-to-end ones.  Every reported time is scaled
+to the reference host speed by the probes of perfbench/speed.py.  The last
+line of standard output is one JSON object: correct, attempted, failed and
+metrics; the line before it holds the run's details.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ SRC = ROOT / "src"
 WORK = HERE / "_work"
 
 import fixtures  # noqa: E402
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-SETUP_PROBES = 5
+SETUP_PROBES = 3
 IMPORT_PROBES = 3
 DEPTH_BUDGET_S = 4.0
 DEPTH_CAP = 10
@@ -63,14 +65,16 @@ def probe_setup(args, manifest) -> None:
     print(perf_counter() - t0)
 
 
-def timed_wall(cmd) -> float:
-    """Wall seconds of one fresh interpreter run, which must succeed."""
+def fresh(cmd) -> tuple:
+    """Run one fresh interpreter, which must succeed.  Return its wall
+    seconds and the start-up probe taken just before it."""
+    before = speed.startup_probe()
     t0 = perf_counter()
     code, _ = workloads.run_child(cmd, child_env(), ROOT, WORK / "probe.out", WORK / "probe.err")
-    dt = perf_counter() - t0
+    wall = perf_counter() - t0
     if code != 0:
         raise RuntimeError(f"{cmd} exited {code}: {(WORK / 'probe.err').read_text()[-300:]}")
-    return dt
+    return wall, before
 
 
 def setup_time(args) -> float:
@@ -78,8 +82,8 @@ def setup_time(args) -> float:
     workload's fixtures, in a fresh interpreter."""
     cmd = [sys.executable, str(HERE / "run.py"), "--probe-setup", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", "0"]
-    timed_wall(cmd)
-    return float((WORK / "probe.out").read_text().split()[-1])
+    _, before = fresh(cmd)
+    return speed.scale(float((WORK / "probe.out").read_text().split()[-1]), before, before)
 
 
 def import_times() -> dict:
@@ -87,30 +91,39 @@ def import_times() -> dict:
     med = {}
     for name, code in (("bare", "pass"), ("numverify", "import isocenter.numverify"),
                        ("cli", "import isocenter.cli")):
-        med[name] = statistics.median(timed_wall([sys.executable, "-c", code]) for _ in range(IMPORT_PROBES))
+        med[name] = statistics.median(speed.scale(wall, before, before) for wall, before in
+                                      (fresh([sys.executable, "-c", code]) for _ in range(IMPORT_PROBES)))
     return med
 
 
 def run_rounds(wl, seconds: float, between=None) -> dict:
     """Whole rounds of the workload's ops until the rounds have taken
-    ``seconds``.  ``between`` runs after each round, off the clock."""
-    lat, best, faults, first, prints, repeats = [], {}, {}, {}, {}, set()
+    ``seconds``.  ``between`` runs after each round, off the clock.
+
+    The workload's speed probe runs before the first op and after every
+    op, and each op's latency is scaled by the probes on either side."""
+    lat, wall_lat, samples, faults, first, prints, repeats = [], [], {}, {}, {}, {}, set()
     attempted = failed = rounds = 0
     busy = clock = 0.0
     while not rounds or clock < seconds:
         round_start = perf_counter()
+        before = wl.probe()
         for name, fn in wl.ops:
             t0 = perf_counter()
             ok, out, fingerprint = fn()
-            dt = perf_counter() - t0
-            busy += dt
+            wall = perf_counter() - t0
+            after = wl.probe()
+            dt = speed.scale(wall, before, after)
+            before = after
+            busy += wall
             attempted += 1
-            best[name] = min(dt, best.get(name, dt))
+            samples.setdefault(name, []).append(dt)
             if not ok:
                 failed += 1
                 faults.setdefault(name, out)
                 continue
             lat.append(dt)
+            wall_lat.append(wall)
             if name not in prints:
                 first[name], prints[name] = out, fingerprint
             elif prints[name] != fingerprint:
@@ -119,13 +132,10 @@ def run_rounds(wl, seconds: float, between=None) -> dict:
         clock += perf_counter() - round_start
         if between:
             between()
-    return {"lat": lat, "best": best, "faults": faults, "first": first, "repeats": sorted(repeats),
-            "attempted": attempted, "failed": failed, "rounds": rounds, "busy": busy}
-
-
-def round_time(wl, res) -> float:
-    """A round's time from each op's fastest latency in the run."""
-    return sum(res["best"][name] for name, _ in wl.ops)
+    op_s = {name: statistics.median(ts) for name, ts in samples.items()}
+    return {"lat": lat, "wall_lat": wall_lat, "op_s": op_s, "total_s": sum(map(sum, samples.values())),
+            "faults": faults, "first": first, "repeats": sorted(repeats), "attempted": attempted,
+            "failed": failed, "rounds": rounds, "busy": busy}
 
 
 def tail(lat):
@@ -176,12 +186,11 @@ def main(argv=None) -> int:
     problems += wl.check(res["first"])
     lat = res["lat"]
     pct, tail_ms = tail(lat)
-    ok_ops = [name for name in res["best"] if name not in res["faults"]]
-    best_ms = {name: res["best"][name] * 1000 for name in ok_ops}
+    op_ms = {name: t * 1000 for name, t in res["op_s"].items() if name not in res["faults"]}
     detail = {"workload": args.workload, "seed": args.seed, "setup_samples_s": setup, "rounds": res["rounds"],
               "samples": len(lat), "busy_s": res["busy"], "op_tail_pct": pct, "op_tail_ms": tail_ms,
-              "op_p50_ms_all_samples": statistics.median(lat) * 1000 if lat else None,
-              "fastest_ms_by_op": best_ms, "faults": res["faults"], "problems": problems}
+              "op_p50_ms_wall": statistics.median(res["wall_lat"]) * 1000 if lat else None,
+              "median_ms_by_op": op_ms, "faults": res["faults"], "problems": problems}
 
     if args.trace:
         state = wl.trace_state(tracer)
@@ -191,7 +200,7 @@ def main(argv=None) -> int:
                  "cli.report_bytes": wl.report_bytes / res["rounds"]}
         metrics = tracing.layer_metrics(state, res["rounds"], extra)
         (WORK / f"spans-{args.workload}-{args.seed}.json").write_text(json.dumps(state["spans"]))
-        untraced, traced = round_time(wl, base), round_time(wl, res)
+        untraced, traced = base["total_s"] / base["rounds"], res["total_s"] / res["rounds"]
         detail.update(trace_overhead=traced / untraced - 1, untraced_round_s=untraced, traced_round_s=traced,
                       startup_s=starts, self_s=dict(list(tracing.self_times(state).items())[:12]))
         if args.workload == "resonance_deep":
@@ -201,8 +210,8 @@ def main(argv=None) -> int:
     else:
         metrics = {
             "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "ops_per_s": {"value": len(lat) / res["rounds"] / round_time(wl, res), "unit": "1/s"},
-            "op_p50_ms": {"value": statistics.median(best_ms.values()) if best_ms else 0.0, "unit": "ms"},
+            "ops_per_s": {"value": len(lat) / res["total_s"], "unit": "1/s"},
+            "op_p50_ms": {"value": statistics.median(lat) * 1000 if lat else 0.0, "unit": "ms"},
             "peak_rss_mb": {"value": rss_kb / 1024, "unit": "MB"},
         }
     print(json.dumps({"detail": detail}, default=str))

@@ -19,11 +19,14 @@ import sys
 import threading
 from pathlib import Path
 
+import speed
+
 CLI_TIMEOUT_S = 120
 
 
 class Workload:
     report_bytes = 0  # CLI output written; in-process workloads write none
+    probe = staticmethod(speed.probe)  # scales the ops' latencies (perfbench/speed.py)
 
     def __init__(self, manifest, root: Path, work: Path):
         self.root = root
@@ -206,11 +209,12 @@ class PeriodScan(Workload):
 class CliSession(Workload):
     """A fixed session of CLI invocations, each in a fresh interpreter.
 
-    The commands that succeed run more than once a round: each short one
-    twice before each of two verify-lemmas runs.  The repeats must give the
-    same bytes, and the samples spread over the round give each command its
-    fastest latency.
+    A round runs the short commands, verify-lemmas, the short commands
+    again and verify-lemmas again.  The repeats must give the same bytes.
+    Each is timed in a fresh interpreter, so the start-up probe scales it.
     """
+
+    probe = staticmethod(speed.startup_probe)
 
     def __init__(self, manifest, root, work):
         super().__init__(manifest, root, work)
@@ -237,7 +241,7 @@ class CliSession(Workload):
         self.trace_dir = None  # set to run each invocation under perfbench/clitrace.py
         self.traces = []
         self.child_rss_kb = 0
-        for i, (name, entry, args) in enumerate(malformed + 2 * (2 * short + lemmas)):
+        for i, (name, entry, args) in enumerate(malformed + 2 * (short + lemmas)):
             self.ops.append((name, lambda i=i, name=name, args=args: self._run(i, name, args)))
 
     def _run(self, i, name, args):
