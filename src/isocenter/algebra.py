@@ -11,7 +11,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import InputError
 
@@ -99,7 +99,6 @@ class GaussianRational:
 
 ZERO = GaussianRational()
 ONE = GaussianRational.of(1)
-I = GaussianRational.of(0, 1)
 
 
 def _coerce(value) -> GaussianRational:
@@ -149,9 +148,6 @@ class BiPoly:
     def terms(self) -> Mapping[Exponent, GaussianRational]:
         return self._t
 
-    def coeff(self, i: int, j: int) -> GaussianRational:
-        return self._t.get((i, j), ZERO)
-
     def is_zero(self) -> bool:
         return not self._t
 
@@ -160,9 +156,6 @@ class BiPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self._t == other._t
-
-    def __hash__(self):
-        return hash(frozenset(self._t.items()))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         t = dict(self._t)
@@ -236,19 +229,6 @@ class BiPoly:
         out._t = {(j, i): c.conj() for (i, j), c in self._t.items()}
         return out
 
-    def total_degree(self) -> int:
-        """Maximum total degree; -1 for the zero polynomial."""
-        return max((i + j for i, j in self._t), default=-1)
-
-    def is_monomial(self) -> bool:
-        return len(self._t) == 1
-
-    def multidegree(self) -> Exponent | None:
-        """The common exponent pair if the polynomial is a monomial multiple."""
-        if len(self._t) == 1:
-            return next(iter(self._t))
-        return None
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {i + j for i, j in self._t}
         if not degs:
@@ -298,10 +278,3 @@ class BiPoly:
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
-
-
-def poly_sum(polys: Iterable[BiPoly]) -> BiPoly:
-    acc = BiPoly.zero()
-    for p in polys:
-        acc = acc + p
-    return acc

@@ -108,12 +108,15 @@ def lemma_quadratic_bracket(seed: int, draws: int = 100) -> LemmaResult:
     for k in range(draws):
         p20, p11, p02 = (random_scalar(rng) for _ in range(3))
         a = decompose(quadratic(p20, p11, p02))
-        got = lie_bracket(_op(a, (1, 0)), _op(a, (0, 1)))
+        d1, d2 = _op(a, (1, 0)), _op(a, (0, 1))
+        got = lie_bracket(d1, d2)
         want = quadratic_display_bracket(p20, p11)
         if got != want:
             return LemmaResult(
                 "quadratic_bracket", False, f"draw {k}: got {got}, want {want}"
             )
+        if bracket_oracle(d1, d2, X) != want.dx or bracket_oracle(d1, d2, Y) != want.dy:
+            return LemmaResult("quadratic_bracket", False, f"draw {k}: oracle differs")
     return LemmaResult("quadratic_bracket", True, f"{draws} draws")
 
 

@@ -219,16 +219,8 @@ def cr_structural_predicate(a: Alphabet) -> bool:
     and no resonant word of any length produces a nonzero nested bracket,
     so a bounded all-zero verdict extends to all word lengths.
     """
-    for n in a.letters():
-        op = a[n]
-        if op.dy.is_zero():
-            md = op.dx.multidegree()
-            if md is None or md[1] != 0:
-                return False
-        elif op.dx.is_zero():
-            md = op.dy.multidegree()
-            if md is None or md[0] != 0:
-                return False
-        else:
-            return False
-    return True
+    return all(
+        (not cy and n2 == 0) or (not cx and n1 == 0)
+        for op in a.entries.values()
+        for (n1, n2), (cx, cy) in op.terms.items()
+    )

@@ -47,13 +47,6 @@ def to_real_system(f: PlanarField) -> RealSystem:
     return RealSystem(rhs)
 
 
-def _section(t, s):
-    return s[1]
-
-
-_section.direction = 1.0
-
-
 def measure_period(
     s: RealSystem,
     r0: float,
@@ -63,8 +56,9 @@ def measure_period(
     """First return time to the section {v = 0, u > 0} from (r0, 0).
 
     Integrates with an adaptive 8th-order explicit pair; the crossing
-    time comes from the solver's event root refinement.  Raises
-    NonPeriodicError when no positive-direction crossing with u > 0
+    time comes from the solver's event root refinement.  A crossing counts
+    in the direction the orbit leaves (r0, 0), the sign of v' there (up for
+    ξ = +i).  Raises NonPeriodicError when no such crossing with u > 0
     occurs within the time budget.
     """
     if r0 <= 0:
@@ -75,6 +69,11 @@ def measure_period(
     def fun(t, state):
         return s.rhs(state[0], state[1])
 
+    def section(t, state):
+        return state[1]
+
+    section.direction = math.copysign(1.0, s.rhs(r0, 0.0)[1])
+
     sol = solve_ivp(
         fun,
         (0.0, time_budget),
@@ -82,7 +81,7 @@ def measure_period(
         method="DOP853",
         rtol=max(tol, 1e-13),
         atol=max(tol, 1e-13) * r0 * 1e-3,
-        events=_section,
+        events=section,
         dense_output=False,
     )
     if not sol.success:

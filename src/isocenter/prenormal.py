@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .algebra import BiPoly, GaussianRational, ZERO
+from .algebra import GaussianRational, ZERO
 from .errors import InputError
 from .lie_analysis import iter_nested_brackets, pairwise_brackets
-from .operators import Derivation, Word, parse_word, word_str
+from .operators import ZERO_DERIVATION, Derivation, Word, parse_word, word_str
 from .prepared import Alphabet, weight
 
 LINEARISABLE_STRUCTURAL = "LinearisableStructural"
@@ -108,8 +108,7 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     rational 1/r factors.  The empty word never contributes.  Subtrees
     whose prefix bracket vanishes contribute nothing and are skipped.
     """
-    dx = BiPoly.zero()
-    dy = BiPoly.zero()
+    total = ZERO_DERIVATION
     for word, w, deriv in iter_nested_brackets(
         a, max_len, resonant_only=m.support_resonant_only
     ):
@@ -118,26 +117,20 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         val = m.value(word)
         if not val:
             continue
-        factor = val * GaussianRational.of(Fraction(1, len(word)))
-        dx = dx + deriv.dx.scale(factor)
-        dy = dy + deriv.dy.scale(factor)
-    return Derivation(dx, dy)
+        total = total + deriv.scale(val * GaussianRational.of(Fraction(1, len(word))))
+    return total
 
 
 def letter_sum(m: Mould, a: Alphabet, resonant_only: bool = True) -> Derivation:
     """sum over (weight-zero) letters of M^n B_n, no bracket terms."""
-    dx = BiPoly.zero()
-    dy = BiPoly.zero()
+    total = ZERO_DERIVATION
     for n in a.letters():
         if resonant_only and weight(n) != 0:
             continue
         val = m.value((n,))
-        if not val:
-            continue
-        op = a[n]
-        dx = dx + op.dx.scale(val)
-        dy = dy + op.dy.scale(val)
-    return Derivation(dx, dy)
+        if val:
+            total = total + a[n].scale(val)
+    return total
 
 
 def structural_linearisability(a: Alphabet, max_len: int) -> str:

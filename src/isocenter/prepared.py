@@ -16,7 +16,7 @@ from typing import Iterator, Mapping
 
 from .algebra import BiPoly, GaussianRational, ZERO
 from .errors import InputError, InternalInconsistencyError
-from .operators import Derivation, Letter, Word, hom_op
+from .operators import Derivation, Letter, Word
 
 _FIELD_KEYS = {"xi_sign", "degree", "coefficients"}
 _COEFF_KEYS = {"i", "j", "value"}
@@ -79,7 +79,8 @@ class PlanarField:
             raise InputError(f"unknown keys in field file: {sorted(unknown)}")
         if "degree" not in obj or "coefficients" not in obj:
             raise InputError("field file requires 'degree' and 'coefficients'")
-        if not isinstance(obj["degree"], int):
+        # type() rather than isinstance: JSON true/false load as bool, an int subclass
+        if type(obj["degree"]) is not int:
             raise InputError("'degree' must be an integer")
         coeffs = {}
         if not isinstance(obj["coefficients"], list):
@@ -87,8 +88,10 @@ class PlanarField:
         for entry in obj["coefficients"]:
             if not isinstance(entry, dict) or set(entry) != _COEFF_KEYS:
                 raise InputError(f"bad coefficient entry: {entry!r}")
-            if not isinstance(entry["i"], int) or not isinstance(entry["j"], int):
+            if type(entry["i"]) is not int or type(entry["j"]) is not int:
                 raise InputError(f"coefficient exponents must be integers: {entry!r}")
+            if not isinstance(entry["value"], str):
+                raise InputError(f"coefficient value must be a string: {entry!r}")
             key = (entry["i"], entry["j"])
             if key in coeffs:
                 raise InputError(f"duplicate coefficient entry for {key}")
@@ -156,32 +159,16 @@ def weight(item: Letter | Word) -> int:
 
 
 def decompose(f: PlanarField) -> Alphabet:
-    """Extract the homogeneous operator families of the prepared form.
+    """Split the field's derivation P d/dx + Q d/dy into one-letter operators.
 
-    For 2 <= k <= d, 1 <= i <= k:
+    For 2 <= k <= d, 1 <= i <= k this gives the three families
         B_{(i-1,k-i)} = x^{i-1} y^{k-i} (p_{i,k-i} x d/dx + conj(p_{k-i+1,i-1}) y d/dy)
         B_{(-1,k)}    = p_{0,k} y^k d/dx
         B_{(k,-1)}    = conj(p_{0,k}) x^k d/dy
     Letters with identically zero operators are omitted.
     """
-    entries: dict[Letter, Derivation] = {}
-    for k in range(2, f.degree + 1):
-        for i in range(1, k + 1):
-            a = f.coeff(i, k - i)
-            b = f.coeff(k - i + 1, i - 1).conj()
-            dx = BiPoly.monomial(i, k - i, a) if a else BiPoly.zero()
-            dy = BiPoly.monomial(i - 1, k - i + 1, b) if b else BiPoly.zero()
-            if dx or dy:
-                entries[(i - 1, k - i)] = hom_op((i - 1, k - i), dx, dy)
-        p0k = f.coeff(0, k)
-        if p0k:
-            entries[(-1, k)] = hom_op(
-                (-1, k), BiPoly.monomial(0, k, p0k), BiPoly.zero()
-            )
-            entries[(k, -1)] = hom_op(
-                (k, -1), BiPoly.zero(), BiPoly.monomial(k, 0, p0k.conj())
-            )
-    return Alphabet(entries)
+    p = f.perturbation()
+    return Alphabet(Derivation(p, p.swap_conj()).split())
 
 
 def reconstruct(f: PlanarField) -> tuple[BiPoly, BiPoly]:
@@ -190,12 +177,9 @@ def reconstruct(f: PlanarField) -> tuple[BiPoly, BiPoly]:
     The result must equal (ξx + P, -ξy + swap_conj(P)) exactly; any
     mismatch is an invariant breach of the decomposition.
     """
-    alphabet = decompose(f)
-    dx = BiPoly.monomial(1, 0, f.xi)
-    dy = BiPoly.monomial(0, 1, -f.xi)
-    for op in alphabet.entries.values():
-        dx = dx + op.dx
-        dy = dy + op.dy
+    linear = Derivation(BiPoly.monomial(1, 0, f.xi), BiPoly.monomial(0, 1, -f.xi))
+    total = sum(decompose(f).entries.values(), linear)
+    dx, dy = total.dx, total.dy
     p = f.perturbation()
     want_dx = BiPoly.monomial(1, 0, f.xi) + p
     want_dy = BiPoly.monomial(0, 1, -f.xi) + p.swap_conj()

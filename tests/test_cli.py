@@ -135,3 +135,22 @@ def test_verify_lemmas_mutation_fails(runner):
     result = runner.invoke(main, ["verify-lemmas", "--mutate-bracket-sign"])
     assert result.exit_code == 2
     assert "FAIL fond2" in result.output
+
+
+def test_scan_periods_mirror(runner, tmp_path):
+    # xi = -i mirror of a Q_ii field: its orbits run clockwise
+    path = write_field(
+        tmp_path, "mirror.json", 2, {(2, 0): "1/4-1/8i", (1, 1): "1/4+1/8i"}, xi_sign="-"
+    )
+    result = runner.invoke(main, ["scan-periods", "--input", path, "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["max_rel_spread"] < 1e-8
+
+
+def test_malformed_value_clean_error(runner, tmp_path):
+    path = tmp_path / "int_value.json"
+    path.write_text('{"degree": 2, "coefficients": [{"i": 2, "j": 0, "value": 5}]}')
+    result = runner.invoke(main, ["classify", "--input", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "error:" in result.stderr

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from isocenter.algebra import GaussianRational
 from isocenter.errors import InputError, NonPeriodicError
 from isocenter.numverify import (
+    DEFAULT_TOL,
     TWO_PI,
     isochrony_scan,
     measure_period,
@@ -88,3 +90,28 @@ def test_scan_json_shape():
     obj = isochrony_scan(LINEAR, (0.05, 0.1)).to_json_obj()
     assert set(obj) == {"radii", "periods", "max_rel_spread", "reference"}
     assert obj["reference"] == pytest.approx(6.283185307179586)
+
+
+def mirror(f):
+    """The xi = -i field whose orbits are the reflections v -> -v of f's."""
+    coeffs = {e: c.conj() for e, c in f.coefficients.items()}
+    return PlanarField(degree=f.degree, coefficients=coeffs, xi_sign="-")
+
+
+def G(re, im=0):
+    return GaussianRational.of(Fraction(re), Fraction(im))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        PlanarField(degree=3, coefficients={(2, 0): G("1/8", "1/4"), (3, 0): G("-1/4", "1/4")}),
+        quadratic(G("1/4", "1/8"), G("1/4", "-1/8"), 0),
+    ],
+    ids=["cauchy_riemann", "Q_ii"],
+)
+def test_mirror_has_same_periods(field):
+    plus = isochrony_scan(field)
+    minus = isochrony_scan(mirror(field))
+    assert all(abs(a - b) <= 10 * DEFAULT_TOL * TWO_PI for a, b in zip(plus.periods, minus.periods))
+    assert minus.max_rel_spread < 1e-8

@@ -15,7 +15,7 @@ from isocenter.operators import (
     parse_word,
     word_str,
 )
-from isocenter.samples import quadratic, random_hom_op
+from isocenter.samples import quadratic, random_hom_op, random_scalar
 from isocenter.prepared import decompose
 
 
@@ -83,7 +83,7 @@ def test_homogeneity_of_action():
         image = op.apply(BiPoly.monomial(*m))
         if image:
             n1, n2 = op.letter
-            assert image.multidegree() == (m[0] + n1, m[1] + n2)
+            assert set(image.terms) == {(m[0] + n1, m[1] + n2)}
 
 
 def test_bracket_oracle_equivalence_small():
@@ -92,6 +92,51 @@ def test_bracket_oracle_equivalence_small():
         d1, d2 = random_hom_op(rng), random_hom_op(rng)
         p = BiPoly.monomial(rng.randint(0, 4), rng.randint(0, 4))
         assert lie_bracket(d1, d2).apply(p) == bracket_oracle(d1, d2, p)
+
+
+def op_with_letter(rng, n):
+    """Random operator of letter n, drawn apart from any other of that letter."""
+    n1, n2 = n
+    dx = BiPoly.monomial(n1 + 1, n2, random_scalar(rng)) if n2 >= 0 else BiPoly.zero()
+    dy = BiPoly.monomial(n1, n2 + 1, random_scalar(rng)) if n1 >= 0 else BiPoly.zero()
+    return hom_op(n, dx, dy)
+
+
+def random_sum_op(rng):
+    """Sum of 1-3 random homogeneous operators, some sharing the first's letter."""
+    first = random_hom_op(rng)
+    total = first
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.5 and first.letter is not None:
+            total = total + op_with_letter(rng, first.letter)
+        else:
+            total = total + random_hom_op(rng)
+    return total
+
+
+def test_multi_letter_bracket_matches_oracle():
+    rng = random.Random(23)
+    multi = 0
+    for _ in range(80):
+        d1, d2 = random_sum_op(rng), random_sum_op(rng)
+        multi += d1.letter is None and bool(d1)
+        br = lie_bracket(d1, d2)
+        for p in (X, Y, BiPoly.monomial(rng.randint(0, 4), rng.randint(0, 4))):
+            assert br.apply(p) == bracket_oracle(d1, d2, p)
+    assert multi >= 20
+
+
+def test_polynomial_views_roundtrip():
+    rng = random.Random(29)
+    for _ in range(50):
+        dx, dy = (
+            BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): random_scalar(rng) for _ in range(4)})
+            for _ in range(2)
+        )
+        d = Derivation(dx, dy)
+        assert d.dx == dx and d.dy == dy
+        assert sum(d.split().values(), ZERO_DERIVATION) == d
+        assert all(op.letter == n for n, op in d.split().items())
 
 
 def test_bracket_oracle_trivial_cases():
@@ -148,6 +193,7 @@ def test_word_text_roundtrip():
 
 
 def test_zero_derivations_compare_equal():
-    z1 = Derivation(BiPoly.zero(), BiPoly.zero(), letter=(1, 0))
-    z2 = Derivation(BiPoly.zero(), BiPoly.zero(), letter=(0, 1))
-    assert z1 == z2 == ZERO_DERIVATION
+    d = hom_op((1, 0), BiPoly.monomial(2, 0), BiPoly.monomial(1, 1, G(2)))
+    zeros = [Derivation(BiPoly.zero(), BiPoly.zero()), d.scale(0), d - d, lie_bracket(d, d)]
+    assert all(z == ZERO_DERIVATION and z.letter is None for z in zeros)
+    assert d.letter == (1, 0) and (-d).letter == (1, 0) and d.scale(G(0, 3)).letter == (1, 0)

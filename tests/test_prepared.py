@@ -7,7 +7,7 @@ import pytest
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
 from isocenter.prepared import PlanarField, decompose, reconstruct, weight
-from isocenter.samples import quadratic, random_field
+from isocenter.samples import quadratic, random_field, random_nonzero_scalar
 
 
 def G(re, im=0):
@@ -31,6 +31,33 @@ def test_decompose_zero_and_sparse():
     assert len(decompose(PlanarField(degree=3, coefficients={}))) == 0
     a = decompose(quadratic(1, 2, 0))
     assert (-1, 2) not in a and (2, -1) not in a
+
+
+def test_decompose_matches_families():
+    rng = random.Random(31)
+    for _ in range(40):
+        d = rng.randint(2, 6)
+        coeffs = dict(random_field(rng, d).coefficients)
+        for k in range(2, d + 1):
+            coeffs[(0, k)] = random_nonzero_scalar(rng)
+        f = PlanarField(degree=d, coefficients=coeffs)
+        want = {}
+        for k in range(2, d + 1):
+            for i in range(1, k + 1):
+                a = f.coeff(i, k - i)
+                b = f.coeff(k - i + 1, i - 1).conj()
+                if a or b:
+                    want[(i - 1, k - i)] = (
+                        BiPoly.monomial(i, k - i, a),
+                        BiPoly.monomial(i - 1, k - i + 1, b),
+                    )
+            p0k = f.coeff(0, k)
+            want[(-1, k)] = (BiPoly.monomial(0, k, p0k), BiPoly.zero())
+            want[(k, -1)] = (BiPoly.zero(), BiPoly.monomial(k, 0, p0k.conj()))
+        a = decompose(f)
+        assert set(a.letters()) == set(want)
+        for n, (dx, dy) in want.items():
+            assert (a[n].dx, a[n].dy, a[n].letter) == (dx, dy, n)
 
 
 def test_letter_degree_bounds():
@@ -138,6 +165,29 @@ class TestFieldFile:
         obj = self.good_obj()
         obj["coefficients"].append({"i": 2, "j": 0, "value": "2/1+0/1i"})
         with pytest.raises(InputError):
+            PlanarField.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"value": 5},
+            {"value": None},
+            {"value": [1, 0]},
+            {"i": True, "j": 1},
+            {"i": 1, "j": True},
+        ],
+        ids=["int value", "null value", "list value", "bool i", "bool j"],
+    )
+    def test_malformed_coefficient_rejected(self, entry):
+        obj = self.good_obj()
+        obj["coefficients"][0].update(entry)
+        with pytest.raises(InputError):
+            PlanarField.from_json_obj(obj)
+
+    def test_boolean_degree_rejected(self):
+        obj = self.good_obj()
+        obj["degree"] = True
+        with pytest.raises(InputError, match="integer"):
             PlanarField.from_json_obj(obj)
 
     def test_missing_file(self, tmp_path):
