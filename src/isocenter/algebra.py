@@ -1,16 +1,18 @@
 """Exact Gaussian-rational scalars and sparse bivariate polynomials.
 
-Everything here is immutable and exact: scalars are complex numbers with
-rational real/imaginary parts, polynomials are sparse maps from exponent
-pairs to scalars with no stored zero coefficients.  Floating point never
-appears in this module.
+Everything here is immutable and exact.  A scalar is the integer triple
+(a, b, d) meaning (a + b i)/d, kept in lowest terms: d > 0 and
+gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have equal
+triples.  Each sum or product makes one gcd, none when the denominator
+is 1.  Polynomials are sparse maps from exponent pairs to scalars with no
+stored zero coefficients.  Floating point never appears in this module.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping, Union
 
 from .errors import InputError
@@ -18,61 +20,99 @@ from .errors import InputError
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number (a + b i)/d with exact integer a, b and d."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(f"cannot make a GaussianRational from {re!r}, {im!r}")
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        # lowest-terms parts over their least common denominator share no factor with it
+        self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
 
     @staticmethod
     def of(re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __add__(self, other) -> "GaussianRational":
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    def __sub__(self, other) -> "GaussianRational":
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is int:
+            return _reduced(self._a * other, self._b * other, self._d)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def norm_sq(self) -> "GaussianRational":
-        """|z|^2 computed as z * conj(z); always has zero imaginary part."""
-        return self * self.conj()
+        """|z|^2 = z * conj(z); always has zero imaginary part."""
+        return _reduced(self._a * self._a + self._b * self._b, 0, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
-        return (
-            f"{self.re.numerator}/{self.re.denominator}"
-            f"{sign}{abs(self.im.numerator)}/{self.im.denominator}i"
-        )
+        a, b, d = self._a, self._b, self._d
+        g, h = gcd(a, d), gcd(b, d)
+        sign = "+" if b >= 0 else "-"
+        return f"{a // g}/{d // g}{sign}{abs(b) // h}/{d // h}i"
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self})"
 
     _FULL = _re.compile(
         r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-]\s*\d+(?:/\d+)?)\s*i\s*$"
@@ -93,19 +133,37 @@ class GaussianRational:
             return GaussianRational(Fraction(m.group(1)))
         m = GaussianRational._IMAG.match(text)
         if m:
-            return GaussianRational(Fraction(0), Fraction(m.group(1)))
+            return GaussianRational(0, Fraction(m.group(1)))
         raise InputError(f"cannot parse Gaussian rational: {text!r}")
 
 
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b i)/d from a triple already in lowest terms."""
+    z = object.__new__(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b i)/d for d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = object.__new__(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
 ZERO = GaussianRational()
-ONE = GaussianRational.of(1)
+ONE = GaussianRational(1)
 
 
 def _coerce(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
+        return GaussianRational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
 

@@ -47,18 +47,26 @@ class GeomComplexity:
 
 
 def _uniform_relations(f: PlanarField) -> list[tuple[str, GaussianRational]]:
-    """Residuals of p_{0,n} = 0 and p_{i,n-i} = conj(p_{n-i+1,i-1})."""
+    """Residuals of p_{0,n} = 0 and p_{i,n-i} = conj(p_{n-i+1,i-1}).
+
+    Only slots (n, i) that hold a stored coefficient or its mirror can
+    fail; they are checked in order of n, then i, with i = 0 standing for
+    p_{0,n} = 0.
+    """
+    slots = set()
+    for i, j in f.coefficients:
+        n = i + j
+        slots.add((n, i))  # i = 0 is the p_{0,n} relation itself
+        if j + 1 <= n:
+            slots.add((n, j + 1))  # the relation whose mirror is p_{i,j}
     failing = []
-    for n in range(2, f.degree + 1):
-        r = f.coeff(0, n)
-        if r:
-            failing.append((f"p_{{0,{n}}}=0", r))
-        for i in range(1, n + 1):
-            res = f.coeff(i, n - i) - f.coeff(n - i + 1, i - 1).conj()
-            if res:
-                failing.append(
-                    (f"p_{{{i},{n - i}}}=conj(p_{{{n - i + 1},{i - 1}}})", res)
-                )
+    for n, i in sorted(slots):
+        if i == 0:
+            failing.append((f"p_{{0,{n}}}=0", f.coeff(0, n)))
+            continue
+        res = f.coeff(i, n - i) - f.coeff(n - i + 1, i - 1).conj()
+        if res:
+            failing.append((f"p_{{{i},{n - i}}}=conj(p_{{{n - i + 1},{i - 1}}})", res))
     return failing
 
 
@@ -81,12 +89,11 @@ def check_uniform(f: PlanarField) -> ConditionVerdict:
 
 def check_cauchy_riemann(f: PlanarField) -> ConditionVerdict:
     """Cauchy-Riemann condition: dP/dy = 0, i.e. p_{i,j} = 0 for j >= 1."""
-    failing = []
-    for n in range(2, f.degree + 1):
-        for i in range(0, n):
-            r = f.coeff(i, n - i)
-            if r:
-                failing.append((f"p_{{{i},{n - i}}}=0", r))
+    failing = [
+        (f"p_{{{i},{j}}}=0", c)
+        for (i, j), c in sorted(f.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0][0]))
+        if j
+    ]
     identity_holds = f.perturbation().partial("y").is_zero()
     if identity_holds != (not failing):
         raise InternalInconsistencyError(

@@ -119,12 +119,13 @@ def central_series(a: Alphabet, depth: int) -> SeriesReport:
     )
 
 
-def _resonance_reachable(w: int, remaining: int, wmin: int, wmax: int) -> bool:
-    """Can some extension by 1..remaining letters bring the weight to zero?"""
-    for k in range(1, remaining + 1):
-        if w + k * wmin <= 0 <= w + k * wmax:
-            return True
-    return False
+def _weight_sums(a: Alphabet, max_len: int) -> list[set[int]]:
+    """sums[k] is the set of weights of the k-letter words, k = 0..max_len."""
+    weights = {weight(n) for n in a}
+    sums = [{0}]
+    for _ in range(max_len):
+        sums.append({s + w for s in sums[-1] for w in weights})
+    return sums
 
 
 def iter_nested_brackets(
@@ -134,57 +135,59 @@ def iter_nested_brackets(
 
     Every yielded word has all proper prefixes with nonzero bracket; zero
     subtrees are skipped since their extensions all bracket to zero.  With
-    ``resonant_only`` the walk additionally skips branches that cannot
-    reach weight zero within the length bound (words already at weight
-    zero are always yielded first).
+    ``resonant_only`` the walk additionally skips words of nonzero weight
+    that no extension within the length bound brings back to weight zero.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
-    letters = a.letters()
-    wmin, wmax = a.weight_bounds()
+    letters = [(n, weight(n)) for n in a.letters()]
+    # reach[k]: weights of the words of 1..k letters
+    reach: list[set[int]] = [set()]
+    if resonant_only:
+        for s in _weight_sums(a, max_len)[1:]:
+            reach.append(reach[-1] | s)
 
     def walk(word: Word, w: int, deriv: Derivation):
         yield word, w, deriv
         if len(word) >= max_len or deriv.is_zero():
             return
-        for n in letters:
-            nw = w + weight(n)
-            if resonant_only and nw != 0 and not _resonance_reachable(
-                nw, max_len - len(word) - 1, wmin, wmax
-            ):
+        left = max_len - len(word) - 1
+        for n, wn in letters:
+            nw = w + wn
+            if resonant_only and nw and -nw not in reach[left]:
                 continue
             yield from walk(word + (n,), nw, lie_bracket(a[n], deriv))
 
-    for n in letters:
-        w = weight(n)
-        if resonant_only and w != 0 and not _resonance_reachable(
-            w, max_len - 1, wmin, wmax
-        ):
+    for n, wn in letters:
+        if resonant_only and wn and -wn not in reach[max_len - 1]:
             continue
-        yield from walk((n,), w, a[n])
+        yield from walk((n,), wn, a[n])
 
 
 def enumerate_resonant_words(a: Alphabet, max_len: int) -> list[Word]:
-    """All weight-zero words of length <= max_len, graded lexicographic."""
+    """All weight-zero words of length <= max_len, graded lexicographic.
+
+    Each length r is walked in lexicographic letter order, keeping a
+    prefix only while the letters still to come can bring its weight back
+    to zero, so the words come out already sorted by (length, word).
+    """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
-    letters = a.letters()
-    wmin, wmax = a.weight_bounds()
+    letters = sorted((n, weight(n)) for n in a)
+    sums = _weight_sums(a, max_len)
     found: list[Word] = []
 
-    def walk(word: Word, w: int):
-        if word and w == 0:
+    def walk(word: Word, w: int, left: int):
+        if not left:
             found.append(word)
-        remaining = max_len - len(word)
-        if remaining == 0:
             return
-        for n in letters:
-            nw = w + weight(n)
-            if nw == 0 or _resonance_reachable(nw, remaining - 1, wmin, wmax):
-                walk(word + (n,), nw)
+        need = sums[left - 1]
+        for n, wn in letters:
+            if -(w + wn) in need:
+                walk(word + (n,), w + wn, left - 1)
 
-    walk((), 0)
-    found.sort(key=lambda w: (len(w), w))
+    for r in range(1, max_len + 1):
+        walk((), 0, r)
     return found
 
 

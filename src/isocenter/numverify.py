@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy.integrate import solve_ivp
-
 from .errors import InputError, NonPeriodicError
 from .prepared import PlanarField
 
@@ -65,6 +63,8 @@ def measure_period(
         raise InputError(f"initial radius must be positive, got {r0}")
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
+    # imported here so that the exact commands never load scipy
+    from scipy.integrate import solve_ivp
 
     def fun(t, state):
         return s.rhs(state[0], state[1])

@@ -143,13 +143,6 @@ class Alphabet:
     def resonant_letters(self) -> list[Letter]:
         return [n for n in self.entries if weight(n) == 0]
 
-    def weight_bounds(self) -> tuple[int, int]:
-        """(min, max) letter weight; (0, 0) for the empty alphabet."""
-        ws = [weight(n) for n in self.entries]
-        if not ws:
-            return (0, 0)
-        return (min(ws), max(ws))
-
 
 def weight(item: Letter | Word) -> int:
     """Weight of a letter (n1 - n2) or of a word (sum over letters)."""

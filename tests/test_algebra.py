@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -103,3 +104,58 @@ def test_swap_conj_properties(p, q):
 @given(polys)
 def test_partials_commute(p):
     assert p.partial("x").partial("y") == p.partial("y").partial("x")
+
+
+# Scalar kernel against the plain route: a pair of Fractions (re, im).
+
+def canonical(re: Fraction, im: Fraction) -> tuple[int, int, int]:
+    """Lowest-terms triple (a, b, d) of (a + b i)/d with d > 0."""
+    d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    return int(re * d), int(im * d), d
+
+
+def agrees(z, ref) -> bool:
+    """z has the reference value and is stored in lowest terms."""
+    return type(z) is GaussianRational and (z._a, z._b, z._d) == canonical(*ref)
+
+
+def ref_str(re: Fraction, im: Fraction) -> str:
+    sign = "+" if im >= 0 else "-"
+    return f"{re.numerator}/{re.denominator}{sign}{abs(im.numerator)}/{im.denominator}i"
+
+
+wide = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+pairs = st.tuples(wide, wide)
+plain = st.one_of(st.integers(-30, 30), wide)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, pairs, plain)
+def test_scalar_kernel_matches_fraction_pairs(p, q, k):
+    (a, b), (c, e) = p, q
+    z, w = GaussianRational(a, b), GaussianRational(c, e)
+    assert agrees(z, p) and (z.re, z.im) == p
+    assert agrees(z + w, (a + c, b + e))
+    assert agrees(z - w, (a - c, b - e))
+    assert agrees(z * w, (a * c - b * e, a * e + b * c))
+    assert agrees(-z, (-a, -b))
+    assert agrees(z.conj(), (a, -b))
+    assert agrees(z.norm_sq(), (a * a + b * b, Fraction(0)))
+    assert agrees(z + k, (a + k, b)) and agrees(k + z, (a + k, b))
+    assert agrees(z - k, (a - k, b))
+    assert agrees(z * k, (a * k, b * k)) and agrees(k * z, (a * k, b * k))
+    assert agrees(GaussianRational.of(k), (Fraction(k), Fraction(0)))
+    assert (z == w) == (p == q)
+    assert z == GaussianRational(a, b) and hash(z) == hash(GaussianRational(a, b))
+    assert bool(z) == (p != (0, 0)) and z.is_zero() == (p == (0, 0))
+    assert str(z) == ref_str(a, b)
+    assert agrees(GaussianRational.parse(str(z)), p)
+    assert z.to_complex() == complex(float(a), float(b))
+
+
+def test_scalar_parts_and_zero():
+    assert GaussianRational() == GaussianRational(0, Fraction(0, 7)) == GaussianRational.parse("0/5")
+    assert agrees(GaussianRational(Fraction(4, 6), Fraction(-1, 4)), (Fraction(2, 3), Fraction(-1, 4)))
+    assert agrees(G(3, 4) * 0, (Fraction(0), Fraction(0)))
+    with pytest.raises(TypeError):
+        GaussianRational(0.5)

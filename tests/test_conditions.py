@@ -156,3 +156,39 @@ class TestGeometricComplexity:
             f = PlanarField(degree=d, coefficients=coeffs)
             v = check_cauchy_riemann(f)
             assert len(v.failing_relations) == d == geometric_complexity("CR", d).q
+
+
+def dense_uniform_relations(f):
+    """The uniform relations over every coefficient slot, in order."""
+    failing = []
+    for n in range(2, f.degree + 1):
+        r = f.coeff(0, n)
+        if r:
+            failing.append((f"p_{{0,{n}}}=0", r))
+        for i in range(1, n + 1):
+            res = f.coeff(i, n - i) - f.coeff(n - i + 1, i - 1).conj()
+            if res:
+                failing.append((f"p_{{{i},{n - i}}}=conj(p_{{{n - i + 1},{i - 1}}})", res))
+    return failing
+
+
+def dense_cr_relations(f):
+    """The Cauchy-Riemann relations over every coefficient slot, in order."""
+    failing = []
+    for n in range(2, f.degree + 1):
+        for i in range(0, n):
+            r = f.coeff(i, n - i)
+            if r:
+                failing.append((f"p_{{{i},{n - i}}}=0", r))
+    return failing
+
+
+def test_sparse_relations_match_dense_loops():
+    rng = random.Random(102)
+    for _ in range(300):
+        d = rng.randint(2, 6)
+        f = random_field(rng, d, density=rng.random())
+        if rng.random() < 0.3:
+            f = random_ui_homogeneous(rng, d)
+        assert check_uniform(f).failing_relations == dense_uniform_relations(f)
+        assert check_cauchy_riemann(f).failing_relations == dense_cr_relations(f)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,11 +10,12 @@ from isocenter.lie_analysis import (
     central_series,
     cr_structural_predicate,
     enumerate_resonant_words,
+    iter_nested_brackets,
     pairwise_brackets,
     resonant_subset_trivial,
 )
-from isocenter.prepared import PlanarField, decompose, weight
-from isocenter.samples import quadratic, random_cr_field, random_ui_homogeneous
+from isocenter.prepared import Alphabet, PlanarField, decompose, weight
+from isocenter.samples import quadratic, random_cr_field, random_field, random_ui_homogeneous
 
 
 def G(re, im=0):
@@ -71,23 +73,6 @@ def test_enumerate_resonant_words_quadratic():
         ],
         key=lambda w: (len(w), w),
     )
-
-
-def test_enumerate_resonant_words_matches_brute_force():
-    a = decompose(quadratic(1, 2, 3))
-    letters = a.letters()
-    brute = []
-    for r in (1, 2, 3):
-        def walk(word):
-            if len(word) == r:
-                if weight(word) == 0:
-                    brute.append(word)
-                return
-            for n in letters:
-                walk(word + (n,))
-        walk(())
-    brute.sort(key=lambda w: (len(w), w))
-    assert enumerate_resonant_words(a, 3) == brute
 
 
 def test_resonant_words_properties():
@@ -150,3 +135,37 @@ def test_series_grading_homogeneous():
             for deriv in level:
                 for part in (deriv.dx, deriv.dy):
                     assert part.is_zero() or part.is_homogeneous(k * (d - 1) + 1)
+
+
+def random_alphabet(rng):
+    """Up to 6 letters of a random field of degree 2..4, so extreme
+    letters (-1,k), (k,-1) and weight-zero letters (k,k) all occur."""
+    a = decompose(random_field(rng, rng.randint(2, 4), density=rng.uniform(0.3, 1)))
+    letters = rng.sample(a.letters(), min(len(a), rng.randint(2, 6)))
+    return Alphabet({n: a[n] for n in letters})
+
+
+def test_enumerate_resonant_words_matches_brute_force():
+    rng = random.Random(7)
+    cases = [(decompose(quadratic(1, 2, 3)), 3)]
+    cases += [(random_alphabet(rng), rng.randint(1, 5)) for _ in range(60)]
+    kinds = set()
+    for a, max_len in cases:
+        kinds |= {"extreme" if -1 in n else "zero" if weight(n) == 0 else "plain" for n in a}
+        brute = sorted(
+            (w for r in range(1, max_len + 1) for w in product(a.letters(), repeat=r) if weight(w) == 0),
+            key=lambda w: (len(w), w),
+        )
+        assert enumerate_resonant_words(a, max_len) == brute
+    assert kinds == {"extreme", "zero", "plain"}
+
+
+def test_resonant_walk_keeps_every_weight_zero_bracket():
+    rng = random.Random(8)
+    for _ in range(40):
+        a = random_alphabet(rng)
+        max_len = rng.randint(1, 4)
+        full = [(w, d) for w, wt, d in iter_nested_brackets(a, max_len) if wt == 0]
+        pruned = list(iter_nested_brackets(a, max_len, resonant_only=True))
+        assert all(wt == weight(w) for w, wt, _ in pruned)
+        assert [(w, d) for w, wt, d in pruned if wt == 0] == full

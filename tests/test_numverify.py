@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +119,11 @@ def test_mirror_has_same_periods(field):
     minus = isochrony_scan(mirror(field))
     assert all(abs(a - b) <= 10 * DEFAULT_TOL * TWO_PI for a, b in zip(plus.periods, minus.periods))
     assert minus.max_rel_spread < 1e-8
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, isocenter.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
