@@ -28,7 +28,6 @@ from .operators import (
     hom_op,
     lie_bracket,
     nested_bracket,
-    parse_word,
     word_str,
 )
 from .prenormal import (
@@ -36,7 +35,6 @@ from .prenormal import (
     UNKNOWN,
     Mould,
     indicator_mould,
-    mould_from_json,
     projection_sum,
     random_mould,
     structural_linearisability,
@@ -78,10 +76,8 @@ __all__ = [
     "isochrony_scan",
     "lie_bracket",
     "measure_period",
-    "mould_from_json",
     "nested_bracket",
     "pairwise_brackets",
-    "parse_word",
     "projection_sum",
     "random_mould",
     "reconstruct",

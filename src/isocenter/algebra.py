@@ -123,18 +123,19 @@ class GaussianRational:
     @staticmethod
     def parse(text: str) -> "GaussianRational":
         """Parse the text form "a/b+c/d i" (denominators optional)."""
-        m = GaussianRational._FULL.match(text)
-        if m:
-            return GaussianRational(
-                Fraction(m.group(1)), Fraction(m.group(2).replace(" ", ""))
-            )
-        m = GaussianRational._REAL.match(text)
-        if m:
-            return GaussianRational(Fraction(m.group(1)))
-        m = GaussianRational._IMAG.match(text)
-        if m:
-            return GaussianRational(0, Fraction(m.group(1)))
-        raise InputError(f"cannot parse Gaussian rational: {text!r}")
+        if m := GaussianRational._FULL.match(text):
+            re, im = m.group(1), m.group(2).replace(" ", "")
+        elif m := GaussianRational._REAL.match(text):
+            re, im = m.group(1), "0"
+        elif m := GaussianRational._IMAG.match(text):
+            re, im = "0", m.group(1)
+        else:
+            raise InputError(f"cannot parse Gaussian rational: {text!r}")
+        try:
+            return GaussianRational(Fraction(re), Fraction(im))
+        except (ZeroDivisionError, ValueError) as exc:
+            # a zero denominator, or more digits than int() converts
+            raise InputError(f"cannot parse Gaussian rational: {text!r}: {exc}") from None
 
 
 def _triple(a: int, b: int, d: int) -> GaussianRational:
@@ -302,17 +303,6 @@ class BiPoly:
     def to_dict(self) -> dict[str, str]:
         """Serialize as {"i,j": "a/b+c/di"} in graded lexicographic order."""
         return {f"{i},{j}": str(c) for (i, j), c in self.sorted_terms()}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, str]) -> "BiPoly":
-        terms = {}
-        for key, val in data.items():
-            try:
-                i, j = (int(part) for part in key.split(","))
-            except ValueError as exc:
-                raise InputError(f"bad exponent key {key!r}") from exc
-            terms[(i, j)] = GaussianRational.parse(val)
-        return BiPoly(terms)
 
     def __str__(self) -> str:
         if not self._t:

@@ -22,7 +22,7 @@ from .conditions import (
 )
 from .errors import InputError, InternalInconsistencyError, NonPeriodicError
 from .lemmas import run_all
-from .lie_analysis import central_series, enumerate_resonant_words, pairwise_brackets
+from .lie_analysis import central_series, enumerate_resonant_words
 from .numverify import DEFAULT_RADII, DEFAULT_TOL, isochrony_scan
 from .operators import word_str
 from .prenormal import structural_linearisability

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .algebra import BiPoly, GaussianRational
 from .errors import InputError, InternalInconsistencyError
+from .prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
 from .prepared import PlanarField, decompose
 
 
@@ -107,26 +108,42 @@ def classify_quadratic(f: PlanarField) -> set[str]:
     """Membership in the four quadratic isochronous-center conditions.
 
     Returns every satisfied condition id among Q_i..Q_iv (possibly
-    several, possibly none).  Modulus relations are exact identities
-    between squared moduli.
+    several, possibly none):
+
+    - Q_i:   p11 = 0 and p02 = 0;
+    - Q_ii:  p20 = conj(p11) and p02 = 0;
+    - Q_iii: p20 = 5/2 conj(p11), |p11|^2 = 4/9 |p02|^2 and
+      2 p02 conj(p11) + 3 p11^2 = 0;
+    - Q_iv:  p20 = 7/6 conj(p11), |p11|^2 = 4 |p02|^2 and
+      2 p02 conj(p11) - p11^2 = 0.
+
+    The last relation of Q_iii and Q_iv fixes the phase of p02 against
+    p11^3; like the others it is covariant under rotation of the plane.
+    Modulus relations are exact identities between squared moduli.
     """
     if f.degree != 2:
         raise InputError(f"quadratic classification needs degree 2, got {f.degree}")
     p20, p11, p02 = f.coeff(2, 0), f.coeff(1, 1), f.coeff(0, 2)
+    phase = 2 * p02 * p11.conj()
+    square = p11 * p11
     out = set()
     if p11.is_zero() and p02.is_zero():
         out.add("Q_i")
     if (p20 - p11.conj()).is_zero() and p02.is_zero():
         out.add("Q_ii")
     half5 = GaussianRational.of(Fraction(5, 2))
-    if (p20 - half5 * p11.conj()).is_zero() and (
-        p11.norm_sq() - GaussianRational.of(Fraction(4, 9)) * p02.norm_sq()
-    ).is_zero():
+    if (
+        (p20 - half5 * p11.conj()).is_zero()
+        and (p11.norm_sq() - GaussianRational.of(Fraction(4, 9)) * p02.norm_sq()).is_zero()
+        and (phase + 3 * square).is_zero()
+    ):
         out.add("Q_iii")
     sixth7 = GaussianRational.of(Fraction(7, 6))
-    if (p20 - sixth7 * p11.conj()).is_zero() and (
-        p11.norm_sq() - GaussianRational.of(4) * p02.norm_sq()
-    ).is_zero():
+    if (
+        (p20 - sixth7 * p11.conj()).is_zero()
+        and (p11.norm_sq() - GaussianRational.of(4) * p02.norm_sq()).is_zero()
+        and (phase - square).is_zero()
+    ):
         out.add("Q_iv")
     return out
 
@@ -141,28 +158,17 @@ def homogeneous_uniform_verdict(f: PlanarField) -> ConditionVerdict:
     if not f.is_homogeneous():
         raise InputError("field perturbation is not homogeneous")
     d = f.degree
-    failing = []
-    r = f.coeff(0, d)
-    if r:
-        failing.append((f"p_{{0,{d}}}=0", r))
-    for i in range(1, d + 1):
-        res = f.coeff(i, d - i) - f.coeff(d - i + 1, i - 1).conj()
-        if res:
-            failing.append((f"p_{{{i},{d - i}}}=conj(p_{{{d - i + 1},{i - 1}}})", res))
+    failing = _uniform_relations(f)
     if d % 2 == 1:
         m = (d - 1) // 2
         r = f.coeff(m + 1, m)
         if r:
             failing.append((f"p_{{{m + 1},{m}}}=0", r))
     verdict = ConditionVerdict("HOM_UNIFORM", not failing, failing)
-    if verdict.holds:
-        from .prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
-
-        if structural_linearisability(decompose(f), 6) != LINEARISABLE_STRUCTURAL:
-            raise InternalInconsistencyError(
-                "homogeneous uniform field failed the structural "
-                "linearisability check"
-            )
+    if verdict.holds and structural_linearisability(decompose(f), 6) != LINEARISABLE_STRUCTURAL:
+        raise InternalInconsistencyError(
+            "homogeneous uniform field failed the structural linearisability check"
+        )
     return verdict
 
 

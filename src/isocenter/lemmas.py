@@ -19,7 +19,7 @@ from .operators import (
     hom_op,
     lie_bracket,
 )
-from .prenormal import letter_sum, projection_sum, random_mould, verify_fond3
+from .prenormal import projection_sum, random_mould, verify_fond3
 from .prepared import decompose
 from .samples import (
     quadratic,

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import InputError
-from .operators import Derivation, Letter, Word, lie_bracket, word_str
+from .operators import Derivation, Letter, Word, lie_bracket
 from .prepared import Alphabet, weight
 
 
@@ -26,48 +26,20 @@ class SeriesReport:
     nilpotent_order1: bool
     witnesses: list[tuple[tuple[Letter, Letter], Derivation]] = field(default_factory=list)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "level_sizes": [len(level) for level in self.levels],
-            "nilpotent_order1": self.nilpotent_order1,
-            "witnesses": [
-                {
-                    "letters": [f"{a[0]},{a[1]}", f"{b[0]},{b[1]}"],
-                    "bracket": d.to_dict(),
-                }
-                for (a, b), d in self.witnesses
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class ResonanceReport:
     """Verdict on the resonant nested brackets up to a word-length bound.
 
-    ``resonant_words`` lists the resonant words whose nested bracket was
-    explicitly evaluated; resonant words pruned away because a proper
-    prefix already bracketed to zero are omitted (their bracket is zero).
-    ``structurally_proven`` upgrades the bounded verdict when the
-    holomorphic structural predicate holds for the whole alphabet.
+    ``witnesses`` pairs each resonant word whose nested bracket is nonzero
+    with that bracket.  ``structurally_proven`` upgrades the bounded
+    verdict when the holomorphic structural predicate holds for the whole
+    alphabet.
     """
 
-    max_len: int
-    resonant_words: list[Word]
     all_brackets_zero: bool
     witnesses: list[tuple[Word, Derivation]] = field(default_factory=list)
     structurally_proven: bool = False
-
-    def to_json_obj(self) -> dict:
-        return {
-            "max_len": self.max_len,
-            "resonant_words": [word_str(w) for w in self.resonant_words],
-            "all_brackets_zero": self.all_brackets_zero,
-            "structurally_proven": self.structurally_proven,
-            "witnesses": [
-                {"word": word_str(w), "bracket": d.to_dict()}
-                for w, d in self.witnesses
-            ],
-        }
 
 
 def pairwise_brackets(a: Alphabet) -> SeriesReport:
@@ -197,18 +169,13 @@ def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     For length-1 resonant words the "bracket" is the operator itself
     (always nonzero by alphabet construction, hence always a witness).
     """
-    resonant: list[Word] = []
-    witnesses: list[tuple[Word, Derivation]] = []
-    for word, w, deriv in iter_nested_brackets(a, max_len, resonant_only=True):
-        if w == 0:
-            resonant.append(word)
-            if deriv:
-                witnesses.append((word, deriv))
-    resonant.sort(key=lambda w: (len(w), w))
+    witnesses = [
+        (word, deriv)
+        for word, w, deriv in iter_nested_brackets(a, max_len, resonant_only=True)
+        if w == 0 and deriv
+    ]
     ok = not witnesses
     return ResonanceReport(
-        max_len=max_len,
-        resonant_words=resonant,
         all_brackets_zero=ok,
         witnesses=witnesses,
         structurally_proven=ok and cr_structural_predicate(a),

@@ -18,7 +18,6 @@ nesting order is fixed project-wide.
 
 from __future__ import annotations
 
-import re as _re
 from typing import Mapping, Sequence
 
 from .algebra import ZERO, BiPoly, GaussianRational
@@ -187,16 +186,3 @@ def nested_bracket(word: Sequence[Letter], ops: Mapping[Letter, Derivation]) -> 
 
 def word_str(word: Sequence[Letter]) -> str:
     return "·".join(f"({n1},{n2})" for n1, n2 in word)
-
-
-_LETTER_RE = _re.compile(r"^\((-?\d+),(-?\d+)\)$")
-
-
-def parse_word(text: str) -> Word:
-    letters = []
-    for chunk in text.split("·"):
-        m = _LETTER_RE.match(chunk.strip())
-        if not m:
-            raise InputError(f"cannot parse word letter {chunk!r}")
-        letters.append((int(m.group(1)), int(m.group(2))))
-    return tuple(letters)

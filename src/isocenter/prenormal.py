@@ -11,12 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .algebra import GaussianRational, ZERO
 from .errors import InputError
-from .lie_analysis import iter_nested_brackets, pairwise_brackets
-from .operators import ZERO_DERIVATION, Derivation, Word, parse_word, word_str
+from .lie_analysis import iter_nested_brackets, pairwise_brackets, resonant_subset_trivial
+from .operators import ZERO_DERIVATION, Derivation, Word, word_str
 from .prepared import Alphabet, weight
 
 LINEARISABLE_STRUCTURAL = "LinearisableStructural"
@@ -36,12 +36,6 @@ class Mould:
         if self.support_resonant_only and weight(word) != 0:
             return ZERO
         return self.evaluate_fn(word)
-
-    def __add__(self, other: "Mould") -> "Mould":
-        return Mould(
-            lambda w: self.value(w) + other.value(w),
-            support_resonant_only=False,
-        )
 
 
 def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
@@ -78,27 +72,6 @@ def table_mould(entries: Mapping[Word, GaussianRational]) -> Mould:
         return table.get(w, ZERO)
 
     return Mould(evaluate, support_resonant_only=False)
-
-
-def mould_from_json(obj: dict) -> Mould:
-    """Build a mould from its JSON spec (kinds: "random", "table")."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InputError("mould spec must be an object with a 'kind' key")
-    if obj["kind"] == "random":
-        if set(obj) - {"kind", "seed", "support"}:
-            raise InputError(f"unknown keys in mould spec: {sorted(set(obj) - {'kind', 'seed', 'support'})}")
-        support = obj.get("support", "resonant")
-        if support not in ("resonant", "all"):
-            raise InputError(f"unknown mould support {support!r}")
-        return random_mould(int(obj.get("seed", 0)), support == "resonant")
-    if obj["kind"] == "table":
-        entries = {}
-        for entry in obj.get("entries", []):
-            if set(entry) != {"word", "value"}:
-                raise InputError(f"bad mould table entry: {entry!r}")
-            entries[parse_word(entry["word"])] = GaussianRational.parse(entry["value"])
-        return table_mould(entries)
-    raise InputError(f"unknown mould kind {obj['kind']!r}")
 
 
 def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
@@ -141,8 +114,6 @@ def structural_linearisability(a: Alphabet, max_len: int) -> str:
     holds or the alphabet is order-1 nilpotent with no weight-zero
     letters; otherwise Unknown.
     """
-    from .lie_analysis import resonant_subset_trivial
-
     report = resonant_subset_trivial(a, max_len)
     if not report.all_brackets_zero:
         return UNKNOWN

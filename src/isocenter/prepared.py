@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .algebra import BiPoly, GaussianRational, ZERO
+from .algebra import BiPoly, GaussianRational, ZERO, grlex_key
 from .errors import InputError, InternalInconsistencyError
 from .operators import Derivation, Letter, Word
 
@@ -63,10 +63,8 @@ class PlanarField:
             "xi_sign": self.xi_sign,
             "degree": self.degree,
             "coefficients": [
-                {"i": i, "j": j, "value": str(c)}
-                for (i, j), c in sorted(
-                    self.coefficients.items(), key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][0])
-                )
+                {"i": i, "j": j, "value": str(self.coefficients[i, j])}
+                for i, j in sorted(self.coefficients, key=grlex_key)
             ],
         }
 
@@ -119,10 +117,7 @@ class Alphabet:
     entries: Mapping[Letter, Derivation] = field(default_factory=dict)
 
     def __post_init__(self):
-        ordered = {
-            letter: self.entries[letter]
-            for letter in sorted(self.entries, key=lambda n: (n[0] + n[1], -n[0]))
-        }
+        ordered = {letter: self.entries[letter] for letter in sorted(self.entries, key=grlex_key)}
         object.__setattr__(self, "entries", ordered)
 
     def letters(self) -> list[Letter]:

@@ -80,7 +80,7 @@ def test_criterion_7_quadratic_classification():
     ok = (
         classify_quadratic(quadratic(1, 0, 0)) == {"Q_i"}
         and classify_quadratic(quadratic(1, 1, 0)) == {"Q_ii"}
-        and classify_quadratic(quadratic(G(Fraction(5, 2)), G(1), G(Fraction(3, 2)))) == {"Q_iii"}
+        and classify_quadratic(quadratic(G(Fraction(5, 2)), G(1), G(Fraction(-3, 2)))) == {"Q_iii"}
         and classify_quadratic(quadratic(G(Fraction(7, 6)), G(1), G(Fraction(1, 2)))) == {"Q_iv"}
         and classify_quadratic(quadratic(1, 1, 1)) == set()
     )

@@ -77,10 +77,6 @@ class TestBiPoly:
         q = BiPoly.monomial(0, 2, G(2, 5))
         assert q.swap_conj() == BiPoly.monomial(2, 0, G(2, -5))
 
-    def test_serialization_roundtrip(self):
-        p = BiPoly({(2, 0): G(1), (1, 1): G(0, -2), (0, 3): G(Fraction(1, 2))})
-        assert BiPoly.from_dict(p.to_dict()) == p
-
 
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys)

@@ -72,8 +72,12 @@ class TestClassifyQuadratic:
         assert classify_quadratic(quadratic(1, 0, 0)) == {"Q_i"}
         assert classify_quadratic(quadratic(1, 1, 0)) == {"Q_ii"}
         assert classify_quadratic(
-            quadratic(G(Fraction(5, 2)), G(1), G(Fraction(3, 2)))
+            quadratic(G(Fraction(5, 2)), G(1), G(Fraction(-3, 2)))
         ) == {"Q_iii"}
+        # same moduli, p_{0,2} out of phase with p_{1,1}^3: not isochronous
+        assert classify_quadratic(
+            quadratic(G(Fraction(5, 2)), G(1), G(Fraction(3, 2)))
+        ) == set()
         assert classify_quadratic(
             quadratic(G(Fraction(7, 6)), G(1), G(Fraction(1, 2)))
         ) == {"Q_iv"}
@@ -90,11 +94,16 @@ class TestClassifyQuadratic:
             classify_quadratic(PlanarField(degree=3, coefficients={}))
 
     def test_modulus_relations_phase_invariant(self):
-        # Q_iii modulus relation ignores the phase of p_{0,2}; the Q_ii
-        # equality is exactly as written, not phase-invariant
-        assert "Q_iii" in classify_quadratic(
-            quadratic(G(Fraction(5, 2)), G(1), G(0, Fraction(3, 2)))
-        )
+        # rotating the plane by u multiplies p20, p11, p02 by u, conj(u),
+        # conj(u)^3 and keeps every family; turning the phase of p_{0,2}
+        # alone leaves Q_iii, and the Q_ii equality is exactly as written
+        p20, p11 = G(Fraction(5, 2), -5), G(1, 2)
+        p02 = G(Fraction(-3, 10)) * p11 * p11 * p11  # -3/2 p11^2 / conj(p11)
+        assert classify_quadratic(quadratic(p20, p11, p02)) == {"Q_iii"}
+        for u in (G(0, 1), G(Fraction(3, 5), Fraction(4, 5))):
+            v = u.conj()
+            assert classify_quadratic(quadratic(u * p20, v * p11, v * v * v * p02)) == {"Q_iii"}
+        assert classify_quadratic(quadratic(p20, p11, G(0, 1) * p02)) == set()
         assert "Q_ii" not in classify_quadratic(quadratic(G(0, 1), G(1), 0))
 
     def test_symbolic_half_of_theorem(self):

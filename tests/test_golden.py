@@ -27,6 +27,8 @@ def cases():
         yield f"classify-{name}", ["classify", "--input", field]
         yield f"scan-periods-{name}", ["scan-periods", "--input", field, "--radii", "0.02,0.05"]
     yield "verify-lemmas-seed0", ["verify-lemmas", "--seed", "0"]
+    yield "complexity-CR-5", ["complexity", "--condition", "CR", "--degree", "5"]
+    yield "complexity-UI-7", ["complexity", "--condition", "UI", "--degree", "7"]
 
 
 def render(args) -> bytes:

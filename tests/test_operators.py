@@ -12,8 +12,6 @@ from isocenter.operators import (
     hom_op,
     lie_bracket,
     nested_bracket,
-    parse_word,
-    word_str,
 )
 from isocenter.samples import quadratic, random_hom_op, random_scalar
 from isocenter.prepared import decompose
@@ -183,13 +181,6 @@ def test_nested_bracket_errors():
 def test_hom_op_rejects_wrong_multidegree():
     with pytest.raises(InputError):
         hom_op((1, 0), BiPoly.monomial(1, 1), BiPoly.zero())
-
-
-def test_word_text_roundtrip():
-    w = ((1, 0), (0, 1), (-1, 2))
-    assert parse_word(word_str(w)) == w
-    with pytest.raises(InputError):
-        parse_word("(1;2)")
 
 
 def test_zero_derivations_compare_equal():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
@@ -175,8 +177,14 @@ class TestFieldFile:
             {"value": [1, 0]},
             {"i": True, "j": 1},
             {"i": 1, "j": True},
+            {"value": "1/0"},
+            {"value": "1/1+1/0i"},
+            {"value": "1" * 5000},
         ],
-        ids=["int value", "null value", "list value", "bool i", "bool j"],
+        ids=[
+            "int value", "null value", "list value", "bool i", "bool j",
+            "zero denominator", "zero imaginary denominator", "5000 digits",
+        ],
     )
     def test_malformed_coefficient_rejected(self, entry):
         obj = self.good_obj()
@@ -193,3 +201,45 @@ class TestFieldFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             PlanarField.load(tmp_path / "absent.json")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+# the text form of a scalar, zero denominators included
+scalar_texts = st.from_regex(r"[+-]?\d{1,3}(/\d{1,2})?([+-]\d{1,3}(/\d{1,2})?i)?", fullmatch=True)
+
+
+@st.composite
+def mutated_fields(draw):
+    """A field object with valid exponents, one key of it or of an entry replaced or removed."""
+    degree = draw(st.integers(2, 4))
+    slots = [(i, n - i) for n in range(2, degree + 1) for i in range(n + 1)]
+    obj = {
+        "xi_sign": draw(st.sampled_from("+-")),
+        "degree": degree,
+        "coefficients": [
+            {"i": i, "j": j, "value": draw(scalar_texts)}
+            for i, j in draw(st.lists(st.sampled_from(slots), unique=True, max_size=4))
+        ],
+    }
+    target = draw(st.sampled_from([obj, *obj["coefficients"]]))
+    key = draw(st.sampled_from([*sorted(target), "extra"]))
+    if draw(st.booleans()):
+        target[key] = draw(json_values | scalar_texts)
+    else:
+        target.pop(key, None)
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values | mutated_fields())
+def test_from_json_obj_accepts_or_raises_input_error(obj):
+    try:
+        f = PlanarField.from_json_obj(obj)
+    except InputError:
+        return
+    assert isinstance(f, PlanarField)
