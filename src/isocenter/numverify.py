@@ -56,13 +56,17 @@ def measure_period(
     Integrates with an adaptive 8th-order explicit pair; the crossing
     time comes from the solver's event root refinement.  A crossing counts
     in the direction the orbit leaves (r0, 0), the sign of v' there (up for
-    ξ = +i).  Raises NonPeriodicError when no such crossing with u > 0
-    occurs within the time budget.
+    ξ = +i).  The start point lies on the section, so the solver records it
+    as the first crossing, at t = 0; integration stops at the second, the
+    first return, and the time budget bounds only orbits that never return.
+    Raises NonPeriodicError when the integration fails or overflows, when
+    the start crossing is missing, when the return crosses at u <= 0, or
+    when no return occurs within the budget.
     """
-    if r0 <= 0:
-        raise InputError(f"initial radius must be positive, got {r0}")
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise InputError(f"initial radius must be positive and finite, got {r0}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     # imported here so that the exact commands never load scipy
     from scipy.integrate import solve_ivp
 
@@ -72,25 +76,34 @@ def measure_period(
     def section(t, state):
         return state[1]
 
-    section.direction = math.copysign(1.0, s.rhs(r0, 0.0)[1])
-
-    sol = solve_ivp(
-        fun,
-        (0.0, time_budget),
-        [r0, 0.0],
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        atol=max(tol, 1e-13) * r0 * 1e-3,
-        events=section,
-        dense_output=False,
-    )
+    section.terminal = 2
+    try:
+        section.direction = math.copysign(1.0, s.rhs(r0, 0.0)[1])
+        sol = solve_ivp(
+            fun,
+            (0.0, time_budget),
+            [r0, 0.0],
+            method="DOP853",
+            rtol=max(tol, 1e-13),
+            atol=max(tol, 1e-13) * r0 * 1e-3,
+            events=section,
+            dense_output=False,
+        )
+    except OverflowError as exc:
+        # complex powers raise instead of returning inf on huge states
+        raise NonPeriodicError(f"integration overflowed from r0={r0}") from exc
     if not sol.success:
         raise NonPeriodicError(f"integration failed from r0={r0}: {sol.message}")
-    for t_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
-        # skip the spurious event at the start point, which lies on the section
-        if t_ev > 0.25 and y_ev[0] > 0:
-            return float(t_ev)
-    raise NonPeriodicError(f"no return to the section from r0={r0} within budget")
+    t_events, y_events = sol.t_events[0], sol.y_events[0]
+    if len(t_events) == 0 or t_events[0] != 0.0:
+        raise NonPeriodicError(f"no start crossing of the section at t = 0 from r0={r0}")
+    if len(t_events) < 2:
+        raise NonPeriodicError(f"no return to the section from r0={r0} within budget")
+    if y_events[1][0] <= 0:
+        raise NonPeriodicError(
+            f"first return from r0={r0} crosses the section at u = {y_events[1][0]:.3g} <= 0"
+        )
+    return float(t_events[1])
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,8 @@ def isochrony_scan(
     if not radii:
         raise InputError("radii must be nonempty")
     radii = tuple(float(r) for r in radii)
+    if not all(math.isfinite(r) for r in radii):
+        raise InputError(f"radii must be finite, got {list(radii)}")
     if list(radii) != sorted(radii):
         raise InputError("radii must be ascending")
     if radii[-1] > RADIUS_WARN:

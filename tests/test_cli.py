@@ -112,10 +112,12 @@ def test_invalid_input_exit_code(runner, tmp_path):
 
 
 def test_bad_radii_exit_code(runner, linear_field):
-    result = runner.invoke(
-        main, ["scan-periods", "--input", linear_field, "--radii", "abc"]
-    )
-    assert result.exit_code == 1
+    for radii in ("abc", "nan"):
+        result = runner.invoke(
+            main, ["scan-periods", "--input", linear_field, "--radii", radii]
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:")
 
 
 def test_verify_lemmas_seed_stability(runner):

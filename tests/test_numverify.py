@@ -12,6 +12,7 @@ from isocenter.errors import InputError, NonPeriodicError
 from isocenter.numverify import (
     DEFAULT_TOL,
     TWO_PI,
+    RealSystem,
     isochrony_scan,
     measure_period,
     to_real_system,
@@ -20,6 +21,7 @@ from isocenter.prepared import PlanarField
 from isocenter.samples import quadratic
 
 LINEAR = PlanarField(degree=2, coefficients={})
+CUBIC = Path(__file__).parent / "golden" / "fields" / "cubic.json"
 
 
 def test_linear_rotation_rhs():
@@ -75,6 +77,69 @@ def test_input_validation():
         isochrony_scan(LINEAR, [])
     with pytest.raises(InputError):
         isochrony_scan(LINEAR, [0.1, 0.05])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            measure_period(s, bad)
+        with pytest.raises(InputError):
+            measure_period(s, 0.1, tol=bad)
+        with pytest.raises(InputError):
+            isochrony_scan(LINEAR, [0.05, bad])
+        with pytest.raises(InputError):
+            isochrony_scan(LINEAR, [0.05], tol=bad)
+
+
+def counted(system):
+    """The system with an rhs that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def rhs(u, v):
+        calls[0] += 1
+        return system.rhs(u, v)
+
+    return RealSystem(rhs), calls
+
+
+def test_integration_stops_at_first_return():
+    counts = []
+    for budget in (10 * TWO_PI, 100 * TWO_PI):
+        s, calls = counted(to_real_system(LINEAR))
+        assert measure_period(s, 0.1, time_budget=budget) == pytest.approx(TWO_PI, rel=1e-10)
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def test_return_before_blow_up_is_measured():
+    # at the last default radius, 0.2, this orbit returns once and then blows up
+    f = PlanarField.load(CUBIC)
+    scan = isochrony_scan(f)
+    assert len(scan.periods) == 4 and all(math.isfinite(t) for t in scan.periods)
+    assert [t.hex() for t in scan.periods[:3]] == [
+        "0x1.923e77a1b97f6p+2",
+        "0x1.92f19a6edb5e7p+2",
+        "0x1.9612623fef6b2p+2",
+    ]
+
+
+def test_overflow_is_non_periodic():
+    f = PlanarField.load(CUBIC)
+    with pytest.raises(NonPeriodicError, match="overflowed"):
+        measure_period(to_real_system(f), 1e200)
+
+
+def test_missing_start_crossing():
+    # v' vanishes at the start and v then goes negative: the orbit leaves
+    # (r0, 0) without crossing the section
+    s = RealSystem(lambda u, v: (-1.0, u - 0.1))
+    with pytest.raises(NonPeriodicError, match="no start crossing"):
+        measure_period(s, 0.1, time_budget=1.0)
+
+
+def test_return_on_negative_side():
+    # u = r0 - t and v = (r0/pi) sin(pi t / r0): the next upward crossing is at u = -r0
+    r0 = 0.1
+    s = RealSystem(lambda u, v: (-1.0, math.cos(math.pi * (u - r0) / r0)))
+    with pytest.raises(NonPeriodicError, match="u = -0.1"):
+        measure_period(s, r0, time_budget=1.0)
 
 
 def test_non_returning_orbit():

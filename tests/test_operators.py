@@ -188,3 +188,46 @@ def test_zero_derivations_compare_equal():
     zeros = [Derivation(BiPoly.zero(), BiPoly.zero()), d.scale(0), d - d, lie_bracket(d, d)]
     assert all(z == ZERO_DERIVATION and z.letter is None for z in zeros)
     assert d.letter == (1, 0) and (-d).letter == (1, 0) and d.scale(G(0, 3)).letter == (1, 0)
+
+
+def sympy_vector_field(d, x, y):
+    """(P, Q) of d = P d/dx + Q d/dy, each letter written as the product
+    x^n1 y^n2 (a x d/dx + b y d/dy) in sympy."""
+    import sympy
+
+    def gauss(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(
+            z.im.numerator, z.im.denominator
+        )
+
+    p = q = sympy.Integer(0)
+    for (n1, n2), (a, b) in d.terms.items():
+        monomial = x**n1 * y**n2
+        p += monomial * gauss(a) * x
+        q += monomial * gauss(b) * y
+    return p, q
+
+
+def sympy_bracket(d1, d2, x, y):
+    """[d1, d2] by symbolic differentiation of the component polynomials."""
+    (p1, q1), (p2, q2) = sympy_vector_field(d1, x, y), sympy_vector_field(d2, x, y)
+
+    def apply(p, q, g):
+        return p * g.diff(x) + q * g.diff(y)
+
+    return apply(p1, q1, p2) - apply(p2, q2, p1), apply(p1, q1, q2) - apply(p2, q2, q1)
+
+
+def test_lie_bracket_matches_sympy_differentiation():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(29)
+    letters = [(i, k - i) for k in range(1, 5) for i in range(k + 1)]
+    extreme = [(-1, k) for k in range(2, 6)] + [(k, -1) for k in range(2, 6)]
+    pairs = [(n, m) for n in extreme for m in extreme]
+    pairs += [(rng.choice(letters + extreme), rng.choice(letters + extreme)) for _ in range(120)]
+    for n, m in pairs:
+        d1, d2 = op_with_letter(rng, n), op_with_letter(rng, m)
+        expected = sympy_bracket(d1, d2, x, y)
+        got = sympy_vector_field(lie_bracket(d1, d2), x, y)
+        assert all(sympy.expand(g - e) == 0 for g, e in zip(got, expected)), (n, m)
