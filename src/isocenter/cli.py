@@ -68,7 +68,26 @@ input_option = click.option(
 )
 
 
-@click.group()
+class Cli(click.Group):
+    """Command group whose usage errors count as invalid input.
+
+    A bad option value, a missing required option, an unknown command or
+    no command exits 1 with an ``error:`` line instead of click's exit 2,
+    which this CLI keeps for internal inconsistency.
+    """
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            sys.exit(EXIT_INVALID_INPUT)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(EXIT_INVALID_INPUT)
+
+
+@click.group(cls=Cli, no_args_is_help=False)
 def main():
     """Exact mould/comould analysis of planar polynomial vector fields."""
 

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from isocenter.cli import dumps_report, main
+
+CUBIC = str(Path(__file__).parent / "golden" / "fields" / "cubic.json")
 
 
 @pytest.fixture
@@ -156,3 +159,39 @@ def test_malformed_value_clean_error(runner, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["complexity", "--condition", "XX", "--degree", "3"],
+        ["complexity", "--condition", "CR"],
+        ["analyze", "--max-word-length", "abc", "--input", CUBIC],
+        ["analyze"],
+        ["scan-periods", "--tol", "tiny", "--input", CUBIC],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_error_is_invalid_input(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["analyze", "--help"], ["verify-lemmas", "--help"]])
+def test_help_exits_zero(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "Usage:" in result.output
+
+
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_analyze_rejects_max_word_length_below_one(runner, linear_field, max_len):
+    # the empty alphabet skips word enumeration: the verdict checks the bound
+    for field in (CUBIC, linear_field):
+        result = runner.invoke(main, ["analyze", "--input", field, "--max-word-length", max_len])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error:")

@@ -1,9 +1,15 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from isocenter import lie_analysis
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lie_analysis import (
@@ -14,6 +20,8 @@ from isocenter.lie_analysis import (
     pairwise_brackets,
     resonant_subset_trivial,
 )
+from isocenter.operators import lie_bracket, nested_bracket
+from isocenter.prenormal import structural_linearisability
 from isocenter.prepared import Alphabet, PlanarField, decompose, weight
 from isocenter.samples import quadratic, random_cr_field, random_field, random_ui_homogeneous
 
@@ -145,10 +153,16 @@ def random_alphabet(rng):
     return Alphabet({n: a[n] for n in letters})
 
 
+def three_letters(a):
+    return Alphabet({n: a[n] for n in a.letters()[:3]})
+
+
 def test_enumerate_resonant_words_matches_brute_force():
     rng = random.Random(7)
     cases = [(decompose(quadratic(1, 2, 3)), 3)]
     cases += [(random_alphabet(rng), rng.randint(1, 5)) for _ in range(60)]
+    # longer words over three letters, so both halves span several letters
+    cases += [(three_letters(random_alphabet(rng)), rng.randint(5, 7)) for _ in range(30)]
     kinds = set()
     for a, max_len in cases:
         kinds |= {"extreme" if -1 in n else "zero" if weight(n) == 0 else "plain" for n in a}
@@ -169,3 +183,139 @@ def test_resonant_walk_keeps_every_weight_zero_bracket():
         pruned = list(iter_nested_brackets(a, max_len, resonant_only=True))
         assert all(wt == weight(w) for w, wt, _ in pruned)
         assert [(w, d) for w, wt, d in pruned if wt == 0] == full
+
+
+def test_resonance_spans_match_walk():
+    # the span DP against the prefix walk it replaced: same verdict, and
+    # its witnesses are resonant words of the walk's shortest witness length
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    ranks = {1: 0, 2: 0}
+    for k in range(200):
+        a = random_alphabet(rng)
+        if k % 2:
+            a = Alphabet({n: a[n] for n in a if weight(n)})
+        max_len = rng.randint(1, 5)
+        walk = [
+            (w, d) for w, wt, d in iter_nested_brackets(a, max_len, resonant_only=True) if wt == 0 and d
+        ]
+        rep = resonant_subset_trivial(a, max_len)
+        assert rep.all_brackets_zero == (not walk)
+        seen[rep.all_brackets_zero] += 1
+        if walk:
+            shortest = min(len(w) for w, _ in walk)
+            cell = rep.witnesses[0][1].letter
+            for w, d in rep.witnesses:
+                assert len(w) == shortest and weight(w) == 0
+                assert d and d == nested_bracket(w, a.entries) and d.letter == cell
+            # the basis size is the rank of every walk bracket in that cell
+            pairs = [d.terms[cell] for w, d in walk if len(w) == shortest and d.letter == cell]
+            rank = 2 if any(p * s - q * r for p, q in pairs for r, s in pairs) else 1
+            assert len(rep.witnesses) == rank
+            ranks[rank] += 1
+    assert min(seen.values()) >= 30 and min(ranks.values()) >= 10
+
+
+def test_resonance_witness_is_first_resonant_cell():
+    # two witnesses of length 2 at different multidegrees: (1,1) comes first
+    rng = random.Random(12)
+    a = decompose(random_field(rng, 4, density=1))
+    a = Alphabet({n: a[n] for n in ((1, 0), (0, 1), (2, 0), (0, 2))})
+    rep = resonant_subset_trivial(a, 3)
+    assert rep.witnesses
+    assert {w for w, _ in rep.witnesses} <= {((1, 0), (0, 1)), ((0, 1), (1, 0))}
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_resonance_rejects_max_len_below_one(max_len):
+    for a in (decompose(PlanarField(degree=2, coefficients={})), decompose(quadratic(1, 2, 3))):
+        with pytest.raises(InputError):
+            resonant_subset_trivial(a, max_len)
+        with pytest.raises(InputError):
+            structural_linearisability(a, max_len)
+        with pytest.raises(InputError):
+            enumerate_resonant_words(a, max_len)
+
+
+def test_enumerate_without_resonant_words_is_instant():
+    # 15 letters of positive weight: no half-word can come back to weight
+    # zero, so nothing is built.  Unpruned halves would number 15^12, so the
+    # call runs in a child process capped at 1 GiB of address space and 60 s.
+    code = """
+import random
+from isocenter.lie_analysis import enumerate_resonant_words
+from isocenter.prepared import Alphabet, decompose, weight
+from isocenter.samples import random_field
+a = decompose(random_field(random.Random(14), 7, density=1))
+a = Alphabet({n: a[n] for n in [n for n in a.letters() if weight(n) > 0][:15]})
+print(len(a), enumerate_resonant_words(a, 24))
+"""
+    cap = 1 << 30
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr[-500:]
+    assert out.stdout.split() == ["15", "[]"]
+
+
+def naive_central_series(a, depth):
+    """Every generator against every level-k entry, each bracket computed."""
+    generators = [a[n] for n in a.letters()]
+    levels = [generators]
+    while len(levels) < depth and levels[-1]:
+        levels.append([br for g in generators for h in levels[-1] for br in [lie_bracket(g, h)] if br])
+    witnesses = [
+        ((n, m), lie_bracket(a[n], a[m]))
+        for i, n in enumerate(a.letters())
+        for m in a.letters()[i:]
+        if lie_bracket(a[n], a[m])
+    ]
+    return levels, witnesses
+
+
+def test_central_series_matches_generator_loop():
+    rng = random.Random(15)
+    cases = [(decompose(quadratic(1, 2, 3)), 4), (decompose(PlanarField(degree=2, coefficients={})), 3)]
+    cases += [(random_alphabet(rng), rng.randint(1, 4)) for _ in range(40)]
+    for a, depth in cases:
+        levels, witnesses = naive_central_series(a, depth)
+        report = central_series(a, depth)
+        assert report.levels == levels
+        assert report.witnesses == witnesses
+        assert report.nilpotent_order1 == (not witnesses)
+        pairwise = pairwise_brackets(a)
+        assert pairwise.witnesses == witnesses
+        assert pairwise.levels[1] == [br for _, br in witnesses]
+
+
+@pytest.mark.parametrize(
+    "kind, max_len", [("dense", 10), ("dense without weight zero", 10), ("cauchy-riemann", 14)]
+)
+def test_resonance_verdict_bracket_count_is_polynomial(monkeypatch, kind, max_len):
+    # the walk brackets exponentially many words in L; the span DP stays
+    # below |letters|^2 L^2 (the count raises as soon as it passes)
+    rng = random.Random(16)
+    if kind == "cauchy-riemann":
+        a = decompose(random_cr_field(rng, 4))
+    else:
+        a = decompose(random_field(rng, 4, density=1))
+        if kind == "dense without weight zero":
+            a = Alphabet({n: a[n] for n in a if weight(n)})
+    bound = len(a) ** 2 * max_len**2
+    calls = [0]
+
+    def counted(d1, d2):
+        calls[0] += 1
+        if calls[0] > bound:
+            raise AssertionError(f"more than {bound} brackets")
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    verdict = structural_linearisability(a, max_len)
+    assert verdict == ("LinearisableStructural" if kind == "cauchy-riemann" else "Unknown")
+    assert calls[0] <= bound
