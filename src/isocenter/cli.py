@@ -21,7 +21,6 @@ from .conditions import (
     geometric_complexity,
 )
 from .errors import InputError, InternalInconsistencyError, NonPeriodicError
-from .lemmas import run_all
 from .lie_analysis import central_series, enumerate_resonant_words
 from .numverify import DEFAULT_RADII, DEFAULT_TOL, isochrony_scan
 from .operators import word_str
@@ -183,6 +182,9 @@ def classify(input_path, fmt):
 @handle_errors
 def verify_lemmas(seed, mutate_bracket_sign, fmt):
     """Run the randomized lemma suites; exit 2 on any failure."""
+    # imported here so that the other commands never compile the lemma suites
+    from .lemmas import run_all
+
     results = run_all(seed, mutate_bracket_sign=mutate_bracket_sign)
     report = {
         "seed": seed,

@@ -14,8 +14,9 @@ Left-normed brackets span the algebra the letters generate (Reutenauer,
 *Free Lie Algebras*, 1993), so the resonance verdict is read off these
 spans grade by grade instead of walking every word.  Resonant words are
 listed by joining half-words through a table keyed by weight.
-``iter_nested_brackets`` keeps the walk over the word prefix tree with
-zero-pruning for the projection sum, which needs every word's bracket.
+``iter_bracket_levels`` is the one traversal of the word prefix tree: it
+yields the zero-pruned tree level by level.  The projection sum reads it
+up to level L-1 (level 1 when L is 1) and brackets level L once per letter.
 """
 
 from __future__ import annotations
@@ -159,36 +160,33 @@ def _reach(a: Alphabet, max_len: int) -> list[set[int]]:
     return reach
 
 
-def iter_nested_brackets(
+def iter_bracket_levels(
     a: Alphabet, max_len: int, resonant_only: bool = False
-) -> Iterator[tuple[Word, int, Derivation]]:
-    """Yield (word, weight, nested bracket) over the pruned prefix tree.
+) -> Iterator[list[tuple[Word, int, Derivation]]]:
+    """Yield the pruned prefix tree level by level, word lengths 1..max_len.
 
-    Every yielded word has all proper prefixes with nonzero bracket; zero
-    subtrees are skipped since their extensions all bracket to zero.  With
-    ``resonant_only`` the walk additionally skips words of nonzero weight
-    that no extension within the length bound brings back to weight zero.
+    Level r lists (word, weight, nested bracket) for the length-r words
+    whose proper prefixes all have a nonzero bracket; zero subtrees are
+    skipped since their extensions all bracket to zero.  With
+    ``resonant_only`` a word is also skipped when no extension within the
+    length bound brings its weight back to zero.  A level is built only
+    when it is asked for.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
     letters = [(n, weight(n)) for n in a.letters()]
     reach = _reach(a, max_len) if resonant_only else None
-
-    def walk(word: Word, w: int, deriv: Derivation):
-        yield word, w, deriv
-        if len(word) >= max_len or deriv.is_zero():
-            return
-        left = max_len - len(word) - 1
-        for n, wn in letters:
-            nw = w + wn
-            if reach and -nw not in reach[left]:
-                continue
-            yield from walk(word + (n,), nw, lie_bracket(a[n], deriv))
-
-    for n, wn in letters:
-        if reach and -wn not in reach[max_len - 1]:
-            continue
-        yield from walk((n,), wn, a[n])
+    level = [((n,), wn, a[n]) for n, wn in letters if not reach or -wn in reach[max_len - 1]]
+    yield level
+    for left in range(max_len - 2, -1, -1):
+        level = [
+            (word + (n,), w + wn, lie_bracket(a[n], d))
+            for word, w, d in level
+            if d
+            for n, wn in letters
+            if not reach or -(w + wn) in reach[left]
+        ]
+        yield level
 
 
 def enumerate_resonant_words(a: Alphabet, max_len: int) -> list[Word]:

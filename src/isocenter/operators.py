@@ -18,7 +18,7 @@ nesting order is fixed project-wide.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import ZERO, BiPoly, GaussianRational
 from .errors import InputError
@@ -128,6 +128,16 @@ def _accumulate(t: dict[Letter, Scalars], n: Letter, c, e) -> None:
         t[n] = (c, e)
     else:
         t.pop(n, None)
+
+
+def linear_combination(terms: Iterable[tuple[GaussianRational, Derivation]]) -> Derivation:
+    """Sum of c * d over the (c, d) pairs, in place in one letter map; zero c skipped."""
+    t: dict[Letter, Scalars] = {}
+    for c, d in terms:
+        if c:
+            for n, (a, b) in d._t.items():
+                _accumulate(t, n, a * c, b * c)
+    return Derivation._of(t)
 
 
 def _dot(p, q, r, s):

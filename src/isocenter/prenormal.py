@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Mapping
 
-from .algebra import GaussianRational, ZERO
+from .algebra import ONE, GaussianRational, ZERO
 from .errors import InputError
-from .lie_analysis import iter_nested_brackets, pairwise_brackets, resonant_subset_trivial
-from .operators import ZERO_DERIVATION, Derivation, Word, word_str
+from .lie_analysis import iter_bracket_levels, pairwise_brackets, resonant_subset_trivial
+from .operators import Derivation, Word, lie_bracket, linear_combination, word_str
 from .prepared import Alphabet, weight
 
 LINEARISABLE_STRUCTURAL = "LinearisableStructural"
@@ -56,8 +57,11 @@ def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
 
 
 def indicator_mould(word: Word) -> Mould:
-    """Mould equal to 1 on one chosen word and 0 elsewhere."""
-    target = tuple(word)
+    """Mould equal to 1 on one chosen word and 0 elsewhere.
+
+    Letters are taken as int tuples, so a JSON word (letters as lists) matches.
+    """
+    target = tuple(tuple(map(int, n)) for n in word)
 
     def evaluate(w: Word) -> GaussianRational:
         return GaussianRational.of(1) if w == target else ZERO
@@ -78,32 +82,40 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     """Truncated bracket form of the mould-comould series.
 
     Evaluates  sum_{r=1..max_len} (1/r) sum_{|n|=r} M^n [B_n]  with exact
-    rational 1/r factors.  The empty word never contributes.  Subtrees
-    whose prefix bracket vanishes contribute nothing and are skipped.
+    rational 1/r factors, one level of the pruned prefix tree at a time.
+    The empty word never contributes, and no word below a vanishing prefix
+    bracket is formed.  Below the deepest level L the mould is evaluated
+    only where the word's bracket is nonzero.  Level L uses bilinearity in
+    the last letter:
+
+        sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
+
+    so a length-L word costs one mould value and a multiply-add, and each
+    letter with nonzero S_n one bracket.  The mould is therefore also
+    evaluated on length-L words whose own bracket vanishes: it must be a
+    pure function of the word.
     """
-    total = ZERO_DERIVATION
-    for word, w, deriv in iter_nested_brackets(
-        a, max_len, resonant_only=m.support_resonant_only
-    ):
-        if deriv.is_zero():
-            continue
-        val = m.value(word)
-        if not val:
-            continue
-        total = total + deriv.scale(val * GaussianRational.of(Fraction(1, len(word))))
-    return total
+    resonant = m.support_resonant_only
+    sums = []
+    # every level but the deepest, word by word; at max_len 1 that is the only level
+    for level in islice(iter_bracket_levels(a, max_len, resonant), max(max_len - 1, 1)):
+        sums.append(linear_combination((m.value(w), d) for w, _, d in level if d))
+    if max_len > 1:
+        by_letter = {}  # n -> S_n of the docstring, from the words u of level L-1
+        for n in a.letters():
+            wn = weight(n)
+            ends = ((u + (n,), d) for u, w, d in level if d and not (resonant and w + wn))
+            by_letter[n] = linear_combination((m.value(word), d) for word, d in ends)
+        brackets = ((ONE, lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
+        sums.append(linear_combination(brackets))
+    return linear_combination((GaussianRational(Fraction(1, r)), s) for r, s in enumerate(sums, 1))
 
 
 def letter_sum(m: Mould, a: Alphabet, resonant_only: bool = True) -> Derivation:
     """sum over (weight-zero) letters of M^n B_n, no bracket terms."""
-    total = ZERO_DERIVATION
-    for n in a.letters():
-        if resonant_only and weight(n) != 0:
-            continue
-        val = m.value((n,))
-        if val:
-            total = total + a[n].scale(val)
-    return total
+    return linear_combination(
+        (m.value((n,)), a[n]) for n in a.letters() if not resonant_only or weight(n) == 0
+    )
 
 
 def structural_linearisability(a: Alphabet, max_len: int) -> str:
@@ -111,15 +123,17 @@ def structural_linearisability(a: Alphabet, max_len: int) -> str:
 
     LinearisableStructural when every resonant nested bracket up to
     max_len vanishes and either the holomorphic structural predicate
-    holds or the alphabet is order-1 nilpotent with no weight-zero
-    letters; otherwise Unknown.
+    holds or the alphabet is order-1 nilpotent; otherwise Unknown.  The
+    nilpotent route needs no separate test for weight-zero letters: such
+    a letter is a resonant word of length 1 whose bracket, the operator
+    itself, is nonzero, so it already fails the first condition.
     """
     report = resonant_subset_trivial(a, max_len)
     if not report.all_brackets_zero:
         return UNKNOWN
     if report.structurally_proven:
         return LINEARISABLE_STRUCTURAL
-    if pairwise_brackets(a).nilpotent_order1 and not a.resonant_letters():
+    if pairwise_brackets(a).nilpotent_order1:
         return LINEARISABLE_STRUCTURAL
     return UNKNOWN
 

@@ -16,7 +16,7 @@ from isocenter.lie_analysis import (
     central_series,
     cr_structural_predicate,
     enumerate_resonant_words,
-    iter_nested_brackets,
+    iter_bracket_levels,
     pairwise_brackets,
     resonant_subset_trivial,
 )
@@ -153,6 +153,11 @@ def random_alphabet(rng):
     return Alphabet({n: a[n] for n in letters})
 
 
+def tree_nodes(a, max_len, resonant_only=False):
+    """Every (word, weight, bracket) of the pruned prefix tree, level after level."""
+    return [node for level in iter_bracket_levels(a, max_len, resonant_only) for node in level]
+
+
 def three_letters(a):
     return Alphabet({n: a[n] for n in a.letters()[:3]})
 
@@ -179,8 +184,8 @@ def test_resonant_walk_keeps_every_weight_zero_bracket():
     for _ in range(40):
         a = random_alphabet(rng)
         max_len = rng.randint(1, 4)
-        full = [(w, d) for w, wt, d in iter_nested_brackets(a, max_len) if wt == 0]
-        pruned = list(iter_nested_brackets(a, max_len, resonant_only=True))
+        full = [(w, d) for w, wt, d in tree_nodes(a, max_len) if wt == 0]
+        pruned = tree_nodes(a, max_len, resonant_only=True)
         assert all(wt == weight(w) for w, wt, _ in pruned)
         assert [(w, d) for w, wt, d in pruned if wt == 0] == full
 
@@ -197,7 +202,7 @@ def test_resonance_spans_match_walk():
             a = Alphabet({n: a[n] for n in a if weight(n)})
         max_len = rng.randint(1, 5)
         walk = [
-            (w, d) for w, wt, d in iter_nested_brackets(a, max_len, resonant_only=True) if wt == 0 and d
+            (w, d) for w, wt, d in tree_nodes(a, max_len, resonant_only=True) if wt == 0 and d
         ]
         rep = resonant_subset_trivial(a, max_len)
         assert rep.all_brackets_zero == (not walk)

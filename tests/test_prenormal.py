@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
+from test_lie_analysis import random_alphabet
 
+from isocenter import lie_analysis, prenormal
 from isocenter.algebra import GaussianRational
 from isocenter.errors import InputError
-from isocenter.operators import ZERO_DERIVATION
+from isocenter.lie_analysis import pairwise_brackets, resonant_subset_trivial
+from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
     UNKNOWN,
@@ -18,8 +23,8 @@ from isocenter.prenormal import (
     table_mould,
     verify_fond3,
 )
-from isocenter.prepared import PlanarField, decompose
-from isocenter.samples import quadratic, random_ui_homogeneous
+from isocenter.prepared import Alphabet, PlanarField, decompose, weight
+from isocenter.samples import quadratic, random_field, random_ui_homogeneous
 
 
 def G(re, im=0):
@@ -90,11 +95,11 @@ def test_resonant_support_enforced():
 def test_indicator_and_table_moulds():
     a = decompose(quadratic(1, 2, 0))
     word = ((1, 0), (0, 1))
-    ind = indicator_mould(word)
-    from isocenter.operators import nested_bracket
-
     expect = nested_bracket(word, dict(a.entries)).scale(Fraction(1, 2))
-    assert projection_sum(ind, a, 3) == expect
+    assert expect
+    # the same word with list letters, as json.load gives it
+    for given in (word, [list(n) for n in word]):
+        assert projection_sum(indicator_mould(given), a, 3) == expect
     tab = table_mould({word: G(2)})
     assert projection_sum(tab, a, 3) == expect.scale(2)
 
@@ -132,3 +137,106 @@ def test_structural_linearisability_verdicts():
     # condition iii parameters: structure alone cannot decide
     f = quadratic(G(Fraction(5, 2)), G(1), G(Fraction(-3, 2)))
     assert structural_linearisability(decompose(f), 6) == UNKNOWN
+
+
+def brute_brackets(a, max_len):
+    """Every word from itertools.product with its nonzero nested bracket."""
+    words = (w for r in range(1, max_len + 1) for w in product(a.letters(), repeat=r))
+    return [(w, d) for w in words for d in [nested_bracket(w, a.entries)] if d]
+
+
+def brute_projection_sum(m, brackets):
+    """Sum of M(w) [B_w] / |w| over the (word, bracket) pairs, term by term."""
+    total = ZERO_DERIVATION
+    for w, d in brackets:
+        total = total + d.scale(m.value(w) * GaussianRational.of(Fraction(1, len(w))))
+    return total
+
+
+def test_projection_sum_matches_brute_force():
+    # L cycles through 1..5, capped so that there are at most 700 words of
+    # length L; random moulds are cached, since they are pure and the brute
+    # force asks again for every value
+    rng = random.Random(17)
+    kinds, lengths = set(), set()
+    nonzero = 0
+    for k in range(200):
+        a = random_alphabet(rng)
+        max_len = max(L for L in range(1, 1 + k % 5 + 1) if L == 1 or len(a) ** L <= 700)
+        lengths.add(max_len)
+        kinds |= {"extreme" if -1 in n else "zero" if weight(n) == 0 else "plain" for n in a}
+        brackets = brute_brackets(a, max_len)
+        words = [w for w, _ in brackets] or [()]
+        table = table_mould({rng.choice(words): G(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(4)})
+        full = Mould(cache(random_mould(k, support_resonant_only=False).value))
+        moulds = [
+            full,
+            Mould(full.value, support_resonant_only=True),
+            indicator_mould(rng.choice(words)),
+            table,
+            Mould(lambda w, m1=full, m2=table: m1.value(w) + m2.value(w)),
+        ]
+        for m in moulds:
+            got = projection_sum(m, a, max_len)
+            assert got == brute_projection_sum(m, brackets)
+            nonzero += bool(got)
+    assert kinds == {"extreme", "zero", "plain"} and lengths == {1, 2, 3, 4, 5}
+    assert nonzero >= 500
+
+
+def test_projection_sum_brackets_no_length_l_word(monkeypatch):
+    # one bracket per word of length 2..L-1 in the tree, and one per letter
+    # whose S_n is nonzero; none for a word of the deepest length
+    rng = random.Random(18)
+    a = decompose(random_field(rng, 3, density=1))
+    max_len = 4
+    bound = sum(len(a) ** r for r in range(2, max_len)) + len(a)
+    calls = [0]
+
+    def counted(d1, d2):
+        calls[0] += 1
+        if calls[0] > bound:
+            raise AssertionError(f"more than {bound} brackets")
+        return lie_bracket(d1, d2)
+
+    word = next(
+        w for w in product(a.letters(), repeat=max_len) if weight(w) and nested_bracket(w, a.entries)
+    )
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    monkeypatch.setattr(prenormal, "lie_bracket", counted)
+    got = projection_sum(indicator_mould(word), a, max_len)
+    assert got == nested_bracket(word, a.entries).scale(G(Fraction(1, max_len)))
+    assert len(a) == 9 and calls[0] <= bound
+
+
+def old_structural_linearisability(a, max_len):
+    """The verdict as first written, with its test for weight-zero letters."""
+    report = resonant_subset_trivial(a, max_len)
+    if not report.all_brackets_zero:
+        return UNKNOWN
+    if report.structurally_proven:
+        return LINEARISABLE_STRUCTURAL
+    if pairwise_brackets(a).nilpotent_order1 and not a.resonant_letters():
+        return LINEARISABLE_STRUCTURAL
+    return UNKNOWN
+
+
+def test_structural_linearisability_matches_old_formula():
+    # random alphabets, their one-letter sub-alphabets (always nilpotent)
+    # and uniform homogeneous fields (nilpotent, weight-zero letter at odd
+    # degree), each with and without its weight-zero letters
+    rng = random.Random(19)
+    verdicts = {LINEARISABLE_STRUCTURAL: 0, UNKNOWN: 0}
+    for k in range(120):
+        a = random_alphabet(rng)
+        if k % 3 == 1:
+            n = rng.choice(a.letters())
+            a = Alphabet({n: a[n]})
+        elif k % 3 == 2:
+            a = decompose(random_ui_homogeneous(rng, rng.randint(2, 5)))
+        for b in (a, Alphabet({n: a[n] for n in a if weight(n)})):
+            for max_len in range(1, 6):
+                verdict = structural_linearisability(b, max_len)
+                assert verdict == old_structural_linearisability(b, max_len)
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 100
