@@ -18,7 +18,6 @@ from .lie_analysis import (
     central_series,
     cr_structural_predicate,
     enumerate_resonant_words,
-    pairwise_brackets,
     resonant_subset_trivial,
 )
 from .numverify import PeriodScan, RealSystem, isochrony_scan, measure_period, to_real_system
@@ -77,7 +76,6 @@ __all__ = [
     "lie_bracket",
     "measure_period",
     "nested_bracket",
-    "pairwise_brackets",
     "projection_sum",
     "random_mould",
     "reconstruct",

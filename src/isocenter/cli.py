@@ -103,7 +103,7 @@ def analyze(input_path, max_word_length, series_depth, fmt):
     reconstruct(f)
     a = decompose(f)
     series = central_series(a, series_depth)
-    resonant = enumerate_resonant_words(a, max_word_length) if len(a) else []
+    resonant = enumerate_resonant_words(a, max_word_length)
     verdict = structural_linearisability(a, max_word_length)
     report = {
         "field": f.to_json_obj(),

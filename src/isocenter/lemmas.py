@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import X, Y, BiPoly, GaussianRational
-from .lie_analysis import pairwise_brackets, resonant_subset_trivial
+from .lie_analysis import central_series, resonant_subset_trivial
 from .operators import (
     ZERO_DERIVATION,
     Derivation,
@@ -196,7 +196,7 @@ def lemma_structure1(seed: int, draws: int = 50, max_d: int = 6) -> LemmaResult:
     for d in range(2, max_d + 1):
         for k in range(draws):
             f = random_ui_homogeneous(rng, d)
-            report = pairwise_brackets(decompose(f))
+            report = central_series(decompose(f), 2)
             if not report.nilpotent_order1:
                 (pair, br) = report.witnesses[0]
                 return LemmaResult(

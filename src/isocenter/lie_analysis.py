@@ -15,14 +15,16 @@ Left-normed brackets span the algebra the letters generate (Reutenauer,
 spans grade by grade instead of walking every word.  Resonant words are
 listed by joining half-words through a table keyed by weight.
 ``iter_bracket_levels`` is the one traversal of the word prefix tree: it
-yields the zero-pruned tree level by level.  The projection sum reads it
-up to level L-1 (level 1 when L is 1) and brackets level L once per letter.
+yields the nonzero brackets level by level, letter-major, and takes the
+bracket of a word whose first two letters are swapped as the negation of
+its twin's.  The central series and its pair witnesses are read off its
+levels; the projection sum reads it up to level L-1 (level 1 when L is 1)
+and brackets level L once per letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator
 
 from .errors import InputError
@@ -57,97 +59,25 @@ class ResonanceReport:
     structurally_proven: bool = False
 
 
-def _pair_brackets(ops: list[Derivation]) -> dict[tuple[int, int], Derivation]:
-    """[ops[i], ops[j]] for each index pair i < j whose bracket is nonzero.
-
-    The bracket of an operator with itself always vanishes, so only the
-    unordered pairs of distinct letters are bracketed, once each.
-    """
-    out = {}
-    for i, j in combinations(range(len(ops)), 2):
-        br = lie_bracket(ops[i], ops[j])
-        if br:
-            out[(i, j)] = br
-    return out
-
-
-def _witness_pairs(letters: list[Letter], pairs) -> list[tuple[tuple[Letter, Letter], Derivation]]:
-    return [((letters[i], letters[j]), br) for (i, j), br in pairs.items()]
-
-
-def pairwise_brackets(a: Alphabet) -> SeriesReport:
-    """Bracket every unordered letter pair; true iff all brackets vanish."""
-    letters = a.letters()
-    pairs = _pair_brackets([a[n] for n in letters])
-    return SeriesReport(
-        levels=[[a[n] for n in letters], list(pairs.values())],
-        nilpotent_order1=not pairs,
-        witnesses=_witness_pairs(letters, pairs),
-    )
-
-
-def _next_level(generators, prev, twin):
-    """Level k+1 from level k, with each entry's twin index.
-
-    ``twin[i]`` is the index of an earlier entry equal to -prev[i], or
-    None.  The bracket with a twin is the negated bracket with the
-    earlier entry, so it is not computed again.
-    """
-    nxt, nxt_twin = [], []
-    for g in generators:
-        made = {}  # index in prev -> index in nxt
-        for i, h in enumerate(prev):
-            j = twin[i]
-            if j is None:
-                br = lie_bracket(g, h)
-                if br:
-                    made[i] = len(nxt)
-                    nxt.append(br)
-                    nxt_twin.append(None)
-            elif j in made:
-                made[i] = len(nxt)
-                nxt.append(-nxt[made[j]])
-                nxt_twin.append(made[j])
-    return nxt, nxt_twin
-
-
 def central_series(a: Alphabet, depth: int) -> SeriesReport:
-    """Truncated descending central series as generating sets.
+    """Truncated descending central series as generating sets, with pair witnesses.
 
-    Level 1 is the alphabet; level k+1 collects all nonzero brackets of a
-    level-1 operator with a level-k generator, generator-major.  Stops
-    early at an empty level.  No linear-independence reduction is
-    performed.  Each unordered letter pair is bracketed once: level 2 and
-    the pairwise witnesses come from that one pass, and [B_m, B_n] is
-    taken as -[B_n, B_m].
+    Level k is the nonzero length-k brackets of the prefix tree: each letter
+    bracketed with each level-(k-1) generator, generator-major.  Stops
+    early at an empty level; no linear-independence reduction is made.
+    The witnesses are the nonzero [B_n, B_m] with n before m, read off the
+    level-2 words (m, n).
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    letters = a.letters()
-    generators = [a[n] for n in letters]
-    pairs = _pair_brackets(generators)
-    levels = [generators]
-    if depth > 1 and generators:
-        level, twin = [], []
-        at = {}  # pair i < j -> its index in level 2
-        for i in range(len(generators)):
-            for j in range(len(generators)):
-                if (j, i) in at:
-                    twin.append(at[(j, i)])
-                    level.append(-level[at[(j, i)]])
-                elif (i, j) in pairs:
-                    at[(i, j)] = len(level)
-                    twin.append(None)
-                    level.append(pairs[(i, j)])
-        levels.append(level)
-        while len(levels) < depth and level:
-            level, twin = _next_level(generators, level, twin)
-            levels.append(level)
-    return SeriesReport(
-        levels=levels,
-        nilpotent_order1=not pairs,
-        witnesses=_witness_pairs(letters, pairs),
-    )
+    rank = {n: i for i, n in enumerate(a.letters())}
+    levels, witnesses = [], []
+    for level in iter_bracket_levels(a, max(depth, 2)):
+        if len(levels) == 1:
+            witnesses = [((n, m), d) for (m, n), _, d in level if rank[n] < rank[m]]
+        if len(levels) < depth and (not levels or levels[-1]):
+            levels.append([d for _, _, d in level])
+    return SeriesReport(levels=levels, nilpotent_order1=not witnesses, witnesses=witnesses)
 
 
 def _reach(a: Alphabet, max_len: int) -> list[set[int]]:
@@ -163,29 +93,48 @@ def _reach(a: Alphabet, max_len: int) -> list[set[int]]:
 def iter_bracket_levels(
     a: Alphabet, max_len: int, resonant_only: bool = False
 ) -> Iterator[list[tuple[Word, int, Derivation]]]:
-    """Yield the pruned prefix tree level by level, word lengths 1..max_len.
+    """Yield the prefix tree level by level, word lengths 1..max_len.
 
     Level r lists (word, weight, nested bracket) for the length-r words
-    whose proper prefixes all have a nonzero bracket; zero subtrees are
-    skipped since their extensions all bracket to zero.  With
-    ``resonant_only`` a word is also skipped when no extension within the
-    length bound brings its weight back to zero.  A level is built only
-    when it is asked for.
+    whose bracket is nonzero, so no zero subtree is formed.  Level r+1 is
+    letter-major: for each letter n, the level-r words extended by n, in
+    order.  Swapping the first two letters of a word negates its bracket:
+    of two swap twins only the first is bracketed, and a word whose first
+    two letters are equal is not bracketed at all.  With ``resonant_only``
+    a word is also skipped when no extension within the length bound
+    brings its weight back to zero.  A level is built only when asked for.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
-    letters = [(n, weight(n)) for n in a.letters()]
     reach = _reach(a, max_len) if resonant_only else None
-    level = [((n,), wn, a[n]) for n, wn in letters if not reach or -wn in reach[max_len - 1]]
+    keep = reach[max_len - 1] if reach else None
+    level = [((n,), weight(n), a[n]) for n in a if a[n] and (not keep or -weight(n) in keep)]
     yield level
+    first = level  # no word of the tree has a letter outside level 1
+    twin = None  # from level 2: twin[i] is the index of entry i's earlier swap twin, or None
     for left in range(max_len - 2, -1, -1):
-        level = [
-            (word + (n,), w + wn, lie_bracket(a[n], d))
-            for word, w, d in level
-            if d
-            for n, wn in letters
-            if not reach or -(w + wn) in reach[left]
-        ]
+        # rows[b] maps an index in level to the index in nxt of its extension by letter b
+        nxt, nxt_twin, rows = [], [], [{} for _ in first]
+        for b, ((n,), wn, op) in enumerate(first):
+            for i, (word, w, d) in enumerate(level):
+                if reach and -(w + wn) not in reach[left]:
+                    continue
+                if twin is None:  # (n, m) is made in the row of m if m comes first
+                    row, j = rows[i], (b if i <= b else None)  # (n, n) is its own twin
+                else:  # (twin of u) + (n,) is made in this row
+                    row, j = rows[b], twin[i]
+                if j is None:  # no twin made yet
+                    br, t = lie_bracket(op, d), None
+                elif j in row:
+                    t = row[j]
+                    br = -nxt[t][2]
+                else:  # the twin is zero
+                    continue
+                if br:
+                    rows[b][i] = len(nxt)
+                    nxt.append((word + (n,), w + wn, br))
+                    nxt_twin.append(t)
+        level, twin = nxt, nxt_twin
         yield level
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 from .algebra import ONE, GaussianRational, ZERO
 from .errors import InputError
-from .lie_analysis import iter_bracket_levels, pairwise_brackets, resonant_subset_trivial
+from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
 from .operators import Derivation, Word, lie_bracket, linear_combination, word_str
 from .prepared import Alphabet, weight
 
@@ -82,11 +82,13 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     """Truncated bracket form of the mould-comould series.
 
     Evaluates  sum_{r=1..max_len} (1/r) sum_{|n|=r} M^n [B_n]  with exact
-    rational 1/r factors, one level of the pruned prefix tree at a time.
-    The empty word never contributes, and no word below a vanishing prefix
-    bracket is formed.  Below the deepest level L the mould is evaluated
-    only where the word's bracket is nonzero.  Level L uses bilinearity in
-    the last letter:
+    rational 1/r factors, one level of the prefix tree at a time.  The
+    empty word never contributes.  The tree's levels hold only the words
+    whose bracket is nonzero, and of two words that differ by a swap of
+    their first two letters only one is bracketed, the other taking the
+    negation.  So below the deepest level L the mould is evaluated only
+    where the word's bracket is nonzero.  Level L uses bilinearity in the
+    last letter:
 
         sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
 
@@ -99,12 +101,12 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     sums = []
     # every level but the deepest, word by word; at max_len 1 that is the only level
     for level in islice(iter_bracket_levels(a, max_len, resonant), max(max_len - 1, 1)):
-        sums.append(linear_combination((m.value(w), d) for w, _, d in level if d))
+        sums.append(linear_combination((m.value(w), d) for w, _, d in level))
     if max_len > 1:
         by_letter = {}  # n -> S_n of the docstring, from the words u of level L-1
         for n in a.letters():
             wn = weight(n)
-            ends = ((u + (n,), d) for u, w, d in level if d and not (resonant and w + wn))
+            ends = ((u + (n,), d) for u, w, d in level if not (resonant and w + wn))
             by_letter[n] = linear_combination((m.value(word), d) for word, d in ends)
         brackets = ((ONE, lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
@@ -133,7 +135,7 @@ def structural_linearisability(a: Alphabet, max_len: int) -> str:
         return UNKNOWN
     if report.structurally_proven:
         return LINEARISABLE_STRUCTURAL
-    if pairwise_brackets(a).nilpotent_order1:
+    if central_series(a, 2).nilpotent_order1:
         return LINEARISABLE_STRUCTURAL
     return UNKNOWN
 
@@ -145,9 +147,9 @@ def verify_fond3(
 
     For seeded resonant-supported moulds the full truncated sum must
     equal the sum over weight-zero letters alone.  Requires the alphabet
-    to pass the pairwise bracket test.
+    to be nilpotent of order 1: every letter pair brackets to zero.
     """
-    if not pairwise_brackets(a).nilpotent_order1:
+    if not central_series(a, 2).nilpotent_order1:
         raise InputError("alphabet is not nilpotent of order 1")
     for t in range(trials):
         m = random_mould(seed + t, support_resonant_only=True)

@@ -12,7 +12,7 @@ from isocenter.conditions import (
     homogeneous_uniform_verdict,
 )
 from isocenter.errors import InputError
-from isocenter.lie_analysis import pairwise_brackets
+from isocenter.lie_analysis import central_series
 from isocenter.prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
 from isocenter.prepared import PlanarField, decompose
 from isocenter.samples import quadratic, random_field, random_ui_homogeneous
@@ -111,7 +111,7 @@ class TestClassifyQuadratic:
         # linearisable
         for f in (quadratic(G(2, 3), 0, 0), quadratic(G(1, -4), G(1, 4), 0)):
             a = decompose(f)
-            assert pairwise_brackets(a).nilpotent_order1
+            assert central_series(a, 2).nilpotent_order1
             assert structural_linearisability(a, 6) == LINEARISABLE_STRUCTURAL
 
 

@@ -17,7 +17,6 @@ from isocenter.lie_analysis import (
     cr_structural_predicate,
     enumerate_resonant_words,
     iter_bracket_levels,
-    pairwise_brackets,
     resonant_subset_trivial,
 )
 from isocenter.operators import lie_bracket, nested_bracket
@@ -32,13 +31,13 @@ def G(re, im=0):
 
 def test_pairwise_fond2_conditions():
     # p_{2,0} = conj(p_{1,1}), p_{0,2} = 0
-    assert pairwise_brackets(decompose(quadratic(G(1, -2), G(1, 2), 0))).nilpotent_order1
+    assert central_series(decompose(quadratic(G(1, -2), G(1, 2), 0)), 2).nilpotent_order1
     # p_{1,1} = p_{0,2} = 0
-    assert pairwise_brackets(decompose(quadratic(G(3, 5), 0, 0))).nilpotent_order1
+    assert central_series(decompose(quadratic(G(3, 5), 0, 0)), 2).nilpotent_order1
 
 
 def test_pairwise_witness():
-    report = pairwise_brackets(decompose(quadratic(1, 2, 0)))
+    report = central_series(decompose(quadratic(1, 2, 0)), 2)
     assert not report.nilpotent_order1
     (pair, br) = report.witnesses[0]
     assert set(pair) == {(1, 0), (0, 1)}
@@ -130,7 +129,7 @@ def test_ui_homogeneous_nilpotent_sampled():
     for d in range(2, 7):
         for _ in range(10):
             f = random_ui_homogeneous(rng, d)
-            assert pairwise_brackets(decompose(f)).nilpotent_order1
+            assert central_series(decompose(f), 2).nilpotent_order1
 
 
 def test_series_grading_homogeneous():
@@ -160,6 +159,38 @@ def tree_nodes(a, max_len, resonant_only=False):
 
 def three_letters(a):
     return Alphabet({n: a[n] for n in a.letters()[:3]})
+
+
+def letter_major(letters, r):
+    """The length-r words in the tree's order: the last letter varies slowest."""
+    return [w[::-1] for w in product(letters, repeat=r)]
+
+
+def test_bracket_levels_match_brute_force():
+    # each level against every itertools.product word in letter-major order
+    # with its nested_bracket, kept when that is nonzero and, with
+    # resonant_only, when some word of at most max_len - r letters brings
+    # its weight back to zero; L is capped so that at most 700 words have length L
+    rng = random.Random(20)
+    cases = [(decompose(quadratic(1, 2, 3)), 4)]
+    cases += [(random_alphabet(rng), k % 5 + 1) for k in range(80)]
+    kinds, cut, twins = set(), 0, 0
+    for a, max_len in cases:
+        letters = a.letters()
+        max_len = max(L for L in range(1, max_len + 1) if L == 1 or len(a) ** L <= 700)
+        kinds |= {"extreme" if -1 in n else "zero" if weight(n) == 0 else "plain" for n in a}
+        back = [{weight(v) for j in range(k + 1) for v in product(letters, repeat=j)} for k in range(max_len)]
+        full = list(iter_bracket_levels(a, max_len))
+        pruned = list(iter_bracket_levels(a, max_len, resonant_only=True))
+        assert len(full) == len(pruned) == max_len
+        for r in range(1, max_len + 1):
+            brackets = ((w, nested_bracket(w, a.entries)) for w in letter_major(letters, r))
+            want = [(w, weight(w), d) for w, d in brackets if d]
+            assert full[r - 1] == want
+            assert pruned[r - 1] == [node for node in want if -node[1] in back[max_len - r]]
+        cut += pruned != full
+        twins += max_len > 1 and bool(full[1])
+    assert kinds == {"extreme", "zero", "plain"} and cut >= 10 and twins >= 10
 
 
 def test_enumerate_resonant_words_matches_brute_force():
@@ -293,9 +324,22 @@ def test_central_series_matches_generator_loop():
         assert report.levels == levels
         assert report.witnesses == witnesses
         assert report.nilpotent_order1 == (not witnesses)
-        pairwise = pairwise_brackets(a)
-        assert pairwise.witnesses == witnesses
-        assert pairwise.levels[1] == [br for _, br in witnesses]
+
+
+def test_central_series_brackets_each_swap_twin_pair_once(monkeypatch):
+    # level 2 brackets each unordered letter pair once, level 3 one word of
+    # each pair of swap twins: k(k-1)/2 + k |level 2| / 2 brackets
+    a = decompose(random_field(random.Random(16), 4, density=1))
+    k, level2 = len(a), len(central_series(a, 2).levels[1])
+    calls = [0]
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    central_series(a, 3)
+    assert k == 15 and calls[0] <= k * (k - 1) // 2 + k * level2 // 2
 
 
 @pytest.mark.parametrize(

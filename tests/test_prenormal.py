@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from test_lie_analysis import random_alphabet
@@ -9,7 +9,7 @@ from test_lie_analysis import random_alphabet
 from isocenter import lie_analysis, prenormal
 from isocenter.algebra import GaussianRational
 from isocenter.errors import InputError
-from isocenter.lie_analysis import pairwise_brackets, resonant_subset_trivial
+from isocenter.lie_analysis import resonant_subset_trivial
 from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
@@ -209,6 +209,28 @@ def test_projection_sum_brackets_no_length_l_word(monkeypatch):
     assert len(a) == 9 and calls[0] <= bound
 
 
+def test_projection_sum_brackets_each_swap_twin_pair_once(monkeypatch):
+    # at L = 4 the tree brackets each unordered letter pair once at level 2
+    # and, at level 3, one word of each pair of swap twins; level 4 costs
+    # one bracket per letter
+    a = decompose(random_field(random.Random(18), 3, density=1))
+    k = len(a)
+    pairs = sum(1 for m, n in combinations(a.letters(), 2) if lie_bracket(a[m], a[n]))
+    tree, last = [0], [0]
+
+    def counter(cell):
+        def counted(d1, d2):
+            cell[0] += 1
+            return lie_bracket(d1, d2)
+        return counted
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counter(tree))
+    monkeypatch.setattr(prenormal, "lie_bracket", counter(last))
+    assert projection_sum(random_mould(3, support_resonant_only=False), a, 4)
+    assert k == 9 and pairs > 0
+    assert tree[0] == k * (k - 1) // 2 + k * pairs and last[0] <= k
+
+
 def old_structural_linearisability(a, max_len):
     """The verdict as first written, with its test for weight-zero letters."""
     report = resonant_subset_trivial(a, max_len)
@@ -216,7 +238,8 @@ def old_structural_linearisability(a, max_len):
         return UNKNOWN
     if report.structurally_proven:
         return LINEARISABLE_STRUCTURAL
-    if pairwise_brackets(a).nilpotent_order1 and not a.resonant_letters():
+    nilpotent = not any(lie_bracket(a[m], a[n]) for m, n in combinations(a.letters(), 2))
+    if nilpotent and not a.resonant_letters():
         return LINEARISABLE_STRUCTURAL
     return UNKNOWN
 
