@@ -1,8 +1,9 @@
 """Numerical orbit-period oracle for the underlying real planar system.
 
 This is the only non-exact module: coefficients are evaluated to double
-precision and orbits are integrated with an adaptive high-order explicit
-scheme.  Results are evidence, never proofs.
+precision and orbits are integrated with DOP853, an adaptive 8th-order
+explicit pair written on Python floats in `isocenter.dop853`, so no
+numerical library is needed.  Results are evidence, never proofs.
 """
 
 from __future__ import annotations
@@ -53,57 +54,55 @@ def measure_period(
 ) -> float:
     """First return time to the section {v = 0, u > 0} from (r0, 0).
 
-    Integrates with an adaptive 8th-order explicit pair; the crossing
-    time comes from the solver's event root refinement.  A crossing counts
-    in the direction the orbit leaves (r0, 0), the sign of v' there (up for
-    ξ = +i).  The start point lies on the section, so the solver records it
-    as the first crossing, at t = 0; integration stops at the second, the
-    first return, and the time budget bounds only orbits that never return.
-    Raises NonPeriodicError when the integration fails or overflows, when
-    the start crossing is missing, when the return crosses at u <= 0, or
-    when no return occurs within the budget.
+    Integrates with DOP853, the adaptive 8th-order explicit pair of
+    `isocenter.dop853`.  A crossing counts in the direction the orbit leaves
+    (r0, 0), the sign of v' there (up for ξ = +i).  The start point lies on
+    the section, so the first step records a crossing at t = 0; the second
+    crossing, the first return, is found on the step's 7th-order interpolant
+    by Brent's method, and integration stops there: the time budget bounds
+    only orbits that never return.  Raises NonPeriodicError when the
+    integration fails (step-size underflow or a non-finite state) or
+    overflows, when the start crossing is missing, when the return crosses
+    at u <= 0, or when no return occurs within the budget.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise InputError(f"initial radius must be positive and finite, got {r0}")
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be positive and finite, got {tol}")
-    # imported here so that the exact commands never load scipy
-    from scipy.integrate import solve_ivp
+    if not (math.isfinite(time_budget) and time_budget > 0):
+        raise InputError(f"time budget must be positive and finite, got {time_budget}")
+    # imported here so that the exact commands never load the tables
+    from .dop853 import StepFailure, brentq, steps
 
-    def fun(t, state):
-        return s.rhs(state[0], state[1])
-
-    def section(t, state):
-        return state[1]
-
-    section.terminal = 2
+    rtol = max(tol, 1e-13)
     try:
-        section.direction = math.copysign(1.0, s.rhs(r0, 0.0)[1])
-        sol = solve_ivp(
-            fun,
-            (0.0, time_budget),
-            [r0, 0.0],
-            method="DOP853",
-            rtol=max(tol, 1e-13),
-            atol=max(tol, 1e-13) * r0 * 1e-3,
-            events=section,
-            dense_output=False,
-        )
+        direction = math.copysign(1.0, s.rhs(r0, 0.0)[1])
+        for step in steps(s.rhs, r0, 0.0, time_budget, rtol, rtol * r0 * 1e-3):
+            # v goes from <= 0 to >= 0 in the section's direction
+            crossed = direction * step.v_old <= 0.0 <= direction * step.v
+            if step.t_old == 0.0:
+                # the start point is on the section: the crossing at t = 0
+                if not crossed:
+                    raise NonPeriodicError(
+                        f"no start crossing of the section at t = 0 from r0={r0}"
+                    )
+                continue
+            if not crossed:
+                continue
+            y = step.dense()
+            t_return = brentq(lambda t: y(t)[1], step.t_old, step.t)
+            u_return = y(t_return)[0]
+            if u_return <= 0:
+                raise NonPeriodicError(
+                    f"first return from r0={r0} crosses the section at u = {u_return:.3g} <= 0"
+                )
+            return t_return
     except OverflowError as exc:
         # complex powers raise instead of returning inf on huge states
         raise NonPeriodicError(f"integration overflowed from r0={r0}") from exc
-    if not sol.success:
-        raise NonPeriodicError(f"integration failed from r0={r0}: {sol.message}")
-    t_events, y_events = sol.t_events[0], sol.y_events[0]
-    if len(t_events) == 0 or t_events[0] != 0.0:
-        raise NonPeriodicError(f"no start crossing of the section at t = 0 from r0={r0}")
-    if len(t_events) < 2:
-        raise NonPeriodicError(f"no return to the section from r0={r0} within budget")
-    if y_events[1][0] <= 0:
-        raise NonPeriodicError(
-            f"first return from r0={r0} crosses the section at u = {y_events[1][0]:.3g} <= 0"
-        )
-    return float(t_events[1])
+    except StepFailure as exc:
+        raise NonPeriodicError(f"integration failed from r0={r0}: {exc}") from exc
+    raise NonPeriodicError(f"no return to the section from r0={r0} within budget")
 
 
 @dataclass(frozen=True)
