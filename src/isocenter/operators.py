@@ -9,18 +9,27 @@ x^i y^j belongs to letter (i-1, j) and a d/dy monomial x^i y^j to letter
     [(n, a, b), (m, c, e)] = (n+m, s*c - t*a, s*e - t*b),
     s = a*m1 + b*m2,  t = c*n1 + e*n2,
 
-extended bilinearly.  The (dx, dy) polynomial views and ``apply`` serve
-the independent double-application route (``bracket_oracle``) only.  The
-nested bracket of a word n1...nr is left-nested with the last letter
-outermost: [B_{nr}, [B_{n_{r-1}}, ..., [B_{n2}, B_{n1}]...]].  This
-nesting order is fixed project-wide.
+extended bilinearly.  ``lie_bracket`` evaluates it on the integer
+triples (a, b, d) of the scalars over one common denominator per letter
+pair, with one gcd per output scalar.  ``linear_combination`` keeps its
+running sums as raw triples, with one gcd per component and added term.
+Both build scalar objects only for their result.  After a partial sum
+cancels, a result may store its letters in another order than a
+scalar-by-scalar sum would; no output reads that order, since the
+(dx, dy) views sort by grlex.  The (dx, dy) polynomial views and
+``apply`` serve the independent double-application route
+(``bracket_oracle``) only.  The nested bracket of a word n1...nr is
+left-nested with the last letter outermost:
+[B_{nr}, [B_{n_{r-1}}, ..., [B_{n2}, B_{n1}]...]].  This nesting order is
+fixed project-wide.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ZERO, BiPoly, GaussianRational
+from .algebra import ZERO, BiPoly, GaussianRational, _reduced, _triple
 from .errors import InputError
 
 Letter = tuple[int, int]
@@ -131,19 +140,43 @@ def _accumulate(t: dict[Letter, Scalars], n: Letter, c, e) -> None:
 
 
 def linear_combination(terms: Iterable[tuple[GaussianRational, Derivation]]) -> Derivation:
-    """Sum of c * d over the (c, d) pairs, in place in one letter map; zero c skipped."""
-    t: dict[Letter, Scalars] = {}
+    """Sum of c * d over the (c, d) pairs, zero c skipped.
+
+    Each letter's running pair is kept as two raw integer triples, and
+    each added term c * (a, b) brings a component to lowest terms with one
+    gcd.  Scalars are made only for the result, where all-zero letters are
+    dropped.
+    """
+    acc: dict[Letter, list[int]] = {}  # n -> [pa, pb, pd, qa, qb, qd]
     for c, d in terms:
-        if c:
-            for n, (a, b) in d._t.items():
-                _accumulate(t, n, a * c, b * c)
-    return Derivation._of(t)
-
-
-def _dot(p, q, r, s):
-    """p*q + r*s, skipping zero products."""
-    x = p * q if p and q else ZERO
-    return x + r * s if r and s else x
+        if not c:
+            continue
+        ca, cb, cd = c._a, c._b, c._d
+        for n, (a, b) in d._t.items():
+            r = acc.get(n)
+            if r is None:
+                r = acc[n] = [0, 0, 1, 0, 0, 1]
+            for k, z in ((0, a), (3, b)):
+                za, zb = z._a, z._b
+                if not (za or zb):
+                    continue
+                # running + c * z over one denominator, then one gcd
+                f, e = cd * z._d, r[k + 2]
+                u, v = ca * za - cb * zb, ca * zb + cb * za
+                if e != f:
+                    u, v, f = r[k] * f + u * e, r[k + 1] * f + v * e, e * f
+                else:
+                    u, v = r[k] + u, r[k + 1] + v
+                if f != 1:
+                    g = gcd(u, v, f)
+                    if g != 1:
+                        u, v, f = u // g, v // g, f // g
+                r[k], r[k + 1], r[k + 2] = u, v, f
+    return Derivation._of({
+        n: (_triple(pa, pb, pd), _triple(qa, qb, qd))
+        for n, (pa, pb, pd, qa, qb, qd) in acc.items()
+        if pa or pb or qa or qb
+    })
 
 
 def hom_op(letter: Letter, dx: BiPoly, dy: BiPoly) -> Derivation:
@@ -157,19 +190,44 @@ def hom_op(letter: Letter, dx: BiPoly, dy: BiPoly) -> Derivation:
 def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """[d1, d2] = d1∘d2 - d2∘d1, by the closed form on each letter pair.
 
-    If both arguments are homogeneous with letters n and m, a nonzero
-    result is homogeneous with letter n + m.
+    The closed form is evaluated on the integer triples of the scalars,
+    over the one common denominator of the pair's four scalars, and each
+    output scalar is brought to lowest terms with one gcd.  If both
+    arguments are homogeneous with letters n and m, a nonzero result is
+    homogeneous with letter n + m.
     """
-    t: dict[Letter, Scalars] = {}
-    for n, (a, b) in d1._t.items():
-        for m, (c, e) in d2._t.items():
-            # s and t of the module docstring, t negated so x and y are dot products
-            s = _dot(a, m[0], b, m[1])
-            minus_t = _dot(c, -n[0], e, -n[1])
-            x, y = _dot(s, c, minus_t, a), _dot(s, e, minus_t, b)
-            if x or y:
-                _accumulate(t, (n[0] + m[0], n[1] + m[1]), x, y)
-    return Derivation._of(t)
+    acc: dict[Letter, tuple[int, ...]] = {}  # n + m -> (xa, xb, ya, yb, D)
+    for (n1, n2), (a, b) in d1._t.items():
+        aa, ab, ad = a._a, a._b, a._d
+        ba, bb, bd = b._a, b._b, b._d
+        for (m1, m2), (c, e) in d2._t.items():
+            ca, cb, cd = c._a, c._b, c._d
+            ea, eb, ed = e._a, e._b, e._d
+            # s = a*m1 + b*m2 over ad*bd, t = c*n1 + e*n2 over cd*ed
+            u, v = m1 * bd, m2 * ad
+            sa, sb = aa * u + ba * v, ab * u + bb * v
+            u, v = n1 * ed, n2 * cd
+            ta, tb = ca * u + ea * v, cb * u + eb * v
+            # x = s*c - t*a and y = s*e - t*b over D = ad*bd*cd*ed
+            xa = (sa * ca - sb * cb) * ed - (ta * aa - tb * ab) * bd
+            xb = (sa * cb + sb * ca) * ed - (ta * ab + tb * aa) * bd
+            ya = (sa * ea - sb * eb) * cd - (ta * ba - tb * bb) * ad
+            yb = (sa * eb + sb * ea) * cd - (ta * bb + tb * ba) * ad
+            if not (xa or xb or ya or yb):
+                continue
+            den = ad * bd * cd * ed
+            k = (n1 + m1, n2 + m2)
+            if k in acc:  # another pair gave letter k: add over the product denominator
+                pa, pb, qa, qb, f = acc[k]
+                xa, xb = pa * den + xa * f, pb * den + xb * f
+                ya, yb = qa * den + ya * f, qb * den + yb * f
+                den *= f
+            acc[k] = (xa, xb, ya, yb, den)
+    return Derivation._of({
+        k: (_reduced(xa, xb, den), _reduced(ya, yb, den))
+        for k, (xa, xb, ya, yb, den) in acc.items()
+        if xa or xb or ya or yb
+    })
 
 
 def bracket_oracle(d1: Derivation, d2: Derivation, p: BiPoly) -> BiPoly:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Mapping
 
-from .algebra import ONE, GaussianRational, ZERO
+from .algebra import ONE, GaussianRational, ZERO, _reduced
 from .errors import InputError
 from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
 from .operators import Derivation, Word, lie_bracket, linear_combination, word_str
@@ -42,16 +42,28 @@ class Mould:
 def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
     """Seeded mould with small rational values, a pure function of the word.
 
-    Each word gets its own generator keyed by (seed, word), so values do
-    not depend on evaluation order.
+    The mould's one generator is reseeded from (seed, word) before each
+    value, so values do not depend on evaluation order.  The real and
+    imaginary parts are p/q and r/s with p, r in -9..9 and q, s in 1..9,
+    the draws of ``randint`` made here with ``getrandbits`` and its
+    rejection loop.
     """
+    rng = random.Random(0)  # reseeded before every value
+    bits = rng.getrandbits
+
+    def below(n: int) -> int:
+        """A uniform integer in 0..n-1 from draws of n's bit length, as ``randint`` makes it."""
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
 
     def evaluate(word: Word) -> GaussianRational:
-        rng = random.Random(f"{seed}|{word_str(word)}")
-        return GaussianRational(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
+        rng.seed(f"{seed}|{word_str(word)}")
+        p, q = below(19) - 9, below(9) + 1
+        r, s = below(19) - 9, below(9) + 1
+        return _reduced(p * s, r * q, q * s)
 
     return Mould(evaluate, support_resonant_only=support_resonant_only)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from isocenter.algebra import BiPoly, GaussianRational, X, Y
+from isocenter.algebra import ZERO, BiPoly, GaussianRational, X, Y
 from isocenter.errors import InputError
 from isocenter.operators import (
     ZERO_DERIVATION,
@@ -11,6 +11,7 @@ from isocenter.operators import (
     bracket_oracle,
     hom_op,
     lie_bracket,
+    linear_combination,
     nested_bracket,
 )
 from isocenter.samples import quadratic, random_hom_op, random_scalar
@@ -231,3 +232,87 @@ def test_lie_bracket_matches_sympy_differentiation():
         expected = sympy_bracket(d1, d2, x, y)
         got = sympy_vector_field(lie_bracket(d1, d2), x, y)
         assert all(sympy.expand(g - e) == 0 for g, e in zip(got, expected)), (n, m)
+
+
+# --- the reference route: the closed form on GaussianRational objects -----
+
+
+def dot(p, q, r, s):
+    """p*q + r*s, skipping zero products."""
+    x = p * q if p and q else ZERO
+    return x + r * s if r and s else x
+
+
+def reference_lie_bracket(d1, d2):
+    """[d1, d2] by the closed form with one scalar object per operation."""
+    t = {}
+    for n, (a, b) in d1.terms.items():
+        for m, (c, e) in d2.terms.items():
+            s = dot(a, m[0], b, m[1])
+            minus_t = dot(c, -n[0], e, -n[1])
+            x, y = dot(s, c, minus_t, a), dot(s, e, minus_t, b)
+            k = (n[0] + m[0], n[1] + m[1])
+            if k in t:
+                x, y = t[k][0] + x, t[k][1] + y
+            if x or y:
+                t[k] = (x, y)
+            else:
+                t.pop(k, None)
+    return Derivation._of(t)
+
+
+def wide_scalar(rng):
+    """A scalar with zero, small or ~10^30 parts and denominators."""
+    def part():
+        kind = rng.random()
+        if kind < 0.2:
+            return Fraction(0)
+        if kind < 0.6:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+    return GaussianRational(part(), part())
+
+
+def wide_derivation(rng):
+    """1-4 letters with components in -1..2, so pairs often share an output letter."""
+    t, size = {}, rng.randint(1, 4)
+    while len(t) < size:
+        a, b = wide_scalar(rng), wide_scalar(rng)
+        if a or b:
+            t[(rng.randint(-1, 2), rng.randint(-1, 2))] = (a, b)
+    return Derivation._of(t)
+
+
+def test_lie_bracket_matches_object_route():
+    rng = random.Random(31)
+    shared = 0
+    for _ in range(1500):
+        d1, d2 = wide_derivation(rng), wide_derivation(rng)
+        sums = [(n[0] + m[0], n[1] + m[1]) for n in d1.terms for m in d2.terms]
+        shared += len(set(sums)) < len(sums)
+        # equal derivations hold equal (a, b, d) triples: scalars are kept in lowest terms
+        assert lie_bracket(d1, d2) == reference_lie_bracket(d1, d2)
+        assert lie_bracket(d1, d1) == ZERO_DERIVATION
+    assert shared >= 300
+
+
+def test_linear_combination_matches_fold_of_scale():
+    rng = random.Random(37)
+    for _ in range(500):
+        terms = [(wide_scalar(rng), wide_derivation(rng)) for _ in range(rng.randint(1, 5))]
+        # a term and its exact negation, so some letter sums cancel part way
+        c, d = terms[rng.randrange(len(terms))]
+        terms.insert(rng.randrange(len(terms) + 1), (-c, d))
+        fold = sum((d.scale(c) for c, d in terms), ZERO_DERIVATION)
+        assert linear_combination(terms) == fold
+
+
+def test_linear_combination_cancels_to_zero():
+    rng = random.Random(41)
+    for _ in range(100):
+        d = wide_derivation(rng)
+        c, e = wide_scalar(rng), wide_scalar(rng)
+        terms = [(c, d), (e, d), (-(c + e), d)]
+        assert linear_combination(terms) == ZERO_DERIVATION
+        assert linear_combination(terms).letter is None

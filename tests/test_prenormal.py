@@ -5,12 +5,13 @@ from itertools import combinations, product
 
 import pytest
 from test_lie_analysis import random_alphabet
+from test_numverify import run_fresh
 
 from isocenter import lie_analysis, prenormal
-from isocenter.algebra import GaussianRational
+from isocenter.algebra import ZERO, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lie_analysis import resonant_subset_trivial
-from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
+from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket, word_str
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
     UNKNOWN,
@@ -108,6 +109,40 @@ def test_random_mould_is_pure_function_of_word():
     m = random_mould(11)
     w = ((2, -1), (-1, 2))
     assert m.value(w) == m.value(tuple(w))
+
+
+def reference_random_mould_value(seed, word):
+    """The mould value by one generator per word and ``randint`` into Fractions."""
+    rng = random.Random(f"{seed}|{word_str(word)}")
+    return GaussianRational(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    )
+
+
+@pytest.mark.parametrize("resonant_only", [False, True])
+def test_random_mould_matches_randint_route(resonant_only):
+    letters = [(1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (3, -1)]
+    words = [w for r in range(1, 5) for w in product(letters, repeat=r)]
+    for seed in (0, 1, 12345):
+        m = random_mould(seed, support_resonant_only=resonant_only)
+        # a shuffled order too: each value is a function of its word alone
+        for w in words + random.Random(seed).sample(words, 50):
+            want = ZERO if resonant_only and weight(w) else reference_random_mould_value(seed, w)
+            assert m.value(w) == want, (seed, w)
+
+
+def test_projection_sum_leaves_hashlib_unloaded():
+    # random seeds strings through its own _sha512; hashlib would load OpenSSL
+    code = (
+        "import sys, isocenter.cli; "
+        "from isocenter.prenormal import projection_sum, random_mould; "
+        "from isocenter.prepared import decompose; "
+        "from isocenter.samples import quadratic; "
+        "print(bool(projection_sum(random_mould(1, False), decompose(quadratic(1, 2, 3)), 3))); "
+        "print('_hashlib' in sys.modules)"
+    )
+    assert run_fresh(code).split() == ["True", "False"]
 
 
 def test_verify_fond3_cases():
