@@ -8,7 +8,6 @@ sent to zero before the user function is consulted.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -17,7 +16,7 @@ from typing import Callable, Mapping
 from .algebra import ONE, GaussianRational, ZERO, _reduced
 from .errors import InputError
 from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
-from .operators import Derivation, Word, lie_bracket, linear_combination, word_str
+from .operators import Derivation, Word, lie_bracket, linear_combination
 from .prepared import Alphabet, weight
 
 LINEARISABLE_STRUCTURAL = "LinearisableStructural"
@@ -39,30 +38,45 @@ class Mould:
         return self.evaluate_fn(word)
 
 
+def _draws(seed: int, word: Word) -> tuple[int, int, int, int]:
+    """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
+    z = seed & 0xFFFFFFFFFFFFFFFF
+    for letter in word:
+        for c in letter:
+            z = ((z ^ c) + 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+            z ^= z >> 31
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    z ^= z >> 31
+    z, p = divmod(z, 19)
+    z, q = divmod(z, 9)
+    z, r = divmod(z, 19)
+    s = z % 9
+    return p - 9, q + 1, r - 9, s + 1
+
+
 def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
-    """Seeded mould with small rational values, a pure function of the word.
+    """Seeded mould with small rational values, a pure function of (seed, word).
 
-    The mould's one generator is reseeded from (seed, word) before each
-    value, so values do not depend on evaluation order.  The real and
-    imaginary parts are p/q and r/s with p, r in -9..9 and q, s in 1..9,
-    the draws of ``randint`` made here with ``getrandbits`` and its
-    rejection loop.
+    Its value on a word is p/q + (r/s) i, read off a 64-bit integer z that
+    is folded from the seed and the word's letters, all arithmetic mod 2^64:
+
+    - z starts at seed mod 2^64;
+    - each letter component c, n1 before n2 and first letter first, is
+      folded in as  z = ((z XOR c) + 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+      and then  z = z XOR (z >> 31), with c taken mod 2^64;
+    - the fold ends with splitmix64's finaliser (Steele, Lea and Flood,
+      2014):  z = (z XOR z >> 30) * 0xBF58476D1CE4E5B9,
+      z = (z XOR z >> 27) * 0x94D049BB133111EB,  z = z XOR z >> 31;
+    - successive divmod of z by 19, 9, 19 and 9 leave remainders p + 9,
+      q - 1, r + 9 and s - 1, so p and r lie in -9..9 and q and s in 1..9.
+
+    Seeds and components may be negative or 2^64 and beyond; only their
+    residues mod 2^64 count.
     """
-    rng = random.Random(0)  # reseeded before every value
-    bits = rng.getrandbits
-
-    def below(n: int) -> int:
-        """A uniform integer in 0..n-1 from draws of n's bit length, as ``randint`` makes it."""
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
 
     def evaluate(word: Word) -> GaussianRational:
-        rng.seed(f"{seed}|{word_str(word)}")
-        p, q = below(19) - 9, below(9) + 1
-        r, s = below(19) - 9, below(9) + 1
+        p, q, r, s = _draws(seed, word)
         return _reduced(p * s, r * q, q * s)
 
     return Mould(evaluate, support_resonant_only=support_resonant_only)

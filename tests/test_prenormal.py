@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -11,11 +13,12 @@ from isocenter import lie_analysis, prenormal
 from isocenter.algebra import ZERO, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lie_analysis import resonant_subset_trivial
-from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket, word_str
+from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
     UNKNOWN,
     Mould,
+    _draws,
     indicator_mould,
     letter_sum,
     projection_sum,
@@ -105,35 +108,85 @@ def test_indicator_and_table_moulds():
     assert projection_sum(tab, a, 3) == expect.scale(2)
 
 
+MOULD_LETTERS = [(1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (1 << 33, -3)]
+MOULD_WORDS = [w for r in range(1, 5) for w in product(MOULD_LETTERS, repeat=r)]
+
+
 def test_random_mould_is_pure_function_of_word():
-    m = random_mould(11)
-    w = ((2, -1), (-1, 2))
-    assert m.value(w) == m.value(tuple(w))
+    # JSON list letters give the tuple word's value, and two moulds made
+    # from one seed agree whichever order their words are asked in
+    for resonant_only in (False, True):
+        m = random_mould(11, support_resonant_only=resonant_only)
+        for w in MOULD_WORDS[:60]:
+            assert m.value(json.loads(json.dumps(w))) == m.value(w), w
+    m1, m2 = random_mould(11, False), random_mould(11, False)
+    forward = [m1.value(w) for w in MOULD_WORDS]
+    backward = [m2.value(w) for w in reversed(MOULD_WORDS)]
+    assert forward == backward[::-1]
+    assert len(set(forward)) > 100
 
 
 def reference_random_mould_value(seed, word):
-    """The mould value by one generator per word and ``randint`` into Fractions."""
-    rng = random.Random(f"{seed}|{word_str(word)}")
-    return GaussianRational(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-    )
+    """The mould value as ``random_mould``'s docstring defines it, step by step."""
+    mod = 1 << 64
+    z = seed % mod
+    for c in [c for letter in word for c in letter]:
+        z = (z ^ (c % mod)) % mod
+        z = (z + 0x9E3779B97F4A7C15) % mod
+        z = (z * 0xBF58476D1CE4E5B9) % mod
+        z = z ^ (z >> 31)
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % mod
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % mod
+    z = z ^ (z >> 31)
+    digits = []
+    for base in (19, 9, 19, 9):
+        digits.append(z % base)
+        z = z // base
+    p, q, r, s = digits[0] - 9, digits[1] + 1, digits[2] - 9, digits[3] + 1
+    return GaussianRational(Fraction(p, q), Fraction(r, s))
 
 
 @pytest.mark.parametrize("resonant_only", [False, True])
-def test_random_mould_matches_randint_route(resonant_only):
-    letters = [(1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (3, -1)]
-    words = [w for r in range(1, 5) for w in product(letters, repeat=r)]
-    for seed in (0, 1, 12345):
+def test_random_mould_matches_reference_fold(resonant_only):
+    # negative components and one of 2^33: components count mod 2^64, not 2^32;
+    # so do seeds, and 2^70 takes seed 0's values
+    assert "random" not in vars(prenormal)
+    for seed in (0, 1, 12345, -1, 1 << 70):
         m = random_mould(seed, support_resonant_only=resonant_only)
         # a shuffled order too: each value is a function of its word alone
-        for w in words + random.Random(seed).sample(words, 50):
+        for w in MOULD_WORDS + random.Random(seed).sample(MOULD_WORDS, 50):
             want = ZERO if resonant_only and weight(w) else reference_random_mould_value(seed, w)
             assert m.value(w) == want, (seed, w)
 
 
+# chi-square quantiles at p = 1e-6 for 18 and 8 degrees of freedom: the
+# counts are fixed by the definition, so the bound is set to catch a skewed
+# draw, not a chance excess (p's statistic is 40.9 here, near its 0.2 % tail)
+CHI2_BOUND = {19: 61.91, 9: 42.70}
+
+
+def test_random_mould_draws_are_uniform():
+    # every value of p, r in -9..9 and q, s in 1..9 occurs, and each
+    # draw's counts over 3 seeds x 1,554 words pass a chi-square test
+    draws = [_draws(seed, w) for seed in (0, 1, 12345) for w in MOULD_WORDS]
+    for k, values in enumerate((range(-9, 10), range(1, 10), range(-9, 10), range(1, 10))):
+        counts = Counter(d[k] for d in draws)
+        assert set(counts) == set(values), k
+        expected = len(draws) / len(values)
+        chi2 = sum((counts[v] - expected) ** 2 / expected for v in values)
+        assert chi2 < CHI2_BOUND[len(values)], (k, chi2)
+    # the value is p/q + (r/s) i, and different seeds give different values
+    m = random_mould(5, False)
+    for w in MOULD_WORDS:
+        p, q, r, s = _draws(5, w)
+        assert m.value(w) == G(Fraction(p, q), Fraction(r, s)), w
+    sequences = [[random_mould(seed, False).value(w) for w in MOULD_WORDS] for seed in (0, 1, 12345)]
+    for s1, s2 in combinations(sequences, 2):
+        assert sum(x == y for x, y in zip(s1, s2)) < len(MOULD_WORDS) // 20
+
+
 def test_projection_sum_leaves_hashlib_unloaded():
-    # random seeds strings through its own _sha512; hashlib would load OpenSSL
+    # the mould hashes words with integer arithmetic; hashlib would load OpenSSL
     code = (
         "import sys, isocenter.cli; "
         "from isocenter.prenormal import projection_sum, random_mould; "
