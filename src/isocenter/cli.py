@@ -8,7 +8,6 @@ lemma failure.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -44,21 +43,6 @@ def emit(obj: dict, fmt: str, text_lines) -> None:
             click.echo(line)
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InputError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INVALID_INPUT)
-        except InternalInconsistencyError as exc:
-            click.echo(f"internal inconsistency: {exc}", err=True)
-            sys.exit(EXIT_INCONSISTENT)
-
-    return wrapper
-
-
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="text"
 )
@@ -68,11 +52,12 @@ input_option = click.option(
 
 
 class Cli(click.Group):
-    """Command group whose usage errors count as invalid input.
+    """Command group that maps each error to its exit code in one place.
 
-    A bad option value, a missing required option, an unknown command or
-    no command exits 1 with an ``error:`` line instead of click's exit 2,
-    which this CLI keeps for internal inconsistency.
+    A usage error (a bad option value, a missing required option, an
+    unknown command or no command), malformed input and an orbit that does
+    not return exit 1 with an ``error:`` line, not click's exit 2, which
+    this CLI keeps for an ``internal inconsistency:``.
     """
 
     def main(self, *args, **kwargs):
@@ -84,6 +69,12 @@ class Cli(click.Group):
         except click.Abort:
             click.echo("Aborted!", err=True)
             sys.exit(EXIT_INVALID_INPUT)
+        except (InputError, NonPeriodicError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INVALID_INPUT)
+        except InternalInconsistencyError as exc:
+            click.echo(f"internal inconsistency: {exc}", err=True)
+            sys.exit(EXIT_INCONSISTENT)
 
 
 @click.group(cls=Cli, no_args_is_help=False)
@@ -96,7 +87,6 @@ def main():
 @click.option("--max-word-length", default=6, show_default=True)
 @click.option("--series-depth", default=3, show_default=True)
 @format_option
-@handle_errors
 def analyze(input_path, max_word_length, series_depth, fmt):
     """Alphabet, weights, brackets, central series, resonant words."""
     f = PlanarField.load(input_path)
@@ -150,7 +140,6 @@ def analyze(input_path, max_word_length, series_depth, fmt):
 @main.command()
 @input_option
 @format_option
-@handle_errors
 def classify(input_path, fmt):
     """Quadratic condition membership plus UI and CR verdicts."""
     f = PlanarField.load(input_path)
@@ -177,15 +166,13 @@ def classify(input_path, fmt):
 
 @main.command("verify-lemmas")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--mutate-bracket-sign", is_flag=True, hidden=True)
 @format_option
-@handle_errors
-def verify_lemmas(seed, mutate_bracket_sign, fmt):
+def verify_lemmas(seed, fmt):
     """Run the randomized lemma suites; exit 2 on any failure."""
     # imported here so that the other commands never compile the lemma suites
     from .lemmas import run_all
 
-    results = run_all(seed, mutate_bracket_sign=mutate_bracket_sign)
+    results = run_all(seed)
     report = {
         "seed": seed,
         "lemmas": [r.to_json_obj() for r in results],
@@ -208,7 +195,6 @@ def verify_lemmas(seed, mutate_bracket_sign, fmt):
 @click.option("--radii", default=",".join(str(r) for r in DEFAULT_RADII), show_default=True)
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @format_option
-@handle_errors
 def scan_periods(input_path, radii, tol, fmt):
     """Measure orbit return times over a list of radii."""
     f = PlanarField.load(input_path)
@@ -216,12 +202,7 @@ def scan_periods(input_path, radii, tol, fmt):
         radii_list = [float(r) for r in radii.split(",") if r.strip()]
     except ValueError as exc:
         raise InputError(f"bad radii list {radii!r}") from exc
-    try:
-        scan = isochrony_scan(f, radii_list, tol)
-    except NonPeriodicError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INVALID_INPUT)
-    report = scan.to_json_obj()
+    report = isochrony_scan(f, radii_list, tol).to_json_obj()
 
     def text(rep):
         for r, t in zip(rep["radii"], rep["periods"]):
@@ -237,7 +218,6 @@ def scan_periods(input_path, radii, tol, fmt):
 )
 @click.option("--degree", type=int, required=True)
 @format_option
-@handle_errors
 def complexity(condition, degree, fmt):
     """Geometric complexity of the homogeneous condition family."""
     gc = geometric_complexity(condition, degree)

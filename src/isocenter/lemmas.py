@@ -103,7 +103,8 @@ def _op(alphabet, letter) -> Derivation:
     return alphabet[letter] if letter in alphabet else ZERO_DERIVATION
 
 
-def lemma_quadratic_bracket(seed: int, draws: int = 100) -> LemmaResult:
+def lemma_quadratic_bracket(seed: int) -> LemmaResult:
+    draws = 100
     rng = random.Random(seed)
     for k in range(draws):
         p20, p11, p02 = (random_scalar(rng) for _ in range(3))
@@ -120,7 +121,8 @@ def lemma_quadratic_bracket(seed: int, draws: int = 100) -> LemmaResult:
     return LemmaResult("quadratic_bracket", True, f"{draws} draws")
 
 
-def lemma_bracket_formulas(seed: int, draws: int = 50, max_n: int = 6) -> LemmaResult:
+def lemma_bracket_formulas(seed: int) -> LemmaResult:
+    draws, max_n = 50, 6
     rng = random.Random(seed)
     for n in range(2, max_n + 1):
         for k in range(draws):
@@ -156,12 +158,9 @@ def lemma_bracket_formulas(seed: int, draws: int = 50, max_n: int = 6) -> LemmaR
     return LemmaResult("bracket_formulas", True, f"n=2..{max_n}, {draws} draws each")
 
 
-def lemma_fond2(seed: int, draws: int = 100, mutate_bracket_sign: bool = False) -> LemmaResult:
-    """Both quadratic coefficient conditions give order-1 nilpotency.
-
-    ``mutate_bracket_sign`` replaces the commutator by the anticommutator
-    inside the check; the suite must then fail (harness self-test).
-    """
+def lemma_fond2(seed: int) -> LemmaResult:
+    """Both quadratic coefficient conditions give order-1 nilpotency."""
+    draws = 100
     rng = random.Random(seed)
     for k in range(draws):
         p11 = random_scalar(rng)
@@ -174,14 +173,7 @@ def lemma_fond2(seed: int, draws: int = 100, mutate_bracket_sign: bool = False) 
             letters = a.letters()
             for x in letters:
                 for y in letters:
-                    if mutate_bracket_sign:
-                        d1, d2 = a[x], a[y]
-                        br = Derivation(
-                            d1.apply(d2.dx) + d2.apply(d1.dx),
-                            d1.apply(d2.dy) + d2.apply(d1.dy),
-                        )
-                    else:
-                        br = lie_bracket(a[x], a[y])
+                    br = lie_bracket(a[x], a[y])
                     if br:
                         return LemmaResult(
                             "fond2",
@@ -191,7 +183,8 @@ def lemma_fond2(seed: int, draws: int = 100, mutate_bracket_sign: bool = False) 
     return LemmaResult("fond2", True, f"{draws} draws per condition")
 
 
-def lemma_structure1(seed: int, draws: int = 50, max_d: int = 6) -> LemmaResult:
+def lemma_structure1(seed: int) -> LemmaResult:
+    draws, max_d = 50, 6
     rng = random.Random(seed)
     for d in range(2, max_d + 1):
         for k in range(draws):
@@ -205,9 +198,8 @@ def lemma_structure1(seed: int, draws: int = 50, max_d: int = 6) -> LemmaResult:
     return LemmaResult("structure1", True, f"d=2..{max_d}, {draws} draws each")
 
 
-def lemma_holom(
-    seed: int, draws: int = 50, max_d: int = 5, max_len: int = 6
-) -> LemmaResult:
+def lemma_holom(seed: int) -> LemmaResult:
+    draws, max_d, max_len = 50, 5, 6
     rng = random.Random(seed)
     for d in range(2, max_d + 1):
         for k in range(draws):
@@ -220,7 +212,8 @@ def lemma_holom(
     return LemmaResult("holom", True, f"d=2..{max_d}, {draws} draws, max_len={max_len}")
 
 
-def lemma_fond3(seed: int, trials: int = 20, max_len: int = 6) -> LemmaResult:
+def lemma_fond3(seed: int) -> LemmaResult:
+    trials, max_len = 20, 6
     rng = random.Random(seed)
     cases = []
     p11 = random_scalar(rng)
@@ -240,11 +233,11 @@ def lemma_fond3(seed: int, trials: int = 20, max_len: int = 6) -> LemmaResult:
     return LemmaResult("fond3", True, f"{len(cases)} alphabets, {trials} moulds each")
 
 
-def run_all(seed: int, mutate_bracket_sign: bool = False) -> list[LemmaResult]:
+def run_all(seed: int) -> list[LemmaResult]:
     return [
         lemma_quadratic_bracket(seed),
         lemma_bracket_formulas(seed + 1),
-        lemma_fond2(seed + 2, mutate_bracket_sign=mutate_bracket_sign),
+        lemma_fond2(seed + 2),
         lemma_structure1(seed + 3),
         lemma_holom(seed + 4),
         lemma_fond3(seed + 5),

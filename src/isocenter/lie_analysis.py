@@ -14,17 +14,19 @@ Left-normed brackets span the algebra the letters generate (Reutenauer,
 *Free Lie Algebras*, 1993), so the resonance verdict is read off these
 spans grade by grade instead of walking every word.  Resonant words are
 listed by joining half-words through a table keyed by weight.
-``iter_bracket_levels`` is the one traversal of the word prefix tree: it
-yields the nonzero brackets level by level, letter-major, and takes the
-bracket of a word whose first two letters are swapped as the negation of
-its twin's.  The central series and its pair witnesses are read off its
-levels; the projection sum reads it up to level L-1 (level 1 when L is 1)
-and brackets level L once per letter.
+``iter_bracket_levels`` is the one traversal of the word prefix tree.
+Swapping the first two letters of a word negates its bracket, so from
+level 2 on each entry stands for a swap-twin class {w, twin(w)}: the
+word w with its bracket d, and ``twin(w)`` with -d.  The central series
+and its pair witnesses are read off its levels; the projection sum reads
+it up to level L-1 (level 1 when L is 1) and brackets level L once per
+letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from .errors import InputError
@@ -62,21 +64,22 @@ class ResonanceReport:
 def central_series(a: Alphabet, depth: int) -> SeriesReport:
     """Truncated descending central series as generating sets, with pair witnesses.
 
-    Level k is the nonzero length-k brackets of the prefix tree: each letter
-    bracketed with each level-(k-1) generator, generator-major.  Stops
+    Level k is the nonzero length-k brackets of the prefix tree, each twin
+    class of level k >= 2 listed as its bracket d and then -d.  Stops
     early at an empty level; no linear-independence reduction is made.
-    The witnesses are the nonzero [B_n, B_m] with n before m, read off the
-    level-2 words (m, n).
+    The witnesses are the nonzero [B_n, B_m] with n before m: the level-2
+    entries (m, n), in order.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    rank = {n: i for i, n in enumerate(a.letters())}
-    levels, witnesses = [], []
-    for level in iter_bracket_levels(a, max(depth, 2)):
-        if len(levels) == 1:
-            witnesses = [((n, m), d) for (m, n), _, d in level if rank[n] < rank[m]]
-        if len(levels) < depth and (not levels or levels[-1]):
-            levels.append([d for _, _, d in level])
+    tree = iter_bracket_levels(a, max(depth, 2))
+    levels = [[d for _, _, d in next(tree)]]
+    pairs = next(tree)
+    witnesses = [((n, m), d) for (m, n), _, d in pairs]
+    for level in chain([pairs], tree):
+        if len(levels) == depth or not levels[-1]:
+            break
+        levels.append([e for _, _, d in level for e in (d, -d)])
     return SeriesReport(levels=levels, nilpotent_order1=not witnesses, witnesses=witnesses)
 
 
@@ -95,14 +98,16 @@ def iter_bracket_levels(
 ) -> Iterator[list[tuple[Word, int, Derivation]]]:
     """Yield the prefix tree level by level, word lengths 1..max_len.
 
-    Level r lists (word, weight, nested bracket) for the length-r words
-    whose bracket is nonzero, so no zero subtree is formed.  Level r+1 is
-    letter-major: for each letter n, the level-r words extended by n, in
-    order.  Swapping the first two letters of a word negates its bracket:
-    of two swap twins only the first is bracketed, and a word whose first
-    two letters are equal is not bracketed at all.  With ``resonant_only``
-    a word is also skipped when no extension within the length bound
-    brings its weight back to zero.  A level is built only when asked for.
+    Level r lists (word, weight, nested bracket) entries with a nonzero
+    bracket, so no zero subtree is formed.  Level 1 is the letters.  From
+    level 2 on an entry (w, weight, d) stands for its swap-twin class: w,
+    and ``twin(w)`` with the same weight and bracket -d.  Level 2 is the
+    pairs (m, n) with n before m; level r+1 extends every level-r entry by
+    every letter, letter-major, as twin(w) + (n,) is twin(w + (n,)).  So
+    each word with a nonzero bracket is stood for exactly once.  With
+    ``resonant_only`` an entry is also skipped when no extension within
+    the length bound brings its weight back to zero.  A level is built
+    only when asked for.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
@@ -111,31 +116,23 @@ def iter_bracket_levels(
     level = [((n,), weight(n), a[n]) for n in a if a[n] and (not keep or -weight(n) in keep)]
     yield level
     first = level  # no word of the tree has a letter outside level 1
-    twin = None  # from level 2: twin[i] is the index of entry i's earlier swap twin, or None
     for left in range(max_len - 2, -1, -1):
-        # rows[b] maps an index in level to the index in nxt of its extension by letter b
-        nxt, nxt_twin, rows = [], [], [{} for _ in first]
-        for b, ((n,), wn, op) in enumerate(first):
-            for i, (word, w, d) in enumerate(level):
+        nxt = []
+        for j, ((n,), wn, op) in enumerate(first):
+            # level 2 extends only the letters after n; later levels every entry
+            for word, w, d in first[j + 1:] if level is first else level:
                 if reach and -(w + wn) not in reach[left]:
                     continue
-                if twin is None:  # (n, m) is made in the row of m if m comes first
-                    row, j = rows[i], (b if i <= b else None)  # (n, n) is its own twin
-                else:  # (twin of u) + (n,) is made in this row
-                    row, j = rows[b], twin[i]
-                if j is None:  # no twin made yet
-                    br, t = lie_bracket(op, d), None
-                elif j in row:
-                    t = row[j]
-                    br = -nxt[t][2]
-                else:  # the twin is zero
-                    continue
+                br = lie_bracket(op, d)
                 if br:
-                    rows[b][i] = len(nxt)
                     nxt.append((word + (n,), w + wn, br))
-                    nxt_twin.append(t)
-        level, twin = nxt, nxt_twin
+        level = nxt
         yield level
+
+
+def twin(word: Word) -> Word:
+    """The word with its first two letters swapped; its bracket is the negation."""
+    return word[1::-1] + word[2:]
 
 
 def enumerate_resonant_words(a: Alphabet, max_len: int) -> list[Word]:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 from .algebra import ONE, GaussianRational, ZERO, _reduced
 from .errors import InputError
-from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
+from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial, twin
 from .operators import Derivation, Word, lie_bracket, linear_combination
 from .prepared import Alphabet, weight
 
@@ -110,40 +110,46 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     Evaluates  sum_{r=1..max_len} (1/r) sum_{|n|=r} M^n [B_n]  with exact
     rational 1/r factors, one level of the prefix tree at a time.  The
     empty word never contributes.  The tree's levels hold only the words
-    whose bracket is nonzero, and of two words that differ by a swap of
-    their first two letters only one is bracketed, the other taking the
-    negation.  So below the deepest level L the mould is evaluated only
-    where the word's bracket is nonzero.  Level L uses bilinearity in the
-    last letter:
+    whose bracket is nonzero, and from level 2 on an entry (w, d) stands
+    for w and twin(w), whose bracket is -d, so it is weighted by
+    M(w) - M(twin w).  So below the deepest level L the mould is evaluated
+    only where the word's bracket is nonzero.  Level L uses bilinearity in
+    the last letter:
 
         sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
 
-    so a length-L word costs one mould value and a multiply-add, and each
-    letter with nonzero S_n one bracket.  The mould is therefore also
+    where an entry u of level L-1 of length 2 or more is weighted by
+    M(u n) - M(twin(u) n).  So a length-L word costs one mould value, and
+    each letter with nonzero S_n one bracket.  The mould is therefore also
     evaluated on length-L words whose own bracket vanishes: it must be a
     pure function of the word.
     """
     resonant = m.support_resonant_only
+    levels = iter_bracket_levels(a, max_len, resonant)
     sums = []
-    # every level but the deepest, word by word; at max_len 1 that is the only level
-    for level in islice(iter_bracket_levels(a, max_len, resonant), max(max_len - 1, 1)):
-        sums.append(linear_combination((m.value(w), d) for w, _, d in level))
+    # every level but the deepest, entry by entry; at max_len 1 that is the only level
+    for r, level in enumerate(islice(levels, max(max_len - 1, 1)), 1):
+        sums.append(linear_combination((_class_value(m, w, r > 1), d) for w, _, d in level))
     if max_len > 1:
-        by_letter = {}  # n -> S_n of the docstring, from the words u of level L-1
+        twinned = max_len > 2  # the entries u of level L-1 are twin classes
+        by_letter = {}  # n -> S_n of the docstring, from the entries u of level L-1
         for n in a.letters():
             wn = weight(n)
             ends = ((u + (n,), d) for u, w, d in level if not (resonant and w + wn))
-            by_letter[n] = linear_combination((m.value(word), d) for word, d in ends)
+            by_letter[n] = linear_combination((_class_value(m, v, twinned), d) for v, d in ends)
         brackets = ((ONE, lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
     return linear_combination((GaussianRational(Fraction(1, r)), s) for r, s in enumerate(sums, 1))
 
 
-def letter_sum(m: Mould, a: Alphabet, resonant_only: bool = True) -> Derivation:
-    """sum over (weight-zero) letters of M^n B_n, no bracket terms."""
-    return linear_combination(
-        (m.value((n,)), a[n]) for n in a.letters() if not resonant_only or weight(n) == 0
-    )
+def _class_value(m: Mould, word: Word, twinned: bool) -> GaussianRational:
+    """M on the word, less M on its twin when the tree entry stands for both."""
+    return m.value(word) - m.value(twin(word)) if twinned else m.value(word)
+
+
+def letter_sum(m: Mould, a: Alphabet) -> Derivation:
+    """sum over weight-zero letters of M^n B_n, no bracket terms."""
+    return linear_combination((m.value((n,)), a[n]) for n in a.resonant_letters())
 
 
 def structural_linearisability(a: Alphabet, max_len: int) -> str:

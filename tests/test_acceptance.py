@@ -36,7 +36,7 @@ def check(num, desc, ok):
 
 def test_criterion_1_quadratic_bracket_formula():
     t0 = time.perf_counter()
-    result = lemma_quadratic_bracket(SEED, draws=100)
+    result = lemma_quadratic_bracket(SEED)
     elapsed = time.perf_counter() - t0
     check(1, f"quadratic bracket formula, 100 draws in {elapsed:.2f}s",
           result.passed and elapsed < 1.0)
@@ -44,34 +44,34 @@ def test_criterion_1_quadratic_bracket_formula():
 
 def test_criterion_2_bracket_lemma_formulas():
     t0 = time.perf_counter()
-    result = lemma_bracket_formulas(SEED + 1, draws=50, max_n=6)
+    result = lemma_bracket_formulas(SEED + 1)
     elapsed = time.perf_counter() - t0
     check(2, f"degree-n bracket formulas vs oracle in {elapsed:.2f}s",
           result.passed and elapsed < 10.0)
 
 
 def test_criterion_3_fond2_conditions():
-    result = lemma_fond2(SEED + 2, draws=100)
+    result = lemma_fond2(SEED + 2)
     check(3, "both quadratic coefficient conditions give vanishing pairwise brackets",
           result.passed)
 
 
 def test_criterion_4_structure1():
-    result = lemma_structure1(SEED + 3, draws=50, max_d=6)
+    result = lemma_structure1(SEED + 3)
     check(4, "homogeneous uniform fields are nilpotent of order 1 (d=2..6)",
           result.passed)
 
 
 def test_criterion_5_holom():
     t0 = time.perf_counter()
-    result = lemma_holom(SEED + 4, draws=50, max_d=5, max_len=6)
+    result = lemma_holom(SEED + 4)
     elapsed = time.perf_counter() - t0
     check(5, f"holomorphic fields have trivial resonant subset in {elapsed:.2f}s",
           result.passed and elapsed < 60.0)
 
 
 def test_criterion_6_fond3_projection_reduction():
-    result = lemma_fond3(SEED + 5, trials=20, max_len=6)
+    result = lemma_fond3(SEED + 5)
     check(6, "projection sum reduces to the letter sum for nilpotent alphabets",
           result.passed)
 

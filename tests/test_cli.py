@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from isocenter.cli import dumps_report, main
+from isocenter.errors import InternalInconsistencyError
+from isocenter.operators import Derivation
 
 CUBIC = str(Path(__file__).parent / "golden" / "fields" / "cubic.json")
 
@@ -136,10 +138,35 @@ def test_verify_lemmas_seed_stability(runner):
     assert outs[0] == outs[1]
 
 
-def test_verify_lemmas_mutation_fails(runner):
-    result = runner.invoke(main, ["verify-lemmas", "--mutate-bracket-sign"])
+def test_verify_lemmas_mutation_fails(runner, monkeypatch):
+    # the anticommutator in place of the commutator: the suites must fail
+    def anticommutator(d1, d2):
+        return Derivation(d1.apply(d2.dx) + d2.apply(d1.dx), d1.apply(d2.dy) + d2.apply(d1.dy))
+
+    monkeypatch.setattr("isocenter.lemmas.lie_bracket", anticommutator)
+    result = runner.invoke(main, ["verify-lemmas"])
     assert result.exit_code == 2
     assert "FAIL fond2" in result.output
+
+
+def test_scan_periods_non_returning_orbit(runner, tmp_path):
+    # the orbit from radius 0.45 escapes: the step size underflows
+    path = write_field(tmp_path, "escape.json", 3, {(2, 1): "50/1+0/1i"})
+    result = runner.invoke(main, ["scan-periods", "--input", path, "--radii", "0.45"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr.startswith("error: radius 0.45: integration failed")
+
+
+def test_internal_inconsistency_exit_code(runner, monkeypatch, uniform_field):
+    def disagree(f):
+        raise InternalInconsistencyError("two routes disagree")
+
+    monkeypatch.setattr("isocenter.cli.check_uniform", disagree)
+    result = runner.invoke(main, ["classify", "--input", uniform_field])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr == "internal inconsistency: two routes disagree\n"
 
 
 def test_scan_periods_mirror(runner, tmp_path):

@@ -3,6 +3,7 @@ import random
 import resource
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -18,6 +19,7 @@ from isocenter.lie_analysis import (
     enumerate_resonant_words,
     iter_bracket_levels,
     resonant_subset_trivial,
+    twin,
 )
 from isocenter.operators import lie_bracket, nested_bracket
 from isocenter.prenormal import structural_linearisability
@@ -161,16 +163,23 @@ def three_letters(a):
     return Alphabet({n: a[n] for n in a.letters()[:3]})
 
 
-def letter_major(letters, r):
-    """The length-r words in the tree's order: the last letter varies slowest."""
-    return [w[::-1] for w in product(letters, repeat=r)]
+def class_words(level):
+    """The (word, weight, bracket) of every word a level's entries stand for:
+    the entry itself and, from level 2 on, its swap twin with bracket -d."""
+    out = []
+    for w, wt, d in level:
+        out.append((w, wt, d))
+        if len(w) > 1:
+            out.append((twin(w), wt, -d))
+    return sorted(out, key=lambda node: node[0])
 
 
 def test_bracket_levels_match_brute_force():
-    # each level against every itertools.product word in letter-major order
-    # with its nested_bracket, kept when that is nonzero and, with
-    # resonant_only, when some word of at most max_len - r letters brings
-    # its weight back to zero; L is capped so that at most 700 words have length L
+    # each level, its entries expanded into their twin classes, against every
+    # itertools.product word with its nested_bracket, kept when that is
+    # nonzero and, with resonant_only, when some word of at most max_len - r
+    # letters brings its weight back to zero; no word may appear twice.
+    # L is capped so that at most 700 words have length L
     rng = random.Random(20)
     cases = [(decompose(quadratic(1, 2, 3)), 4)]
     cases += [(random_alphabet(rng), k % 5 + 1) for k in range(80)]
@@ -184,10 +193,14 @@ def test_bracket_levels_match_brute_force():
         pruned = list(iter_bracket_levels(a, max_len, resonant_only=True))
         assert len(full) == len(pruned) == max_len
         for r in range(1, max_len + 1):
-            brackets = ((w, nested_bracket(w, a.entries)) for w in letter_major(letters, r))
+            words = sorted(product(letters, repeat=r))
+            brackets = ((w, nested_bracket(w, a.entries)) for w in words)
             want = [(w, weight(w), d) for w, d in brackets if d]
-            assert full[r - 1] == want
-            assert pruned[r - 1] == [node for node in want if -node[1] in back[max_len - r]]
+            kept = [node for node in want if -node[1] in back[max_len - r]]
+            for level, expected in ((full[r - 1], want), (pruned[r - 1], kept)):
+                got = class_words(level)
+                assert len({w for w, _, _ in got}) == len(got)
+                assert got == expected
         cut += pruned != full
         twins += max_len > 1 and bool(full[1])
     assert kinds == {"extreme", "zero", "plain"} and cut >= 10 and twins >= 10
@@ -321,7 +334,7 @@ def test_central_series_matches_generator_loop():
     for a, depth in cases:
         levels, witnesses = naive_central_series(a, depth)
         report = central_series(a, depth)
-        assert report.levels == levels
+        assert list(map(Counter, report.levels)) == list(map(Counter, levels))
         assert report.witnesses == witnesses
         assert report.nilpotent_order1 == (not witnesses)
 
