@@ -1,4 +1,4 @@
-"""Dormand–Prince 8(5,3) on plain floats for autonomous planar systems.
+"""Dormand–Prince 8(5,3) on one Python complex for autonomous planar systems.
 
 The method is Hairer's DOP853: the 12-stage explicit pair of order 8 with
 the 5th- and 3rd-order error estimates, the 7th-order dense output built
@@ -8,8 +8,11 @@ and G. Wanner, *Solving Ordinary Differential Equations I*, 2nd ed.,
 The step rules follow scipy's ``solve_ivp(method="DOP853")``
 (``scipy/integrate/_ivp/rk.py`` and ``common.py``): the same initial step,
 safety factor 0.9, step factors 0.2 and 10, exponent -1/8, the same mix of
-the two error norms and the same rejection.  Only numpy arrays are replaced
-by Python floats, which for a 2-vector are several times faster.
+the two error norms and the same rejection.  The state is one complex
+z = u + iv, and the stages, error sums and dense output are straight-line
+code written at import from the tables, each sum in table order, as in
+Hairer's code.  Complex sums and products by a float act on each part
+apart: each part gets the floats of ``du += a * ku[j]``, up to a zero's sign.
 
 The tables below are copied from scipy's
 ``scipy/integrate/_ivp/dop853_coefficients.py``, "Copyright (c) 2001-2002
@@ -23,6 +26,7 @@ argument.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from typing import Callable, Iterator
@@ -232,13 +236,45 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 EPS = sys.float_info.epsilon
 
-# the sparse rows as (j, a_sj) pairs, the form the step loops read
-STAGES = tuple(tuple(row.items()) for row in A[1:12])
-EXTRA_STAGES = tuple(tuple(row.items()) for row in A[13:])
+# the sparse rows as (j, a_sj) pairs, in the order their sums are written
 B_ITEMS, E3_ITEMS, E5_ITEMS = (tuple(w.items()) for w in (B, E3, E5))
-D_ITEMS = tuple(tuple(row.items()) for row in D)
 
-Rhs = Callable[[float, float], tuple[float, float]]
+Rhs = Callable[[complex], complex]
+
+
+def _terms(items) -> str:
+    """sum_j a_j k_j as source: each a_j as its float repr, in table order."""
+    return " + ".join(f"{a!r} * k{j}" for j, a in items)
+
+
+def _kernel_source() -> str:
+    """Source written from the tables, as ``dataclasses`` writes ``__init__``:
+    trial_step(rhs, z, k0, h) returns the stages (k0, ..., k12), where
+    k0 = rhs(z) and k12 = rhs(z_new), z_new and the E5 and E3 sums;
+    dense_coefficients(rhs, z_old, z, k, h) returns F0..F6 of the
+    interpolant, three from the step's ends and four through D."""
+    ks = ", ".join(f"k{j}" for j in range(13))
+    lines = ["def trial_step(rhs, z, k0, h):"]
+    lines += [f"    k{s} = rhs(z + ({_terms(A[s].items())}) * h)" for s in range(1, 12)]
+    lines += [
+        f"    z_new = z + h * ({_terms(B_ITEMS)})",
+        "    k12 = rhs(z_new)",
+        f"    return ({ks}), z_new, {_terms(E5_ITEMS)}, {_terms(E3_ITEMS)}",
+        "def dense_coefficients(rhs, z_old, z, k, h):",
+        f"    {ks} = k",
+    ]
+    lines += [f"    k{s} = rhs(z_old + ({_terms(A[s].items())}) * h)" for s in range(13, 16)]
+    lines += [
+        "    delta = z - z_old",
+        "    return (delta, h * k0 - delta, 2 * delta - h * (k12 + k0), "
+        + ", ".join(f"h * ({_terms(row.items())})" for row in D) + ")",
+    ]
+    return "\n".join(lines)
+
+
+_KERNELS: dict = {}
+exec(compile(_kernel_source(), "<dop853 kernels>", "exec"), _KERNELS)
+trial_step, dense_coefficients = _KERNELS["trial_step"], _KERNELS["dense_coefficients"]
 
 
 class StepFailure(ArithmeticError):
@@ -246,20 +282,23 @@ class StepFailure(ArithmeticError):
     is no longer finite."""
 
 
-def rms(a: float, b: float) -> float:
-    """Root mean square of a 2-vector, scipy's ``norm``."""
-    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+def sq(w: complex, su: float, sv: float) -> float:
+    """Squared norm of w with its parts scaled by su and sv."""
+    x, y = w.real / su, w.imag / sv
+    return x * x + y * y
 
 
-def initial_step(rhs: Rhs, u, v, fu, fv, t_bound, rtol, atol) -> float:
+def initial_step(rhs: Rhs, z: complex, f: complex, t_bound, rtol, atol) -> float:
     """The starting step of Hairer–Nørsett–Wanner §II.4 (scipy's
-    ``select_initial_step``), one extra rhs call."""
-    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-    d0, d1 = rms(u / su, v / sv), rms(fu / su, fv / sv)
+    ``select_initial_step``), one extra rhs call.  Norms are root mean
+    squares, scipy's ``norm``."""
+    su, sv = atol + abs(z.real) * rtol, atol + abs(z.imag) * rtol
+    d0 = math.sqrt(sq(z, su, sv)) / math.sqrt(2.0)
+    d1 = math.sqrt(sq(f, su, sv)) / math.sqrt(2.0)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    gu, gv = rhs(u + h0 * fu, v + h0 * fv)
-    d2 = rms((gu - fu) / su, (gv - fv) / sv) / h0
+    g = rhs(z + h0 * f)
+    d2 = math.sqrt(sq(g - f, su, sv)) / math.sqrt(2.0) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -267,54 +306,19 @@ def initial_step(rhs: Rhs, u, v, fu, fv, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, t_bound)
 
 
-class Step:
-    """One accepted step from (t_old, u_old, v_old) to (t, u, v) with its
-    13 stage derivatives ku, kv; the last is the rhs at (u, v)."""
+def interpolant(rhs: Rhs, t_old, t, z_old, z, k) -> Callable[[float], complex]:
+    """The 7th-order interpolant of the step from (t_old, z_old) to (t, z)
+    with stage derivatives k; costs 3 rhs calls."""
+    h = t - t_old
+    f = dense_coefficients(rhs, z_old, z, k, h)
 
-    __slots__ = ("rhs", "t_old", "t", "u_old", "v_old", "u", "v", "ku", "kv")
+    def at(x: float) -> complex:
+        return z_old + nested(f, (x - t_old) / h)
 
-    def __init__(self, rhs, t_old, t, u_old, v_old, u, v, ku, kv):
-        self.rhs, self.t_old, self.t = rhs, t_old, t
-        self.u_old, self.v_old, self.u, self.v = u_old, v_old, u, v
-        self.ku, self.kv = ku, kv
-
-    def dense(self) -> Callable[[float], tuple[float, float]]:
-        """The 7th-order interpolant on [t_old, t]; costs 3 rhs calls."""
-        ku, kv, u0, v0 = self.ku, self.kv, self.u_old, self.v_old
-        h = self.t - self.t_old
-        for row in EXTRA_STAGES:
-            du, dv = combine(row, ku, kv)
-            gu, gv = self.rhs(u0 + du * h, v0 + dv * h)
-            ku.append(gu)
-            kv.append(gv)
-        fu, fv = coefficients(self.u - u0, h, ku), coefficients(self.v - v0, h, kv)
-        t_old = self.t_old
-
-        def at(t: float) -> tuple[float, float]:
-            x = (t - t_old) / h
-            return u0 + nested(fu, x), v0 + nested(fv, x)
-
-        return at
+    return at
 
 
-def combine(row: tuple, ku: list, kv: list) -> tuple[float, float]:
-    """Both components of the stage combination sum_j a_j k_j of a sparse row."""
-    du = dv = 0.0
-    for j, a in row:
-        du += a * ku[j]
-        dv += a * kv[j]
-    return du, dv
-
-
-def coefficients(delta: float, h: float, k: list) -> tuple:
-    """F0..F6 of the interpolant of one component: three from the step's
-    ends, four from the 16 stages through D."""
-    rows = [delta, h * k[0] - delta, 2 * delta - h * (k[12] + k[0])]
-    rows += (h * sum(d * k[j] for j, d in row) for row in D_ITEMS)
-    return tuple(rows)
-
-
-def nested(f: tuple, x: float) -> float:
+def nested(f: tuple, x: float) -> complex:
     """x (F0 + (1-x) (F1 + x (F2 + ... (F5 + x F6))))."""
     y = 0.0
     for i, c in enumerate(reversed(f)):
@@ -322,14 +326,16 @@ def nested(f: tuple, x: float) -> float:
     return y
 
 
-def steps(rhs: Rhs, u: float, v: float, t_bound: float, rtol: float, atol: float) -> Iterator[Step]:
-    """Yield the accepted steps of (u, v)' = rhs(u, v) from t = 0 until t_bound.
+def steps(rhs: Rhs, z: complex, t_bound: float, rtol: float, atol: float) -> Iterator[tuple]:
+    """Yield the accepted steps of z' = rhs(z) from t = 0 until t_bound, each
+    as (t_old, t, z_old, z, k) with its 13 stage derivatives k, the last the
+    rhs at z.
 
     Raises StepFailure when the step size falls below ten spacings of t or a
     step lands on a non-finite state.
     """
-    fu, fv = rhs(u, v)
-    h_abs = initial_step(rhs, u, v, fu, fv, t_bound, rtol, atol)
+    f = rhs(z)
+    h_abs = initial_step(rhs, z, f, t_bound, rtol, atol)
     t = 0.0
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -342,24 +348,10 @@ def steps(rhs: Rhs, u: float, v: float, t_bound: float, rtol: float, atol: float
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            ku, kv = [fu], [fv]
-            for row in STAGES:
-                du, dv = combine(row, ku, kv)
-                gu, gv = rhs(u + du * h, v + dv * h)
-                ku.append(gu)
-                kv.append(gv)
-            du, dv = combine(B_ITEMS, ku, kv)
-            u_new, v_new = u + h * du, v + h * dv
-            fu_new, fv_new = rhs(u_new, v_new)
-            ku.append(fu_new)
-            kv.append(fv_new)
-            su = atol + max(abs(u), abs(u_new)) * rtol
-            sv = atol + max(abs(v), abs(v_new)) * rtol
-            e5u, e5v = combine(E5_ITEMS, ku, kv)
-            e3u, e3v = combine(E3_ITEMS, ku, kv)
-            e5u, e5v, e3u, e3v = e5u / su, e5v / sv, e3u / su, e3v / sv
-            err5 = e5u * e5u + e5v * e5v
-            err3 = e3u * e3u + e3v * e3v
+            k, z_new, e5, e3 = trial_step(rhs, z, f, h)
+            su = atol + max(abs(z.real), abs(z_new.real)) * rtol
+            sv = atol + max(abs(z.imag), abs(z_new.imag)) * rtol
+            err5, err3 = sq(e5, su, sv), sq(e3, su, sv)
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
@@ -376,12 +368,10 @@ def steps(rhs: Rhs, u: float, v: float, t_bound: float, rtol: float, atol: float
             # a nan norm rejects with the smallest factor, as in scipy
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
-        if not (math.isfinite(u_new) and math.isfinite(v_new)):
+        if not cmath.isfinite(z_new):
             raise StepFailure(f"non-finite state at t = {t_new:.6g}")
-        yield Step(rhs, t, t_new, u, v, u_new, v_new, ku, kv)
-        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
-
-
+        yield t, t_new, z, z_new, k
+        t, z, f = t_new, z_new, k[12]
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of f in [a, b], where f(a) and f(b) differ in sign, to 4 eps
     absolute and relative: scipy's C ``brentq`` (Brent's method), as
@@ -410,7 +400,9 @@ def brentq(f: Callable[[float], float], a: float, b: float) -> float:
             else:
                 dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # a denominator that underflows to 0 bisects, as C's inf does
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -189,7 +189,7 @@ def lemma_structure1(seed: int) -> LemmaResult:
     for d in range(2, max_d + 1):
         for k in range(draws):
             f = random_ui_homogeneous(rng, d)
-            report = central_series(decompose(f), 2)
+            report = central_series(decompose(f), 1)
             if not report.nilpotent_order1:
                 (pair, br) = report.witnesses[0]
                 return LemmaResult(

@@ -1,9 +1,10 @@
 """Numerical orbit-period oracle for the underlying real planar system.
 
 This is the only non-exact module: coefficients are evaluated to double
-precision and orbits are integrated with DOP853, an adaptive 8th-order
-explicit pair written on Python floats in `isocenter.dop853`, so no
-numerical library is needed.  Results are evidence, never proofs.
+precision, and the field's complex form z' = ξz + P(z, z̄), with
+z = u + iv, is integrated as one Python complex by DOP853, the adaptive
+8th-order explicit pair of `isocenter.dop853`, so no numerical library is
+needed.  Results are evidence, never proofs.
 """
 
 from __future__ import annotations
@@ -24,24 +25,23 @@ RADIUS_WARN = 0.5
 
 @dataclass(frozen=True)
 class RealSystem:
-    """Real 2D system (u', v') obtained from x' = ξx + P(x, conj(x))."""
+    """Real planar system (u', v') = (Re z', Im z') of x' = ξx + P(x, x̄):
+    its rhs maps z = u + iv to z'."""
 
-    rhs: Callable[[float, float], tuple[float, float]]
+    rhs: Callable[[complex], complex]
 
 
 def to_real_system(f: PlanarField) -> RealSystem:
-    """Substitute x = u + iv, y = conj(x) and split into real and
-    imaginary parts.  Reality of the right-hand side is automatic."""
+    """Substitute x = z = u + iv and y = conj(z): z' = ξz + Σ c z^i conj(z)^j."""
     xi = f.xi.to_complex()
     coeffs = [(i, j, c.to_complex()) for (i, j), c in f.coefficients.items()]
 
-    def rhs(u: float, v: float) -> tuple[float, float]:
-        z = complex(u, v)
+    def rhs(z: complex) -> complex:
         w = z.conjugate()
         dz = xi * z
         for i, j, c in coeffs:
             dz += c * z**i * w**j
-        return dz.real, dz.imag
+        return dz
 
     return RealSystem(rhs)
 
@@ -60,10 +60,11 @@ def measure_period(
     the section, so the first step records a crossing at t = 0; the second
     crossing, the first return, is found on the step's 7th-order interpolant
     by Brent's method, and integration stops there: the time budget bounds
-    only orbits that never return.  Raises NonPeriodicError when the
-    integration fails (step-size underflow or a non-finite state) or
-    overflows, when the start crossing is missing, when the return crosses
-    at u <= 0, or when no return occurs within the budget.
+    only orbits that never return.  Raises InputError when the absolute
+    tolerance tol * r0 * 1e-3 underflows to 0.  Raises NonPeriodicError
+    when the integration fails (step-size underflow or a non-finite state)
+    or overflows, when the start crossing is missing, when the return
+    crosses at u <= 0, or when no return occurs within the budget.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise InputError(f"initial radius must be positive and finite, got {r0}")
@@ -72,15 +73,19 @@ def measure_period(
     if not (math.isfinite(time_budget) and time_budget > 0):
         raise InputError(f"time budget must be positive and finite, got {time_budget}")
     # imported here so that the exact commands never load the tables
-    from .dop853 import StepFailure, brentq, steps
+    from .dop853 import StepFailure, brentq, interpolant, steps
 
     rtol = max(tol, 1e-13)
+    atol = rtol * r0 * 1e-3
+    if atol == 0:
+        raise InputError(f"initial radius {r0} is too small: its absolute tolerance underflows to 0")
+    z0 = complex(r0, 0.0)
     try:
-        direction = math.copysign(1.0, s.rhs(r0, 0.0)[1])
-        for step in steps(s.rhs, r0, 0.0, time_budget, rtol, rtol * r0 * 1e-3):
+        direction = math.copysign(1.0, s.rhs(z0).imag)
+        for t_old, t, z_old, z, k in steps(s.rhs, z0, time_budget, rtol, atol):
             # v goes from <= 0 to >= 0 in the section's direction
-            crossed = direction * step.v_old <= 0.0 <= direction * step.v
-            if step.t_old == 0.0:
+            crossed = direction * z_old.imag <= 0.0 <= direction * z.imag
+            if t_old == 0.0:
                 # the start point is on the section: the crossing at t = 0
                 if not crossed:
                     raise NonPeriodicError(
@@ -89,9 +94,9 @@ def measure_period(
                 continue
             if not crossed:
                 continue
-            y = step.dense()
-            t_return = brentq(lambda t: y(t)[1], step.t_old, step.t)
-            u_return = y(t_return)[0]
+            y = interpolant(s.rhs, t_old, t, z_old, z, k)
+            t_return = brentq(lambda x: y(x).imag, t_old, t)
+            u_return = y(t_return).real
             if u_return <= 0:
                 raise NonPeriodicError(
                     f"first return from r0={r0} crosses the section at u = {u_return:.3g} <= 0"

@@ -167,7 +167,7 @@ def structural_linearisability(a: Alphabet, max_len: int) -> str:
         return UNKNOWN
     if report.structurally_proven:
         return LINEARISABLE_STRUCTURAL
-    if central_series(a, 2).nilpotent_order1:
+    if central_series(a, 1).nilpotent_order1:
         return LINEARISABLE_STRUCTURAL
     return UNKNOWN
 
@@ -181,7 +181,7 @@ def verify_fond3(
     equal the sum over weight-zero letters alone.  Requires the alphabet
     to be nilpotent of order 1: every letter pair brackets to zero.
     """
-    if not central_series(a, 2).nilpotent_order1:
+    if not central_series(a, 1).nilpotent_order1:
         raise InputError("alphabet is not nilpotent of order 1")
     for t in range(trials):
         m = random_mould(seed + t, support_resonant_only=True)

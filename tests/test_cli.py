@@ -158,6 +158,14 @@ def test_scan_periods_non_returning_orbit(runner, tmp_path):
     assert result.stderr.startswith("error: radius 0.45: integration failed")
 
 
+def test_scan_periods_tiny_radius(runner):
+    # at r0 = 1e-320 the absolute tolerance tol * r0 * 1e-3 underflows to 0
+    result = runner.invoke(main, ["scan-periods", "--input", CUBIC, "--radii", "1e-320"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr.startswith("error: initial radius")
+
+
 def test_internal_inconsistency_exit_code(runner, monkeypatch, uniform_field):
     def disagree(f):
         raise InternalInconsistencyError("two routes disagree")

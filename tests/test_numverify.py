@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,26 +30,27 @@ CUBIC = FIELDS / "cubic.json"
 
 def test_linear_rotation_rhs():
     s = to_real_system(LINEAR)
-    assert s.rhs(1.0, 0.0) == (0.0, 1.0)
-    assert s.rhs(0.3, -0.7) == (0.7, 0.3)
+    assert s.rhs(complex(1.0, 0.0)) == complex(0.0, 1.0)
+    assert s.rhs(complex(0.3, -0.7)) == complex(0.7, 0.3)
 
 
 def test_quadratic_rhs_expansion():
     # P = x^2: (u', v') = (-v + u^2 - v^2, u + 2uv)
     s = to_real_system(quadratic(1, 0, 0))
     u, v = 0.3, 0.2
-    du, dv = s.rhs(u, v)
-    assert du == pytest.approx(-v + u * u - v * v, abs=1e-15)
-    assert dv == pytest.approx(u + 2 * u * v, abs=1e-15)
+    dz = s.rhs(complex(u, v))
+    assert dz.real == pytest.approx(-v + u * u - v * v, abs=1e-15)
+    assert dz.imag == pytest.approx(u + 2 * u * v, abs=1e-15)
 
 
 def test_rhs_is_real_on_grid():
+    # z' = u' + iv' is one complex with finite parts
     s = to_real_system(quadratic(1, 2, 3))
     for u in (-0.2, 0.0, 0.15):
         for v in (-0.1, 0.05, 0.2):
-            du, dv = s.rhs(u, v)
-            assert isinstance(du, float) and isinstance(dv, float)
-            assert math.isfinite(du) and math.isfinite(dv)
+            dz = s.rhs(complex(u, v))
+            assert isinstance(dz, complex)
+            assert math.isfinite(dz.real) and math.isfinite(dz.imag)
 
 
 def test_linear_period_is_two_pi():
@@ -104,9 +106,9 @@ def counted(system):
     """The system with an rhs that counts its calls in ``calls[0]``."""
     calls = [0]
 
-    def rhs(u, v):
+    def rhs(z):
         calls[0] += 1
-        return system.rhs(u, v)
+        return system.rhs(z)
 
     return RealSystem(rhs), calls
 
@@ -147,14 +149,14 @@ def test_overflow_is_non_periodic():
 
 # v' vanishes at the start and v then goes negative: the orbit leaves
 # (r0, 0) = (0.1, 0) without crossing the section
-MISSING_START = RealSystem(lambda u, v: (-1.0, u - 0.1))
+MISSING_START = RealSystem(lambda z: complex(-1.0, z.real - 0.1))
 # u = r0 - t and v = (r0/pi) sin(pi t / r0) with r0 = 0.1: the next upward
 # crossing is at u = -r0
-NEGATIVE_RETURN = RealSystem(lambda u, v: (-1.0, math.cos(math.pi * (u - 0.1) / 0.1)))
+NEGATIVE_RETURN = RealSystem(lambda z: complex(-1.0, math.cos(math.pi * (z.real - 0.1) / 0.1)))
 # strong outward drift never returns to the section from r0 = 0.45
 NON_RETURNING = PlanarField(degree=3, coefficients={(2, 1): GaussianRational.of(50)})
 # u' = u^2 blows up at t = 10 from u = 0.1, where the step size underflows
-BLOW_UP = RealSystem(lambda u, v: (u * u, 1.0))
+BLOW_UP = RealSystem(lambda z: complex(z.real * z.real, 1.0))
 
 
 def test_missing_start_crossing():
@@ -252,14 +254,15 @@ def scipy_period(s, r0, tol=DEFAULT_TOL, time_budget=10.0 * TWO_PI):
     from scipy.integrate import solve_ivp
 
     def fun(t, state):
-        return s.rhs(state[0], state[1])
+        dz = s.rhs(complex(state[0], state[1]))
+        return dz.real, dz.imag
 
     def section(t, state):
         return state[1]
 
     section.terminal = 2
     try:
-        section.direction = math.copysign(1.0, s.rhs(r0, 0.0)[1])
+        section.direction = math.copysign(1.0, s.rhs(complex(r0, 0.0)).imag)
         sol = solve_ivp(
             fun,
             (0.0, time_budget),
@@ -295,6 +298,80 @@ def differential_fields():
     fields["Q_iii"] = quadratic(G("5/2"), G(1), G("-3/2"))
     fields["Q_iv"] = quadratic(G("7/6"), G(1), G("1/2"))
     return fields
+
+
+# float.hex() of every period of isochrony_scan at DEFAULT_RADII, recorded
+# with the per-component stepper that the complex one replaced; witness
+# blows up at 0.2 and is left out
+PERIOD_HEX = {
+    "cubic": [
+        "0x1.923e77a1bb197p+2", "0x1.92f19a6edad93p+2",
+        "0x1.9612623fef655p+2", "0x1.b57db7cee7438p+2",
+    ],
+    "linear": [
+        "0x1.921fb5444fabep+2", "0x1.921fb5444f53ep+2",
+        "0x1.921fb5444f53ep+2", "0x1.921fb5444f53ep+2",
+    ],
+    "mirror": [
+        "0x1.921fb544510e7p+2", "0x1.921fb544441b5p+2",
+        "0x1.921fb54441ec4p+2", "0x1.921fb54438e5cp+2",
+    ],
+    "uniform": [
+        "0x1.921fb5444856cp+2", "0x1.921fb54433783p+2",
+        "0x1.921fb544421dbp+2", "0x1.921fb5443c160p+2",
+    ],
+    "cauchy_riemann": [
+        "0x1.921fb5444fc67p+2", "0x1.921fb5444a896p+2",
+        "0x1.921fb54444193p+2", "0x1.921fb54441a22p+2",
+    ],
+    "cauchy_riemann_mirror": [
+        "0x1.921fb5444fc67p+2", "0x1.921fb5444a896p+2",
+        "0x1.921fb54444193p+2", "0x1.921fb54441a22p+2",
+    ],
+    "Q_ii_complex": [
+        "0x1.921fb544510e7p+2", "0x1.921fb544441b5p+2",
+        "0x1.921fb54441ec4p+2", "0x1.921fb54438e5cp+2",
+    ],
+    "Q_ii_complex_mirror": [
+        "0x1.921fb544510e7p+2", "0x1.921fb544441b5p+2",
+        "0x1.921fb54441ec4p+2", "0x1.921fb54438e5cp+2",
+    ],
+    "Q_i": [
+        "0x1.921fb5444892dp+2", "0x1.921fb5443d243p+2",
+        "0x1.921fb5443b9ffp+2", "0x1.921fb5445b624p+2",
+    ],
+    "Q_ii": [
+        "0x1.921fb5444856cp+2", "0x1.921fb54433783p+2",
+        "0x1.921fb544421dbp+2", "0x1.921fb5443c160p+2",
+    ],
+    "Q_iii": [
+        "0x1.921fb544362e8p+2", "0x1.921fb5443efe2p+2",
+        "0x1.921fb54445944p+2", "0x1.921fb544427d3p+2",
+    ],
+    "Q_iv": [
+        "0x1.921fb54446ee3p+2", "0x1.921fb5443cb91p+2",
+        "0x1.921fb5444626bp+2", "0x1.921fb5444509cp+2",
+    ],
+}
+
+
+def test_periods_are_pinned_bit_for_bit():
+    fields = differential_fields()
+    assert set(PERIOD_HEX) == set(fields) - {"witness"}
+    for name, pinned in PERIOD_HEX.items():
+        assert [t.hex() for t in isochrony_scan(fields[name]).periods] == pinned, name
+
+
+def test_tiny_radii_return_two_pi():
+    # tiny states drive Brent's extrapolation denominator to 0, which must
+    # bisect; below about 2.5e-311 the absolute tolerance underflows to 0
+    for path in sorted(FIELDS.glob("*.json")):
+        s = to_real_system(PlanarField.load(path))
+        for e in range(100, 311):
+            assert abs(measure_period(s, float(f"1e-{e}")) - TWO_PI) <= 1e-10, (path.stem, e)
+        for r0 in (1e-311, 1e-320, 5e-324):
+            with pytest.raises(InputError, match="too small"):
+                measure_period(s, r0)
 
 
 def test_periods_match_scipy():
@@ -345,3 +422,64 @@ def test_tables_match_scipy():
     assert dense(dop853.E3, n + 1) == list(coefficients.E3)
     assert dense(dop853.E5, n + 1) == list(coefficients.E5)
     assert [dense(row, coefficients.N_STAGES_EXTENDED) for row in dop853.D] == coefficients.D.tolist()
+
+
+# --- the kernel against a per-component route -------------------------------
+
+
+def component_step(rhs, u, v, h):
+    """One DOP853 step and its dense coefficients from the tables, with
+    separate u and v float sums: the stages ku, kv, the new state, the E5
+    and E3 sums and the interpolant's F0..F6 of each component."""
+
+    def f(u, v):
+        dz = rhs(complex(u, v))
+        return dz.real, dz.imag
+
+    def combine(items, ku, kv):
+        du = dv = 0.0
+        for j, a in items:
+            du += a * ku[j]
+            dv += a * kv[j]
+        return du, dv
+
+    def stage(items, u0, v0, ku, kv):
+        du, dv = combine(items, ku, kv)
+        gu, gv = f(u0 + du * h, v0 + dv * h)
+        ku.append(gu)
+        kv.append(gv)
+
+    fu, fv = f(u, v)
+    ku, kv = [fu], [fv]
+    for s in range(1, 12):
+        stage(dop853.A[s].items(), u, v, ku, kv)
+    du, dv = combine(dop853.B_ITEMS, ku, kv)
+    u_new, v_new = u + h * du, v + h * dv
+    stage((), u_new, v_new, ku, kv)
+    e5, e3 = combine(dop853.E5_ITEMS, ku, kv), combine(dop853.E3_ITEMS, ku, kv)
+    out_k = (list(ku), list(kv))
+    for s in range(13, 16):
+        stage(dop853.A[s].items(), u, v, ku, kv)
+    dense = []
+    for delta, k in ((u_new - u, ku), (v_new - v, kv)):
+        rows = [delta, h * k[0] - delta, 2 * delta - h * (k[12] + k[0])]
+        rows += (h * sum(d * k[j] for j, d in row.items()) for row in dop853.D)
+        dense.append(rows)
+    return out_k, (u_new, v_new), e5, e3, dense
+
+
+def test_trial_step_matches_component_route():
+    rng = random.Random(853)
+    for name in ("mirror", "witness", "cubic"):
+        rhs = to_real_system(PlanarField.load(FIELDS / f"{name}.json")).rhs
+        for _ in range(40):
+            z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+            h = rng.uniform(1e-4, 0.5)
+            (ku, kv), (u_new, v_new), e5, e3, (fu, fv) = component_step(rhs, z.real, z.imag, h)
+            k, z_new, e5z, e3z = dop853.trial_step(rhs, z, rhs(z), h)
+            assert len(k) == 13
+            assert [w.real for w in k] == ku and [w.imag for w in k] == kv
+            assert (z_new.real, z_new.imag) == (u_new, v_new)
+            assert (e5z.real, e5z.imag) == e5 and (e3z.real, e3z.imag) == e3
+            f = dop853.dense_coefficients(rhs, z, z_new, k, h)
+            assert [c.real for c in f] == fu and [c.imag for c in f] == fv
