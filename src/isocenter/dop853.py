@@ -298,7 +298,9 @@ def initial_step(rhs: Rhs, z: complex, f: complex, t_bound, rtol, atol) -> float
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
     g = rhs(z + h0 * f)
-    d2 = math.sqrt(sq(g - f, su, sv)) / math.sqrt(2.0) / h0
+    # a scaled norm d1 that overflows to inf makes h0 = 0, where scipy's
+    # numpy divides to inf
+    d2 = math.sqrt(sq(g - f, su, sv)) / math.sqrt(2.0) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -4,11 +4,16 @@ This is the only non-exact module: coefficients are evaluated to double
 precision, and the field's complex form z' = ξz + P(z, z̄), with
 z = u + iv, is integrated as one Python complex by DOP853, the adaptive
 8th-order explicit pair of `isocenter.dop853`, so no numerical library is
-needed.  Results are evidence, never proofs.
+needed.  The rhs of each field is straight-line source written from its
+exponents and compiled once per system: each power of z and z̄ it needs is
+computed once per call, by the products CPython's complex ``**`` makes, so
+its floats are those of ``ξz + Σ c * z**i * z̄**j`` up to the sign of a
+zero part.  Results are evidence, never proofs.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,19 +36,49 @@ class RealSystem:
     rhs: Callable[[complex], complex]
 
 
+def _power(x: str, n: int, lines: list[str]) -> str:
+    """The name of x^n (n >= 1), appending to lines each product that builds
+    it not yet there, in the order of CPython's complex ``**`` (``c_powu``):
+    x^(2^k) = x^(2^(k-1)) * x^(2^(k-1)), and any other x^n = x^(n-top) * x^top,
+    top the highest power of two <= n.  x^1 is x itself."""
+    if n == 1:
+        return x
+    name = f"{x}{n}"
+    top = 1 << (n.bit_length() - 1)
+    a, b = (n // 2, n // 2) if top == n else (n - top, top)
+    line = f"    {name} = {_power(x, a, lines)} * {_power(x, b, lines)}"
+    if line not in lines:
+        lines.append(line)
+    return name
+
+
+def _rhs_source(exponents) -> str:
+    """Source of rhs(z) = ξz + Σ c_k z^i w^j with w = conj(z), the terms in
+    the order of exponents, summed left to right; a zero exponent multiplies
+    by 1+0j, as z**0 is.  Only the integer exponents enter the text."""
+    lines = ["def rhs(z):", "    w = z.conjugate()"]
+    terms = ["xi * z"]
+    for k, (i, j) in enumerate(exponents):
+        zi = _power("z", i, lines) if i else "(1+0j)"
+        wj = _power("w", j, lines) if j else "(1+0j)"
+        terms.append(f"c{k} * {zi} * {wj}")
+    lines.append("    return " + " + ".join(terms))
+    return "\n".join(lines)
+
+
 def to_real_system(f: PlanarField) -> RealSystem:
-    """Substitute x = z = u + iv and y = conj(z): z' = ξz + Σ c z^i conj(z)^j."""
-    xi = f.xi.to_complex()
-    coeffs = [(i, j, c.to_complex()) for (i, j), c in f.coefficients.items()]
+    """Substitute x = z = u + iv and y = conj(z): z' = ξz + Σ c z^i conj(z)^j.
 
-    def rhs(z: complex) -> complex:
-        w = z.conjugate()
-        dz = xi * z
-        for i, j, c in coeffs:
-            dz += c * z**i * w**j
-        return dz
-
-    return RealSystem(rhs)
+    The rhs is generated source (`_rhs_source`), compiled by one ``exec``
+    whose namespace holds ξ as ``xi`` and the k-th coefficient, in
+    ``f.coefficients`` order, as ``c{k}``: no value enters the source text.
+    Its floats are those of ``dz = ξz; dz += c * z**i * conj(z)**j`` term by
+    term, up to the sign of a zero part (``**`` starts each power from 1+0j),
+    except that products overflow to inf where ``**`` raises."""
+    namespace = {"xi": f.xi.to_complex()}
+    namespace.update((f"c{k}", c.to_complex()) for k, c in enumerate(f.coefficients.values()))
+    exec(compile(_rhs_source(f.coefficients), "<numverify rhs>", "exec"), namespace)
+    return RealSystem(namespace["rhs"])
 
 
 def measure_period(
@@ -62,9 +97,10 @@ def measure_period(
     by Brent's method, and integration stops there: the time budget bounds
     only orbits that never return.  Raises InputError when the absolute
     tolerance tol * r0 * 1e-3 underflows to 0.  Raises NonPeriodicError
-    when the integration fails (step-size underflow or a non-finite state)
-    or overflows, when the start crossing is missing, when the return
-    crosses at u <= 0, or when no return occurs within the budget.
+    when the rhs overflows at the start point, when the integration fails
+    (step-size underflow or a non-finite state), when the start crossing is
+    missing, when the return crosses at u <= 0, or when no return occurs
+    within the budget.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise InputError(f"initial radius must be positive and finite, got {r0}")
@@ -80,8 +116,11 @@ def measure_period(
     if atol == 0:
         raise InputError(f"initial radius {r0} is too small: its absolute tolerance underflows to 0")
     z0 = complex(r0, 0.0)
+    f0 = s.rhs(z0)
+    if not cmath.isfinite(f0):
+        raise NonPeriodicError(f"integration overflowed from r0={r0}")
+    direction = math.copysign(1.0, f0.imag)
     try:
-        direction = math.copysign(1.0, s.rhs(z0).imag)
         for t_old, t, z_old, z, k in steps(s.rhs, z0, time_budget, rtol, atol):
             # v goes from <= 0 to >= 0 in the section's direction
             crossed = direction * z_old.imag <= 0.0 <= direction * z.imag
@@ -102,9 +141,6 @@ def measure_period(
                     f"first return from r0={r0} crosses the section at u = {u_return:.3g} <= 0"
                 )
             return t_return
-    except OverflowError as exc:
-        # complex powers raise instead of returning inf on huge states
-        raise NonPeriodicError(f"integration overflowed from r0={r0}") from exc
     except StepFailure as exc:
         raise NonPeriodicError(f"integration failed from r0={r0}: {exc}") from exc
     raise NonPeriodicError(f"no return to the section from r0={r0} within budget")

@@ -166,6 +166,15 @@ def test_scan_periods_tiny_radius(runner):
     assert result.stderr.startswith("error: initial radius")
 
 
+def test_scan_periods_huge_radius(runner):
+    # at r0 = 1e100 the initial step size computes to 0
+    with pytest.warns(UserWarning, match="exceeds"):
+        result = runner.invoke(main, ["scan-periods", "--input", CUBIC, "--radii", "1e100"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "error:" in result.stderr and "Traceback" not in result.output
+
+
 def test_internal_inconsistency_exit_code(runner, monkeypatch, uniform_field):
     def disagree(f):
         raise InternalInconsistencyError("two routes disagree")

@@ -374,6 +374,42 @@ def test_tiny_radii_return_two_pi():
                 measure_period(s, r0)
 
 
+# rhs calls of measure_period at each of DEFAULT_RADII, summed per field,
+# recorded with the rhs that took each power by ``**``; witness's count
+# includes its failing run at 0.2
+RHS_CALLS = {
+    "cubic": 1608, "linear": 1128, "mirror": 1296, "uniform": 1524, "witness": 7377,
+    "cauchy_riemann": 1344, "cauchy_riemann_mirror": 1344,
+    "Q_ii_complex": 1296, "Q_ii_complex_mirror": 1296,
+    "Q_i": 1524, "Q_ii": 1524, "Q_iii": 1908, "Q_iv": 1584,
+}
+
+
+def test_rhs_call_counts_are_pinned():
+    fields = differential_fields()
+    assert set(RHS_CALLS) == set(fields)
+    for name, f in fields.items():
+        s, calls = counted(to_real_system(f))
+        for r0 in DEFAULT_RADII:
+            try:
+                measure_period(s, r0)
+            except NonPeriodicError:
+                assert (name, r0) == ("witness", 0.2)
+        assert calls[0] == RHS_CALLS[name], name
+
+
+def test_huge_radii_end_in_an_error_or_a_return():
+    # from about 1e71 the scaled rhs norm of the initial step overflows to
+    # inf, which made the first step size 0 and divided by it
+    for path in sorted(FIELDS.glob("*.json")):
+        s = to_real_system(PlanarField.load(path))
+        for e in range(70, 161):
+            try:
+                assert math.isfinite(measure_period(s, float(f"1e{e}"))), (path.stem, e)
+            except NonPeriodicError:
+                pass
+
+
 def test_periods_match_scipy():
     pytest.importorskip("scipy.integrate")
     compared = 0
@@ -483,3 +519,54 @@ def test_trial_step_matches_component_route():
             assert (e5z.real, e5z.imag) == e5 and (e3z.real, e3z.imag) == e3
             f = dop853.dense_coefficients(rhs, z, z_new, k, h)
             assert [c.real for c in f] == fu and [c.imag for c in f] == fv
+
+
+# --- the generated rhs against the power loop -------------------------------
+
+
+def power_loop_rhs(f):
+    """z' = ξz + Σ c z^i conj(z)^j as a loop over the coefficients with two
+    complex powers per term, the route the generated rhs replaced."""
+    xi = f.xi.to_complex()
+    coeffs = [(i, j, c.to_complex()) for (i, j), c in f.coefficients.items()]
+
+    def rhs(z):
+        w = z.conjugate()
+        dz = xi * z
+        for i, j, c in coeffs:
+            dz += c * z**i * w**j
+        return dz
+
+    return rhs
+
+
+def sparse_field(rng, degree):
+    """A field of the degree with a few random exponents and generic
+    coefficients, of either orientation."""
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    support = [(i, n - i) for n in range(2, degree + 1) for i in range(n + 1)]
+    sample = rng.sample(support, rng.randint(1, min(5, len(support))))
+    coeffs = {e: G(part(), part()) for e in sample}
+    return PlanarField(degree=degree, coefficients=coeffs, xi_sign=rng.choice("+-"))
+
+
+def test_generated_rhs_matches_power_loop():
+    rng = random.Random(14)
+    fields = [PlanarField.load(p) for p in sorted(FIELDS.glob("*.json"))]
+    fields += [sparse_field(rng, degree) for degree in range(2, 10) for _ in range(8)]
+    exponents = {n for f in fields for e in f.coefficients for n in e}
+    assert {3, 5, 6, 7, 9} <= exponents
+
+    def bits(z):
+        # zeros compare by value: ** starts each power from 1+0j
+        return [x.hex() if x else 0.0 for x in (z.real, z.imag)]
+
+    for f in fields:
+        rhs, reference = to_real_system(f).rhs, power_loop_rhs(f)
+        for _ in range(20):
+            r = rng.uniform(-0.6, 0.6)
+            for z in (complex(r, rng.uniform(-0.6, 0.6)), complex(r, 0.0), complex(0.0, r)):
+                got, want = rhs(z), reference(z)
+                assert got == want and bits(got) == bits(want), (f.coefficients, z)
