@@ -21,17 +21,47 @@ word w with its bracket d, and ``twin(w)`` with -d.  The central series
 and its pair witnesses are read off its levels; the projection sum reads
 it up to level L-1 (level 1 when L is 1) and brackets level L once per
 letter.
+
+``central_series``, ``enumerate_resonant_words`` and
+``resonant_subset_trivial`` run with the cyclic garbage collector paused,
+and restore its state on return or raise.  What they build is tuples,
+lists, dicts, ``Derivation`` and ``GaussianRational``, none of which refers
+back to itself, so reference counting frees all of it and a collection
+would find nothing; left running, the collector rescans the growing word
+and bracket lists over and over.  ``iter_bracket_levels`` is a generator
+and is not paused, since a pause held across a ``yield`` would reach into
+its caller.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InputError
 from .operators import Derivation, Letter, Word, lie_bracket
 from .prepared import Alphabet, weight
+
+
+def _gc_paused(fn: Callable) -> Callable:
+    """Run fn with the cyclic collector disabled, re-enabling it afterwards
+    only if it was enabled before.  For functions whose objects form no
+    reference cycle; never for a generator."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -61,6 +91,7 @@ class ResonanceReport:
     structurally_proven: bool = False
 
 
+@_gc_paused
 def central_series(a: Alphabet, depth: int) -> SeriesReport:
     """Truncated descending central series as generating sets, with pair witnesses.
 
@@ -135,6 +166,7 @@ def twin(word: Word) -> Word:
     return word[1::-1] + word[2:]
 
 
+@_gc_paused
 def enumerate_resonant_words(a: Alphabet, max_len: int) -> list[Word]:
     """All weight-zero words of length <= max_len, graded lexicographic.
 
@@ -217,6 +249,7 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
     return []
 
 
+@_gc_paused
 def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     """Test whether every resonant nested bracket up to the length bound vanishes.
 

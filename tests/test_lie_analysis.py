@@ -1,9 +1,11 @@
+import gc
 import os
 import random
 import resource
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -381,3 +383,91 @@ def test_resonance_verdict_bracket_count_is_polynomial(monkeypatch, kind, max_le
     verdict = structural_linearisability(a, max_len)
     assert verdict == ("LinearisableStructural" if kind == "cauchy-riemann" else "Unknown")
     assert calls[0] <= bound
+
+
+FIELDS = Path(__file__).parent / "golden" / "fields"
+
+
+@contextmanager
+def collections_started():
+    """The generations of the cyclic collections that start inside the block."""
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield starts
+    finally:
+        gc.callbacks.remove(record)
+
+
+def test_builders_run_no_collection():
+    # left running, the collector rescans the growing word and bracket
+    # lists: 59 collections in these two calls
+    a = decompose(PlanarField.load(FIELDS / "cubic.json"))
+    assert gc.isenabled()
+    with collections_started() as starts:
+        words = enumerate_resonant_words(a, 6)
+    assert len(words) == 37172 and len(starts) <= 1, starts
+    with collections_started() as starts:
+        central_series(a, 3)
+    assert len(starts) <= 1, starts
+
+
+def test_builders_restore_collector_state():
+    a = decompose(PlanarField.load(FIELDS / "cubic.json"))
+    calls = [
+        lambda: central_series(a, 3),
+        lambda: enumerate_resonant_words(a, 4),
+        lambda: resonant_subset_trivial(a, 4),
+        lambda: structural_linearisability(a, 4),
+    ]
+    failing = [
+        lambda: central_series(a, 0),
+        lambda: enumerate_resonant_words(a, 0),
+        lambda: resonant_subset_trivial(a, 0),
+        lambda: structural_linearisability(a, 0),
+    ]
+    assert gc.isenabled()
+    results = []
+    for call in calls:
+        results.append(call())
+        assert gc.isenabled()
+    for call in failing:
+        with pytest.raises(InputError):
+            call()
+        assert gc.isenabled()
+    gc.disable()
+    try:
+        for call, result in zip(calls, results):
+            assert call() == result
+            assert not gc.isenabled()
+        for call in failing:
+            with pytest.raises(InputError):
+                call()
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_builders_make_no_reference_cycle():
+    # the premise of pausing the collector: reference counting alone frees
+    # everything the builders make, so a collection after them finds nothing
+    rng = random.Random(18)
+    alphabets = [decompose(PlanarField.load(path)) for path in sorted(FIELDS.glob("*.json"))]
+    alphabets += [decompose(random_field(rng, d, density=1)) for d in (3, 4)]
+    alphabets += [decompose(random_cr_field(rng, d)) for d in (3, 5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for a in alphabets:
+            central_series(a, 3)
+            enumerate_resonant_words(a, 5)
+            resonant_subset_trivial(a, 5)
+            structural_linearisability(a, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

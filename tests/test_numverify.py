@@ -34,6 +34,18 @@ def test_linear_rotation_rhs():
     assert s.rhs(complex(0.3, -0.7)) == complex(0.7, 0.3)
 
 
+def test_rhs_code_is_shared_by_exponent_shape():
+    # the source depends on the exponents alone; coefficients enter through
+    # the namespace, so each field keeps its own values
+    f, g = quadratic(1, 2, 3), quadratic(-2, 5, 1)
+    rf, rg = to_real_system(f).rhs, to_real_system(g).rhs
+    assert rf.__code__ is rg.__code__
+    z = complex(0.3, 0.2)
+    w = z.conjugate()
+    assert rf(z) == 1j * z + z**2 + 2 * z * w + 3 * w**2
+    assert rg(z) == 1j * z - 2 * z**2 + 5 * z * w + w**2
+
+
 def test_quadratic_rhs_expansion():
     # P = x^2: (u', v') = (-v + u^2 - v^2, u + 2uv)
     s = to_real_system(quadratic(1, 0, 0))
