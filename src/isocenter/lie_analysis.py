@@ -125,8 +125,8 @@ def _reach(a: Alphabet, max_len: int) -> list[set[int]]:
 
 
 def iter_bracket_levels(
-    a: Alphabet, max_len: int, resonant_only: bool = False
-) -> Iterator[list[tuple[Word, int, Derivation]]]:
+    a: Alphabet, max_len: int, resonant_only: bool = False, fold: tuple | None = None
+) -> Iterator[list[tuple]]:
     """Yield the prefix tree level by level, word lengths 1..max_len.
 
     Level r lists (word, weight, nested bracket) entries with a nonzero
@@ -139,24 +139,34 @@ def iter_bracket_levels(
     ``resonant_only`` an entry is also skipped when no extension within
     the length bound brings its weight back to zero.  A level is built
     only when asked for.
+
+    ``fold = (start, step)`` appends the fold states of w and twin(w): (n,)
+    gets step(start, n) and None, (m, n) gets step(s_m, n) and step(s_n, m),
+    and w + (n,) one step from each of w's.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
+    start, step = fold or (None, None)
     reach = _reach(a, max_len) if resonant_only else None
     keep = reach[max_len - 1] if reach else None
     level = [((n,), weight(n), a[n]) for n in a if a[n] and (not keep or -weight(n) in keep)]
+    if step:
+        level = [e + (step(start, e[0][0]), None) for e in level]
     yield level
     first = level  # no word of the tree has a letter outside level 1
     for left in range(max_len - 2, -1, -1):
         nxt = []
-        for j, ((n,), wn, op) in enumerate(first):
+        for j, ((n,), wn, op, *sn) in enumerate(first):
             # level 2 extends only the letters after n; later levels every entry
-            for word, w, d in first[j + 1:] if level is first else level:
+            for word, w, d, *st in first[j + 1:] if level is first else level:
                 if reach and -(w + wn) not in reach[left]:
                     continue
                 br = lie_bracket(op, d)
                 if br:
-                    nxt.append((word + (n,), w + wn, br))
+                    if step:  # the states of word + (n,) and of its twin
+                        t = step(sn[0], word[0]) if level is first else step(st[1], n)
+                        st = step(st[0], n), t
+                    nxt.append((word + (n,), w + wn, br, *st))
         level = nxt
         yield level
 

@@ -8,51 +8,69 @@ sent to zero before the user function is consulted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from .algebra import ONE, GaussianRational, ZERO, _reduced
 from .errors import InputError
-from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial, twin
-from .operators import Derivation, Word, lie_bracket, linear_combination
+from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
+from .operators import Derivation, Letter, Word, lie_bracket, linear_combination
 from .prepared import Alphabet, weight
 
 LINEARISABLE_STRUCTURAL = "LinearisableStructural"
 UNKNOWN = "Unknown"
+_MASK = (1 << 64) - 1  # random_mould's arithmetic is mod 2^64
+_parts = attrgetter("_a", "_b", "_d")  # the integer triple of a GaussianRational
 
 
-@dataclass(frozen=True)
 class Mould:
-    """Word -> scalar evaluation, optionally restricted to resonant support."""
+    """Word -> scalar evaluation, optionally restricted to resonant support.
 
-    evaluate_fn: Callable[[Word], GaussianRational]
-    support_resonant_only: bool = False
+    A mould is a left fold, ``fold = (start, step, finish)``: a word's state
+    is ``start`` taken through ``step(state, letter)`` letter by letter, and
+    ``finish(state)`` is the value as an integer triple (a, b, d) meaning
+    (a + b i)/d, d > 0, not necessarily in lowest terms.  ``Mould(fn)`` has
+    the word fold: the state is the word so far, ``step`` appends a letter
+    and ``finish`` is ``fn``'s value.
+    """
+
+    def __init__(self, evaluate_fn: Callable[[Word], GaussianRational] | None = None,
+                 support_resonant_only: bool = False, fold: tuple | None = None):
+        self.support_resonant_only = support_resonant_only
+        word_fold = (), lambda w, n: w + (n,), lambda w: _parts(evaluate_fn(w))
+        self.start, self.step, self.finish = fold or word_fold
 
     def value(self, word: Word) -> GaussianRational:
-        if not word:
+        if not word or self.support_resonant_only and weight(word):
             return ZERO
-        if self.support_resonant_only and weight(word) != 0:
-            return ZERO
-        return self.evaluate_fn(word)
+        return _reduced(*self.finish(reduce(self.step, word, self.start)))
 
 
-def _draws(seed: int, word: Word) -> tuple[int, int, int, int]:
-    """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
-    z = seed & 0xFFFFFFFFFFFFFFFF
-    for letter in word:
-        for c in letter:
-            z = ((z ^ c) + 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-            z ^= z >> 31
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+def _mix(z: int, letter: Letter) -> int:
+    """``random_mould``'s step: one letter's components folded into z."""
+    for c in letter:
+        z = ((z ^ c) + 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9 & _MASK
+        z ^= z >> 31
+    return z
+
+
+def _split(z: int) -> tuple[int, int, int, int]:
+    """splitmix64's finaliser on z, then p, q, r, s read off by divmod."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
     z ^= z >> 31
     z, p = divmod(z, 19)
     z, q = divmod(z, 9)
     z, r = divmod(z, 19)
-    s = z % 9
-    return p - 9, q + 1, r - 9, s + 1
+    return p - 9, q + 1, r - 9, z % 9 + 1
+
+
+def _draws(seed: int, word: Word) -> tuple[int, int, int, int]:
+    """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
+    return _split(reduce(_mix, word, seed & _MASK))
 
 
 def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
@@ -72,14 +90,15 @@ def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
       q - 1, r + 9 and s - 1, so p and r lie in -9..9 and q and s in 1..9.
 
     Seeds and components may be negative or 2^64 and beyond; only their
-    residues mod 2^64 count.
+    residues mod 2^64 count.  z is the mould's fold state, and its
+    ``finish`` gives the triple (p s, r q, q s).
     """
 
-    def evaluate(word: Word) -> GaussianRational:
-        p, q, r, s = _draws(seed, word)
-        return _reduced(p * s, r * q, q * s)
+    def finish(z: int) -> tuple[int, int, int]:
+        p, q, r, s = _split(z)
+        return p * s, r * q, q * s
 
-    return Mould(evaluate, support_resonant_only=support_resonant_only)
+    return Mould(support_resonant_only=support_resonant_only, fold=(seed & _MASK, _mix, finish))
 
 
 def indicator_mould(word: Word) -> Mould:
@@ -112,39 +131,48 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     empty word never contributes.  The tree's levels hold only the words
     whose bracket is nonzero, and from level 2 on an entry (w, d) stands
     for w and twin(w), whose bracket is -d, so it is weighted by
-    M(w) - M(twin w).  So below the deepest level L the mould is evaluated
-    only where the word's bracket is nonzero.  Level L uses bilinearity in
-    the last letter:
+    M(w) - M(twin w), one reduction of the two finished triples.  The
+    entries carry the mould's fold states of w and twin(w), so a deeper
+    word costs one ``step`` per lineage.  Below the deepest level L the
+    mould is finished only on nonzero brackets, and with resonant support
+    only at weight zero.  Level L uses bilinearity in the last letter:
 
         sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
 
     where an entry u of level L-1 of length 2 or more is weighted by
-    M(u n) - M(twin(u) n).  So a length-L word costs one mould value, and
-    each letter with nonzero S_n one bracket.  The mould is therefore also
-    evaluated on length-L words whose own bracket vanishes: it must be a
-    pure function of the word.
+    M(u n) - M(twin(u) n), a step from each of u's states.  So a length-L
+    word costs one step and one finish, and each letter with nonzero S_n
+    one bracket.  The mould is therefore also evaluated on length-L words
+    whose own bracket vanishes: it must be a pure function of the word.
     """
-    resonant = m.support_resonant_only
-    levels = iter_bracket_levels(a, max_len, resonant)
+    resonant, step, finish = m.support_resonant_only, m.step, m.finish
+    levels = iter_bracket_levels(a, max_len, resonant, (m.start, step))
     sums = []
     # every level but the deepest, entry by entry; at max_len 1 that is the only level
     for r, level in enumerate(islice(levels, max(max_len - 1, 1)), 1):
-        sums.append(linear_combination((_class_value(m, w, r > 1), d) for w, _, d in level))
+        values = ((_class_value(finish, s, t, r > 1), d)
+                  for _, w, d, s, t in level if not (resonant and w))
+        sums.append(linear_combination(values))
     if max_len > 1:
         twinned = max_len > 2  # the entries u of level L-1 are twin classes
         by_letter = {}  # n -> S_n of the docstring, from the entries u of level L-1
         for n in a.letters():
             wn = weight(n)
-            ends = ((u + (n,), d) for u, w, d in level if not (resonant and w + wn))
-            by_letter[n] = linear_combination((_class_value(m, v, twinned), d) for v, d in ends)
+            ends = ((_class_value(finish, step(s, n), twinned and step(t, n), twinned), d)
+                    for _, w, d, s, t in level if not (resonant and w + wn))
+            by_letter[n] = linear_combination(ends)
         brackets = ((ONE, lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
     return linear_combination((GaussianRational(Fraction(1, r)), s) for r, s in enumerate(sums, 1))
 
 
-def _class_value(m: Mould, word: Word, twinned: bool) -> GaussianRational:
-    """M on the word, less M on its twin when the tree entry stands for both."""
-    return m.value(word) - m.value(twin(word)) if twinned else m.value(word)
+def _class_value(finish: Callable, s, t, twinned: bool) -> GaussianRational:
+    """M at fold state s, less M at state t when the tree entry is a twin class."""
+    a, b, d = finish(s)
+    if twinned:
+        e, f, g = finish(t)
+        a, b, d = a * g - e * d, b * g - f * d, d * g
+    return _reduced(a, b, d)
 
 
 def letter_sum(m: Mould, a: Alphabet) -> Derivation:

@@ -452,6 +452,24 @@ def test_failures_match_scipy():
             measure_period(s, r0, time_budget=budget)
 
 
+def test_brentq_bisects_when_the_extrapolation_underflows():
+    # scaled so that Brent's inverse-quadratic denominator underflows to 0
+    # while f stays representable: scipy's C code then divides by zero, gets
+    # an infinite trial step and bisects; a zero trial step would creep
+    # toward the root by 4 eps steps and take 40 and 41 calls
+    optimize = pytest.importorskip("scipy.optimize")
+    cases = [
+        (lambda x: 1e-200 * (math.exp(x) - 2), 0.0, 3.0, "0x1.62e42fefa39edp-1"),
+        (lambda x: 1e-160 * ((x - 0.3) ** 3 + 0.01 * (x - 0.3)), -1.0, 2.0, "0x1.3333333333333p-2"),
+    ]
+    for f, a, b, root in cases:
+        calls = []
+        x = dop853.brentq(lambda x: calls.append(x) or f(x), a, b)
+        want, info = optimize.brentq(f, a, b, xtol=4 * dop853.EPS, rtol=4 * dop853.EPS, full_output=True)
+        assert x.hex() == want.hex() == root
+        assert len(calls) == info.function_calls == 23
+
+
 def test_tables_match_scipy():
     coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
 

@@ -17,9 +17,8 @@ def test_perfbench_checks_self_test_passes():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
-def test_resonance_deep_round_passes_its_checks(tmp_path, monkeypatch):
-    # one round of the benchmark's exact-path workload on the seed-1
-    # fixtures: sympy brackets, DP word counts and verdicts by family
+def checked_round(workload, tmp_path, monkeypatch):
+    """The check problems of one seed-1 round of a benchmark workload."""
     pytest.importorskip("sympy")
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
@@ -27,10 +26,23 @@ def test_resonance_deep_round_passes_its_checks(tmp_path, monkeypatch):
     import workloads
 
     manifest = fixtures.write_all(1, tmp_path)
-    wl = workloads.ResonanceDeep(manifest, root, tmp_path)
+    wl = workloads.WORKLOADS[workload](manifest, root, tmp_path)
     outputs = {}
     for name, fn in wl.ops:
         ok, out, _ = fn()
         assert ok, (name, out)
         outputs[name] = out
-    assert wl.check(outputs) == []
+    return wl.check(outputs)
+
+
+def test_resonance_deep_round_passes_its_checks(tmp_path, monkeypatch):
+    # one round of the benchmark's exact-path workload on the seed-1
+    # fixtures: sympy brackets, DP word counts and verdicts by family
+    assert checked_round("resonance_deep", tmp_path, monkeypatch) == []
+
+
+def test_mould_sum_round_passes_its_checks(tmp_path, monkeypatch):
+    # one round of projection sums on the seed-1 fixtures: random moulds
+    # on their own fold, indicator, table and sum moulds on the word fold,
+    # checked by sympy brackets, the sum rule and the letter sums
+    assert checked_round("mould_sum", tmp_path, monkeypatch) == []

@@ -12,7 +12,7 @@ from test_numverify import run_fresh
 from isocenter import lie_analysis, prenormal
 from isocenter.algebra import ZERO, GaussianRational
 from isocenter.errors import InputError
-from isocenter.lie_analysis import resonant_subset_trivial
+from isocenter.lie_analysis import iter_bracket_levels, resonant_subset_trivial
 from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
@@ -270,6 +270,66 @@ def test_projection_sum_matches_brute_force():
             nonzero += bool(got)
     assert kinds == {"extreme", "zero", "plain"} and lengths == {1, 2, 3, 4, 5}
     assert nonzero >= 500
+
+
+def test_random_mould_fold_matches_brute_force_and_word_fold():
+    # random_mould's own fold through projection_sum, against the brute
+    # force and against the same values on the word fold, Mould(value),
+    # with seeds that are negative or 2^64 and beyond
+    rng = random.Random(21)
+    lengths, seeds = set(), set()
+    nonzero = 0
+    for k in range(200):
+        a = random_alphabet(rng)
+        max_len = max(L for L in range(1, 1 + k % 5 + 1) if L == 1 or len(a) ** L <= 700)
+        lengths.add(max_len)
+        seed = [k, -k - 1, (1 << 64) + k, rng.getrandbits(80), -rng.getrandbits(70)][k % 5]
+        seeds.add("negative" if seed < 0 else "wide" if seed >> 64 else "plain")
+        brackets = brute_brackets(a, max_len)
+        for resonant_only in (False, True):
+            m = random_mould(seed, resonant_only)
+            got = projection_sum(m, a, max_len)
+            assert got == brute_projection_sum(m, brackets)
+            assert got == projection_sum(Mould(m.value, resonant_only), a, max_len)
+            nonzero += bool(got)
+    assert lengths == {1, 2, 3, 4, 5} and seeds == {"negative", "wide", "plain"}
+    assert nonzero >= 200
+
+
+def test_projection_sum_steps_each_lineage_once(monkeypatch):
+    # the tree entries carry the fold states of w and twin(w), so a word of
+    # length r < L costs at most two steps per entry of level r, and one of
+    # length L at most two per (entry of level L-1, letter); a refold from
+    # the start would cost r steps for each word of length r
+    a = decompose(random_field(random.Random(18), 3, density=1))
+    max_len = 4
+    sizes = [len(level) for level in iter_bracket_levels(a, max_len - 1)]
+    m = random_mould(3, support_resonant_only=False)
+    word_fold = Mould(m.value)
+    by_length = Counter()
+
+    def appended(word, letter):
+        by_length[len(word) + 1] += 1
+        return word + (letter,)
+
+    monkeypatch.setattr(word_fold, "step", appended)
+    want = projection_sum(word_fold, a, max_len)
+    for r, size in enumerate(sizes, 1):
+        assert 0 < by_length[r] <= 2 * size, r
+    assert 0 < by_length[max_len] <= 2 * sizes[-1] * len(a)
+    assert set(by_length) == {1, 2, 3, 4}
+    # random_mould's own step runs on the same schedule
+    steps = [0]
+    mix = prenormal._mix
+
+    def counted(z, letter):
+        steps[0] += 1
+        return mix(z, letter)
+
+    monkeypatch.setattr(prenormal, "_mix", counted)
+    assert projection_sum(random_mould(3, support_resonant_only=False), a, max_len) == want
+    assert steps[0] == sum(by_length.values())
+    assert len(a) == 9 and want
 
 
 def test_projection_sum_brackets_no_length_l_word(monkeypatch):
