@@ -1,89 +1,68 @@
 """Exact Lie-algebraic and numerical analysis of isochronous centers of
-planar polynomial vector fields in complex representation."""
+planar polynomial vector fields in complex representation.
 
-from .algebra import BiPoly, GaussianRational
-from .conditions import (
-    ConditionVerdict,
-    GeomComplexity,
-    check_cauchy_riemann,
-    check_uniform,
-    classify_quadratic,
-    geometric_complexity,
-    homogeneous_uniform_verdict,
-)
-from .errors import InputError, InternalInconsistencyError, NonPeriodicError
-from .lie_analysis import (
-    ResonanceReport,
-    SeriesReport,
-    central_series,
-    cr_structural_predicate,
-    enumerate_resonant_words,
-    resonant_subset_trivial,
-)
-from .numverify import PeriodScan, RealSystem, isochrony_scan, measure_period, to_real_system
-from .operators import (
-    Derivation,
-    bracket_oracle,
-    hom_op,
-    lie_bracket,
-    nested_bracket,
-    word_str,
-)
-from .prenormal import (
-    LINEARISABLE_STRUCTURAL,
-    UNKNOWN,
-    Mould,
-    indicator_mould,
-    projection_sum,
-    random_mould,
-    structural_linearisability,
-    table_mould,
-    verify_fond3,
-)
-from .prepared import Alphabet, PlanarField, decompose, reconstruct, weight
+The names below load their module on first use (PEP 562), so importing the
+package, or one command of the CLI, loads no layer that it does not run.
+"""
 
-__all__ = [
-    "Alphabet",
-    "BiPoly",
-    "ConditionVerdict",
-    "Derivation",
-    "GaussianRational",
-    "GeomComplexity",
-    "InputError",
-    "InternalInconsistencyError",
-    "LINEARISABLE_STRUCTURAL",
-    "Mould",
-    "NonPeriodicError",
-    "PeriodScan",
-    "PlanarField",
-    "RealSystem",
-    "ResonanceReport",
-    "SeriesReport",
-    "UNKNOWN",
-    "bracket_oracle",
-    "central_series",
-    "check_cauchy_riemann",
-    "check_uniform",
-    "classify_quadratic",
-    "cr_structural_predicate",
-    "decompose",
-    "enumerate_resonant_words",
-    "geometric_complexity",
-    "hom_op",
-    "homogeneous_uniform_verdict",
-    "indicator_mould",
-    "isochrony_scan",
-    "lie_bracket",
-    "measure_period",
-    "nested_bracket",
-    "projection_sum",
-    "random_mould",
-    "reconstruct",
-    "resonant_subset_trivial",
-    "structural_linearisability",
-    "table_mould",
-    "to_real_system",
-    "verify_fond3",
-    "weight",
-    "word_str",
-]
+from importlib import import_module
+
+_MODULE_OF = {  # exported name -> the submodule that defines it
+    "Alphabet": "prepared",
+    "BiPoly": "algebra",
+    "ConditionVerdict": "conditions",
+    "Derivation": "operators",
+    "GaussianRational": "algebra",
+    "GeomComplexity": "conditions",
+    "InputError": "errors",
+    "InternalInconsistencyError": "errors",
+    "LINEARISABLE_STRUCTURAL": "prenormal",
+    "Mould": "prenormal",
+    "NonPeriodicError": "errors",
+    "PeriodScan": "numverify",
+    "PlanarField": "prepared",
+    "RealSystem": "numverify",
+    "ResonanceReport": "lie_analysis",
+    "SeriesReport": "lie_analysis",
+    "UNKNOWN": "prenormal",
+    "bracket_oracle": "operators",
+    "central_series": "lie_analysis",
+    "check_cauchy_riemann": "conditions",
+    "check_uniform": "conditions",
+    "classify_quadratic": "conditions",
+    "cr_structural_predicate": "lie_analysis",
+    "decompose": "prepared",
+    "enumerate_resonant_words": "lie_analysis",
+    "geometric_complexity": "conditions",
+    "hom_op": "operators",
+    "homogeneous_uniform_verdict": "conditions",
+    "indicator_mould": "prenormal",
+    "isochrony_scan": "numverify",
+    "lie_bracket": "operators",
+    "measure_period": "numverify",
+    "nested_bracket": "operators",
+    "projection_sum": "prenormal",
+    "random_mould": "prenormal",
+    "reconstruct": "prepared",
+    "resonant_subset_trivial": "lie_analysis",
+    "structural_linearisability": "prenormal",
+    "table_mould": "prenormal",
+    "to_real_system": "numverify",
+    "verify_fond3": "prenormal",
+    "weight": "prepared",
+    "word_str": "operators",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

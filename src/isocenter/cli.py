@@ -4,27 +4,19 @@ JSON output is the stable machine contract (canonical key order, byte
 deterministic for fixed input and seed); text output is for humans.
 Exit codes: 0 success, 1 invalid input, 2 internal inconsistency or
 lemma failure.
+
+Each command imports the modules it runs inside its own function, so no
+command loads the layers of another.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import sys
 
-import click
-
-from .conditions import (
-    check_cauchy_riemann,
-    check_uniform,
-    classify_quadratic,
-    geometric_complexity,
-)
 from .errors import InputError, InternalInconsistencyError, NonPeriodicError
-from .lie_analysis import central_series, enumerate_resonant_words
-from .numverify import DEFAULT_RADII, DEFAULT_TOL, isochrony_scan
-from .operators import word_str
-from .prenormal import structural_linearisability
-from .prepared import PlanarField, decompose, reconstruct, weight
 
 EXIT_INVALID_INPUT = 1
 EXIT_INCONSISTENT = 2
@@ -37,58 +29,19 @@ def dumps_report(obj: dict) -> str:
 
 def emit(obj: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
-        click.echo(dumps_report(obj), nl=False)
+        sys.stdout.write(dumps_report(obj))
     else:
         for line in text_lines(obj):
-            click.echo(line)
+            print(line)
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "text"]), default="text"
-)
-input_option = click.option(
-    "--input", "input_path", required=True, type=click.Path(), help="Field JSON file."
-)
-
-
-class Cli(click.Group):
-    """Command group that maps each error to its exit code in one place.
-
-    A usage error (a bad option value, a missing required option, an
-    unknown command or no command), malformed input and an orbit that does
-    not return exit 1 with an ``error:`` line, not click's exit 2, which
-    this CLI keeps for an ``internal inconsistency:``.
-    """
-
-    def main(self, *args, **kwargs):
-        try:
-            return super().main(*args, standalone_mode=False, **kwargs)
-        except click.ClickException as exc:
-            click.echo(f"error: {exc.format_message()}", err=True)
-            sys.exit(EXIT_INVALID_INPUT)
-        except click.Abort:
-            click.echo("Aborted!", err=True)
-            sys.exit(EXIT_INVALID_INPUT)
-        except (InputError, NonPeriodicError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INVALID_INPUT)
-        except InternalInconsistencyError as exc:
-            click.echo(f"internal inconsistency: {exc}", err=True)
-            sys.exit(EXIT_INCONSISTENT)
-
-
-@click.group(cls=Cli, no_args_is_help=False)
-def main():
-    """Exact mould/comould analysis of planar polynomial vector fields."""
-
-
-@main.command()
-@input_option
-@click.option("--max-word-length", default=6, show_default=True)
-@click.option("--series-depth", default=3, show_default=True)
-@format_option
 def analyze(input_path, max_word_length, series_depth, fmt):
     """Alphabet, weights, brackets, central series, resonant words."""
+    from .lie_analysis import central_series, enumerate_resonant_words
+    from .operators import word_str
+    from .prenormal import structural_linearisability
+    from .prepared import PlanarField, decompose, reconstruct, weight
+
     f = PlanarField.load(input_path)
     reconstruct(f)
     a = decompose(f)
@@ -137,12 +90,14 @@ def analyze(input_path, max_word_length, series_depth, fmt):
     emit(report, fmt, text)
 
 
-@main.command()
-@input_option
-@format_option
 def classify(input_path, fmt):
     """Quadratic condition membership plus UI and CR verdicts."""
+    from .prepared import PlanarField
+
     f = PlanarField.load(input_path)
+    # imported after the load, so that a malformed file never loads the checkers
+    from .conditions import check_cauchy_riemann, check_uniform, classify_quadratic
+
     report = {
         "field": f.to_json_obj(),
         "uniform": check_uniform(f).to_json_obj(),
@@ -164,12 +119,8 @@ def classify(input_path, fmt):
     emit(report, fmt, text)
 
 
-@main.command("verify-lemmas")
-@click.option("--seed", default=0, show_default=True)
-@format_option
 def verify_lemmas(seed, fmt):
     """Run the randomized lemma suites; exit 2 on any failure."""
-    # imported here so that the other commands never compile the lemma suites
     from .lemmas import run_all
 
     results = run_all(seed)
@@ -190,19 +141,19 @@ def verify_lemmas(seed, fmt):
         sys.exit(EXIT_INCONSISTENT)
 
 
-@main.command("scan-periods")
-@input_option
-@click.option("--radii", default=",".join(str(r) for r in DEFAULT_RADII), show_default=True)
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
-@format_option
-def scan_periods(input_path, radii, tol, fmt):
+def scan_periods(input_path, fmt, **scan):
     """Measure orbit return times over a list of radii."""
+    from .numverify import isochrony_scan
+    from .prepared import PlanarField
+
     f = PlanarField.load(input_path)
-    try:
-        radii_list = [float(r) for r in radii.split(",") if r.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad radii list {radii!r}") from exc
-    report = isochrony_scan(f, radii_list, tol).to_json_obj()
+    if "radii" in scan:
+        radii = scan["radii"]
+        try:
+            scan["radii"] = [float(r) for r in radii.split(",") if r.strip()]
+        except ValueError as exc:
+            raise InputError(f"bad radii list {radii!r}") from exc
+    report = isochrony_scan(f, **scan).to_json_obj()
 
     def text(rep):
         for r, t in zip(rep["radii"], rep["periods"]):
@@ -212,14 +163,10 @@ def scan_periods(input_path, radii, tol, fmt):
     emit(report, fmt, text)
 
 
-@main.command()
-@click.option(
-    "--condition", type=click.Choice(["CR", "UI"]), required=True
-)
-@click.option("--degree", type=int, required=True)
-@format_option
 def complexity(condition, degree, fmt):
     """Geometric complexity of the homogeneous condition family."""
+    from .conditions import geometric_complexity
+
     gc = geometric_complexity(condition, degree)
     report = {"condition": condition, "degree": degree, **gc.to_json_obj()}
 
@@ -231,6 +178,78 @@ def complexity(condition, degree, fmt):
         )
 
     emit(report, fmt, text)
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with `--help` as its only built-in option, no abbreviated
+    option names, and each usage error raised as invalid input (exit 1)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_HelpFormatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+        # no option here has a single dash, so a token such as -1e-10 or -inf
+        # after an option is its value, not an unknown option
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _parser(prog_name) -> _Parser:
+    about = "Exact mould/comould analysis of planar polynomial vector fields."
+    parser = _Parser(prog=prog_name or "isocenter", description=about)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, input_file=True):
+        name = run.__name__.replace("_", "-")
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        if input_file:
+            sub.add_argument("--input", dest="input_path", required=True, help="Field JSON file.")
+        sub.add_argument("--format", dest="fmt", choices=["json", "text"], default="text")
+        return sub
+
+    sub = command(analyze)
+    sub.add_argument("--max-word-length", type=int, default=6)
+    sub.add_argument("--series-depth", type=int, default=3)
+    command(classify)
+    sub = command(verify_lemmas, input_file=False)
+    sub.add_argument("--seed", type=int, default=0)
+    sub = command(scan_periods)
+    # absent unless given, so that isochrony_scan's defaults are the CLI's
+    sub.add_argument("--radii", default=argparse.SUPPRESS)
+    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    sub = command(complexity, input_file=False)
+    sub.add_argument("--condition", choices=["CR", "UI"], required=True)
+    sub.add_argument("--degree", type=int, required=True)
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Run the command that ``args`` (default ``sys.argv[1:]``) names.
+
+    Maps each error to its exit code in one place: a usage error (never
+    argparse's own exit 2), malformed input and an orbit that does not
+    return exit 1 with an ``error:`` line, an interrupt exits 1 with
+    ``Aborted!``, and an internal inconsistency exits 2.
+    """
+    try:
+        opts = vars(_parser(prog_name).parse_args(args))
+        opts.pop("run")(**opts)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(EXIT_INVALID_INPUT)
+    except (InputError, NonPeriodicError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INVALID_INPUT)
+    except InternalInconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INCONSISTENT)
 
 
 if __name__ == "__main__":

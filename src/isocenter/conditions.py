@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .algebra import BiPoly, GaussianRational
 from .errors import InputError, InternalInconsistencyError
-from .prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
 from .prepared import PlanarField, decompose
 
 
@@ -155,6 +154,8 @@ def homogeneous_uniform_verdict(f: PlanarField) -> ConditionVerdict:
     for d = 2m+1 additionally p_{m+1,m} = 0.  A positive verdict implies
     (and asserts) the structural linearisability of the alphabet.
     """
+    from .prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
+
     if not f.is_homogeneous():
         raise InputError("field perturbation is not homogeneous")
     d = f.degree

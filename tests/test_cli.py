@@ -2,13 +2,15 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from isocenter.cli import dumps_report, main
 from isocenter.errors import InternalInconsistencyError
 from isocenter.operators import Derivation
 
-CUBIC = str(Path(__file__).parent / "golden" / "fields" / "cubic.json")
+FIELDS = Path(__file__).parent / "golden" / "fields"
+CUBIC = str(FIELDS / "cubic.json")
+UNIFORM = str(FIELDS / "uniform.json")
 
 
 @pytest.fixture
@@ -179,7 +181,7 @@ def test_internal_inconsistency_exit_code(runner, monkeypatch, uniform_field):
     def disagree(f):
         raise InternalInconsistencyError("two routes disagree")
 
-    monkeypatch.setattr("isocenter.cli.check_uniform", disagree)
+    monkeypatch.setattr("isocenter.conditions.check_uniform", disagree)
     result = runner.invoke(main, ["classify", "--input", uniform_field])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
@@ -215,6 +217,9 @@ def test_malformed_value_clean_error(runner, tmp_path):
         ["scan-periods", "--tol", "tiny", "--input", CUBIC],
         ["no-such-command"],
         [],
+        ["analyze", "--max", "3", "--input", CUBIC],
+        ["analyze", "--input", CUBIC, "--format", "xml"],
+        ["analyze", "-h", "--input", CUBIC],
     ],
 )
 def test_usage_error_is_invalid_input(runner, args):
@@ -239,3 +244,64 @@ def test_analyze_rejects_max_word_length_below_one(runner, linear_field, max_len
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args,stderr",
+    [
+        (["analyze", "--input", CUBIC, "--series-depth", "0"], "depth must be >= 1, got 0"),
+        (["scan-periods", "--input", UNIFORM, "--radii", ","], "radii must be nonempty"),
+        (["scan-periods", "--input", UNIFORM, "--tol", "0"],
+         "tolerance must be positive and finite, got 0.0"),
+        (["scan-periods", "--input", UNIFORM, "--tol", "nan"],
+         "tolerance must be positive and finite, got nan"),
+        (["scan-periods", "--input", UNIFORM, "--radii", "inf"], "radii must be finite, got [inf]"),
+        (["scan-periods", "--input", UNIFORM, "--radii", "-0.05"],
+         "initial radius must be positive and finite, got -0.05"),
+        (["scan-periods", "--input", UNIFORM, "--radii", "-0.05,0.1"],
+         "initial radius must be positive and finite, got -0.05"),
+        (["scan-periods", "--input", UNIFORM, "--tol", "-1e-10"],
+         "tolerance must be positive and finite, got -1e-10"),
+        (["scan-periods", "--input", UNIFORM, "--tol", "-inf"],
+         "tolerance must be positive and finite, got -inf"),
+        *(
+            ([command, "--input", path], f"cannot read field file {path}: {reason}")
+            for command in ("analyze", "classify", "scan-periods")
+            for path, reason in (
+                (str(FIELDS), f"[Errno 21] Is a directory: {str(FIELDS)!r}"),
+                ("/dev/null", "Expecting value: line 1 column 1 (char 0)"),
+            )
+        ),
+    ],
+)
+def test_error_line_bytes(runner, args, stderr):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr == f"error: {stderr}\n"
+    assert result.stdout == ""
+
+
+def test_keyboard_interrupt_aborts(runner, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("isocenter.cli.emit", interrupt)
+    result = runner.invoke(main, ["complexity", "--condition", "CR", "--degree", "3"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr == "\nAborted!\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_scan_periods_default_radii_and_tol(runner, fmt):
+    defaults = runner.invoke(main, ["scan-periods", "--input", UNIFORM, "--format", fmt])
+    spelled = runner.invoke(
+        main,
+        ["scan-periods", "--input", UNIFORM, "--radii", "0.02,0.05,0.1,0.2", "--tol", "1e-10",
+         "--format", fmt],
+    )
+    assert defaults.exit_code == spelled.exit_code == 0
+    assert defaults.stdout_bytes == spelled.stdout_bytes
+    assert len(defaults.stdout.splitlines()) >= 5

@@ -12,7 +12,7 @@ and the diff of tests/golden/ shows what moved.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from isocenter.cli import main
 
