@@ -196,6 +196,13 @@ class BiPoly:
         self._t = t
 
     @staticmethod
+    def _of(t: dict[Exponent, GaussianRational]) -> "BiPoly":
+        """The polynomial with these terms, taken as canonical without a check."""
+        out = BiPoly.__new__(BiPoly)
+        out._t = t
+        return out
+
+    @staticmethod
     def zero() -> "BiPoly":
         return BiPoly()
 
@@ -224,14 +231,10 @@ class BiPoly:
                 t[e] = s
             elif e in t:
                 del t[e]
-        out = BiPoly.__new__(BiPoly)
-        out._t = t
-        return out
+        return BiPoly._of(t)
 
     def __neg__(self) -> "BiPoly":
-        out = BiPoly.__new__(BiPoly)
-        out._t = {e: -c for e, c in self._t.items()}
-        return out
+        return BiPoly._of({e: -c for e, c in self._t.items()})
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
@@ -247,9 +250,7 @@ class BiPoly:
                         t[e] = s
                     elif e in t:
                         del t[e]
-            out = BiPoly.__new__(BiPoly)
-            out._t = t
-            return out
+            return BiPoly._of(t)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -258,9 +259,7 @@ class BiPoly:
         s = _coerce(scalar)
         if not s:
             return BiPoly.zero()
-        out = BiPoly.__new__(BiPoly)
-        out._t = {e: c * s for e, c in self._t.items()}
-        return out
+        return BiPoly._of({e: c * s for e, c in self._t.items()})
 
     def partial(self, var: str) -> "BiPoly":
         """Formal partial derivative with respect to "x" or "y"."""
@@ -274,9 +273,7 @@ class BiPoly:
             else:
                 if j > 0:
                     t[(i, j - 1)] = c * j
-        out = BiPoly.__new__(BiPoly)
-        out._t = t
-        return out
+        return BiPoly._of(t)
 
     def swap_conj(self) -> "BiPoly":
         """Conjugate every coefficient and transpose exponents.
@@ -284,9 +281,7 @@ class BiPoly:
         Realizes the companion polynomial rule q_{i,j} = conj(p_{j,i}):
         the result is sum conj(p_{j,i}) x^i y^j.
         """
-        out = BiPoly.__new__(BiPoly)
-        out._t = {(j, i): c.conj() for (i, j), c in self._t.items()}
-        return out
+        return BiPoly._of({(j, i): c.conj() for (i, j), c in self._t.items()})
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {i + j for i, j in self._t}

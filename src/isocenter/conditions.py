@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import BiPoly, GaussianRational
 from .errors import InputError, InternalInconsistencyError
-from .prepared import PlanarField, decompose
+
+if TYPE_CHECKING:  # the checkers import these when they run, so `complexity` loads neither
+    from .algebra import GaussianRational
+    from .prepared import PlanarField
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ def check_uniform(f: PlanarField) -> ConditionVerdict:
     Route (a) is the coefficient relations, route (b) the polynomial
     identity; the two must agree.
     """
+    from .algebra import BiPoly
+
     failing = _uniform_relations(f)
     p = f.perturbation()
     identity_holds = (BiPoly.monomial(0, 1) * p) == (BiPoly.monomial(1, 0) * p.swap_conj())
@@ -130,17 +135,15 @@ def classify_quadratic(f: PlanarField) -> set[str]:
         out.add("Q_i")
     if (p20 - p11.conj()).is_zero() and p02.is_zero():
         out.add("Q_ii")
-    half5 = GaussianRational.of(Fraction(5, 2))
     if (
-        (p20 - half5 * p11.conj()).is_zero()
-        and (p11.norm_sq() - GaussianRational.of(Fraction(4, 9)) * p02.norm_sq()).is_zero()
+        (p20 - p11.conj() * Fraction(5, 2)).is_zero()
+        and (p11.norm_sq() - p02.norm_sq() * Fraction(4, 9)).is_zero()
         and (phase + 3 * square).is_zero()
     ):
         out.add("Q_iii")
-    sixth7 = GaussianRational.of(Fraction(7, 6))
     if (
-        (p20 - sixth7 * p11.conj()).is_zero()
-        and (p11.norm_sq() - GaussianRational.of(4) * p02.norm_sq()).is_zero()
+        (p20 - p11.conj() * Fraction(7, 6)).is_zero()
+        and (p11.norm_sq() - p02.norm_sq() * 4).is_zero()
         and (phase - square).is_zero()
     ):
         out.add("Q_iv")
@@ -155,6 +158,7 @@ def homogeneous_uniform_verdict(f: PlanarField) -> ConditionVerdict:
     (and asserts) the structural linearisability of the alphabet.
     """
     from .prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
+    from .prepared import decompose
 
     if not f.is_homogeneous():
         raise InputError("field perturbation is not homogeneous")

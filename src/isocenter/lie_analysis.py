@@ -25,12 +25,11 @@ letter.
 ``central_series``, ``enumerate_resonant_words`` and
 ``resonant_subset_trivial`` run with the cyclic garbage collector paused,
 and restore its state on return or raise.  What they build is tuples,
-lists, dicts, ``Derivation`` and ``GaussianRational``, none of which refers
-back to itself, so reference counting frees all of it and a collection
-would find nothing; left running, the collector rescans the growing word
-and bracket lists over and over.  ``iter_bracket_levels`` is a generator
-and is not paused, since a pause held across a ``yield`` would reach into
-its caller.
+lists, dicts and ``Derivation``, none of which refers back to itself, so
+reference counting frees all of it and a collection would find nothing;
+left running, the collector rescans the growing word and bracket lists
+over and over.  ``iter_bracket_levels`` is a generator and is not paused,
+since a pause held across a ``yield`` would reach into its caller.
 """
 
 from __future__ import annotations
@@ -217,9 +216,11 @@ def _independent(basis: list[tuple[Word, Derivation]], letter: Letter, v: Deriva
     """
     if not basis:
         return True
-    a, b = basis[0][1].terms[letter]
-    c, e = v.terms[letter]
-    return bool(a * e - b * c)
+    pa, pb, pd, qa, qb, qd = basis[0][1].raw[letter]
+    ra, rb, rd, sa, sb, sd = v.raw[letter]
+    f, g = qd * rd, pd * sd  # a*e - b*c for v = (c, e), times the four denominators
+    return ((pa * sa - pb * sb) * f != (qa * ra - qb * rb) * g
+            or (pa * sb + pb * sa) * f != (qa * rb + qb * ra) * g)
 
 
 def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivation]]:
@@ -283,7 +284,7 @@ def cr_structural_predicate(a: Alphabet) -> bool:
     so a bounded all-zero verdict extends to all word lengths.
     """
     return all(
-        (not cy and n2 == 0) or (not cx and n1 == 0)
+        (not (ya or yb) and n2 == 0) or (not (xa or xb) and n1 == 0)
         for op in a.entries.values()
-        for (n1, n2), (cx, cy) in op.terms.items()
+        for (n1, n2), (xa, xb, _, ya, yb, _) in op.raw.items()
     )

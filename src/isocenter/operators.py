@@ -2,22 +2,25 @@
 
 Every polynomial derivation is uniquely a sum over letters n = (n1, n2)
 of x^n1 y^n2 (a_n x d/dx + b_n y d/dy), and a derivation is stored as the
-sparse map n -> (a_n, b_n) with no all-zero pairs.  A d/dx monomial
-x^i y^j belongs to letter (i-1, j) and a d/dy monomial x^i y^j to letter
-(i, j-1).  The bracket of two one-letter operators has the closed form
+sparse map n -> (a_n, b_n) with no all-zero pairs, each pair held as the
+six ints (a_re, a_im, a_den, b_re, b_im, b_den) with each half in lowest
+terms, so a zero half is (0, 0, 1).  A d/dx monomial x^i y^j belongs to
+letter (i-1, j) and a d/dy monomial x^i y^j to letter (i, j-1).  The
+bracket of two one-letter operators has the closed form
 
     [(n, a, b), (m, c, e)] = (n+m, s*c - t*a, s*e - t*b),
     s = a*m1 + b*m2,  t = c*n1 + e*n2,
 
-extended bilinearly.  ``lie_bracket`` evaluates it on the integer
-triples (a, b, d) of the scalars over one common denominator per letter
-pair, with one gcd per output scalar.  ``linear_combination`` keeps its
-running sums as raw triples, with one gcd per component and added term.
-Both build scalar objects only for their result.  After a partial sum
-cancels, a result may store its letters in another order than a
-scalar-by-scalar sum would; no output reads that order, since the
-(dx, dy) views sort by grlex.  The (dx, dy) polynomial views and
-``apply`` serve the independent double-application route
+extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints
+over one common denominator per letter pair, with one gcd per output
+half; ``linear_combination`` makes one gcd per half and added term, and
+negation flips signs.  None of them builds a scalar object:
+``GaussianRational`` appears only in the (dx, dy) views, ``terms``,
+``to_dict``, the constructors and ``linear_combination``'s coefficients.
+After a partial sum cancels, a result may store its letters in another
+order than a letter-by-letter sum would; no output reads that order,
+since the (dx, dy) views sort by grlex.  The (dx, dy) polynomial views
+and ``apply`` serve the independent double-application route
 (``bracket_oracle``) only.  The nested bracket of a word n1...nr is
 left-nested with the last letter outermost:
 [B_{nr}, [B_{n_{r-1}}, ..., [B_{n2}, B_{n1}]...]].  This nesting order is
@@ -29,16 +32,17 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ZERO, BiPoly, GaussianRational, _reduced, _triple
+from .algebra import ONE, BiPoly, GaussianRational, _coerce, _triple
 from .errors import InputError
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 Scalars = tuple[GaussianRational, GaussianRational]
+Sextuple = tuple[int, int, int, int, int, int]
 
 
 class Derivation:
-    """First-order operator, stored as the map letter -> (a, b).
+    """First-order operator, stored as the map letter -> (a, b) of int sextuples.
 
     ``letter`` is the only letter of a nonzero one-letter operator and
     None otherwise.  Instances are treated as immutable.
@@ -47,21 +51,38 @@ class Derivation:
     __slots__ = ("_t",)
 
     def __init__(self, dx: BiPoly, dy: BiPoly):
-        t: dict[Letter, Scalars] = {(i - 1, j): (c, ZERO) for (i, j), c in dx.terms.items()}
+        t = {(i - 1, j): (c._a, c._b, c._d, 0, 0, 1) for (i, j), c in dx.terms.items()}
         for (i, j), c in dy.terms.items():
-            a, _ = t.get((i, j - 1), (ZERO, ZERO))
-            t[(i, j - 1)] = (a, c)
+            p, q, r, _, _, _ = t.get((i, j - 1), (0, 0, 1, 0, 0, 1))
+            t[(i, j - 1)] = (p, q, r, c._a, c._b, c._d)
         self._t = t
 
     @staticmethod
-    def _of(t: dict[Letter, Scalars]) -> "Derivation":
+    def from_terms(terms: Mapping[Letter, Scalars]) -> "Derivation":
+        """The operator with the scalar pair (a, b) at each letter, all-zero pairs dropped.
+
+        Any integer letters are taken, as the closed forms hold for all of
+        them, but only a polynomial field's letters have polynomial views.
+        """
+        return Derivation._of({
+            n: (a._a, a._b, a._d, b._a, b._b, b._d) for n, (a, b) in terms.items() if a or b
+        })
+
+    @staticmethod
+    def _of(t: dict[Letter, Sextuple]) -> "Derivation":
         out = Derivation.__new__(Derivation)
         out._t = t
         return out
 
     @property
-    def terms(self) -> Mapping[Letter, Scalars]:
+    def raw(self) -> Mapping[Letter, Sextuple]:
+        """The stored map letter -> (a_re, a_im, a_den, b_re, b_im, b_den)."""
         return self._t
+
+    @property
+    def terms(self) -> dict[Letter, Scalars]:
+        return {n: (_triple(p, q, r), _triple(s, u, v))
+                for n, (p, q, r, s, u, v) in self._t.items()}
 
     @property
     def letter(self) -> Letter | None:
@@ -69,15 +90,17 @@ class Derivation:
 
     @property
     def dx(self) -> BiPoly:
-        return BiPoly({(n1 + 1, n2): a for (n1, n2), (a, _) in self._t.items() if a})
+        return BiPoly._of({(n1 + 1, n2): _triple(p, q, r)
+                           for (n1, n2), (p, q, r, _, _, _) in self._t.items() if p or q})
 
     @property
     def dy(self) -> BiPoly:
-        return BiPoly({(n1, n2 + 1): b for (n1, n2), (_, b) in self._t.items() if b})
+        return BiPoly._of({(n1, n2 + 1): _triple(s, u, v)
+                           for (n1, n2), (_, _, _, s, u, v) in self._t.items() if s or u})
 
     def split(self) -> dict[Letter, "Derivation"]:
         """The one-letter operators whose sum is this derivation."""
-        return {n: Derivation._of({n: ab}) for n, ab in self._t.items()}
+        return {n: Derivation._of({n: r}) for n, r in self._t.items()}
 
     def apply(self, p: BiPoly) -> BiPoly:
         return self.dx * p.partial("x") + self.dy * p.partial("y")
@@ -97,21 +120,17 @@ class Derivation:
         return hash(frozenset(self._t.items()))
 
     def __neg__(self) -> "Derivation":
-        return Derivation._of({n: (-a, -b) for n, (a, b) in self._t.items()})
+        return Derivation._of({n: (-p, -q, r, -s, -u, v)
+                               for n, (p, q, r, s, u, v) in self._t.items()})
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        t = dict(self._t)
-        for n, (c, e) in other._t.items():
-            _accumulate(t, n, c, e)
-        return Derivation._of(t)
+        return linear_combination(((ONE, self), (ONE, other)))
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-other)
 
     def scale(self, scalar) -> "Derivation":
-        if not scalar:
-            return ZERO_DERIVATION
-        return Derivation._of({n: (a * scalar, b * scalar) for n, (a, b) in self._t.items()})
+        return linear_combination(((_coerce(scalar), self),))
 
     def to_dict(self) -> dict:
         out = {"dx": self.dx.to_dict(), "dy": self.dy.to_dict()}
@@ -129,39 +148,28 @@ class Derivation:
 ZERO_DERIVATION = Derivation(BiPoly.zero(), BiPoly.zero())
 
 
-def _accumulate(t: dict[Letter, Scalars], n: Letter, c, e) -> None:
-    """Add the scalar pair (c, e) at letter n, dropping an all-zero sum."""
-    if n in t:
-        c, e = t[n][0] + c, t[n][1] + e
-    if c or e:
-        t[n] = (c, e)
-    else:
-        t.pop(n, None)
-
-
 def linear_combination(terms: Iterable[tuple[GaussianRational, Derivation]]) -> Derivation:
     """Sum of c * d over the (c, d) pairs, zero c skipped.
 
-    Each letter's running pair is kept as two raw integer triples, and
-    each added term c * (a, b) brings a component to lowest terms with one
-    gcd.  Scalars are made only for the result, where all-zero letters are
-    dropped.
+    Each letter's running pair is kept as six ints, and each added term
+    c * (a, b) brings a half to lowest terms with one gcd.  Letters whose
+    sum is all zero are dropped from the result.
     """
     acc: dict[Letter, list[int]] = {}  # n -> [pa, pb, pd, qa, qb, qd]
     for c, d in terms:
-        if not c:
-            continue
         ca, cb, cd = c._a, c._b, c._d
-        for n, (a, b) in d._t.items():
+        if not (ca or cb):
+            continue
+        for n, z in d._t.items():
             r = acc.get(n)
             if r is None:
                 r = acc[n] = [0, 0, 1, 0, 0, 1]
-            for k, z in ((0, a), (3, b)):
-                za, zb = z._a, z._b
+            for k in (0, 3):
+                za, zb = z[k], z[k + 1]
                 if not (za or zb):
                     continue
                 # running + c * z over one denominator, then one gcd
-                f, e = cd * z._d, r[k + 2]
+                f, e = cd * z[k + 2], r[k + 2]
                 u, v = ca * za - cb * zb, ca * zb + cb * za
                 if e != f:
                     u, v, f = r[k] * f + u * e, r[k + 1] * f + v * e, e * f
@@ -172,11 +180,7 @@ def linear_combination(terms: Iterable[tuple[GaussianRational, Derivation]]) -> 
                     if g != 1:
                         u, v, f = u // g, v // g, f // g
                 r[k], r[k + 1], r[k + 2] = u, v, f
-    return Derivation._of({
-        n: (_triple(pa, pb, pd), _triple(qa, qb, qd))
-        for n, (pa, pb, pd, qa, qb, qd) in acc.items()
-        if pa or pb or qa or qb
-    })
+    return Derivation._of({n: tuple(r) for n, r in acc.items() if r[0] or r[1] or r[3] or r[4]})
 
 
 def hom_op(letter: Letter, dx: BiPoly, dy: BiPoly) -> Derivation:
@@ -190,19 +194,15 @@ def hom_op(letter: Letter, dx: BiPoly, dy: BiPoly) -> Derivation:
 def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """[d1, d2] = d1∘d2 - d2∘d1, by the closed form on each letter pair.
 
-    The closed form is evaluated on the integer triples of the scalars,
-    over the one common denominator of the pair's four scalars, and each
-    output scalar is brought to lowest terms with one gcd.  If both
+    The closed form is evaluated on the stored ints, over the one common
+    denominator of the pair's four scalars, and each output half is
+    brought to lowest terms with one gcd.  If both
     arguments are homogeneous with letters n and m, a nonzero result is
     homogeneous with letter n + m.
     """
-    acc: dict[Letter, tuple[int, ...]] = {}  # n + m -> (xa, xb, ya, yb, D)
-    for (n1, n2), (a, b) in d1._t.items():
-        aa, ab, ad = a._a, a._b, a._d
-        ba, bb, bd = b._a, b._b, b._d
-        for (m1, m2), (c, e) in d2._t.items():
-            ca, cb, cd = c._a, c._b, c._d
-            ea, eb, ed = e._a, e._b, e._d
+    out: dict[Letter, Sextuple] = {}
+    for (n1, n2), (aa, ab, ad, ba, bb, bd) in d1._t.items():
+        for (m1, m2), (ca, cb, cd, ea, eb, ed) in d2._t.items():
             # s = a*m1 + b*m2 over ad*bd, t = c*n1 + e*n2 over cd*ed
             u, v = m1 * bd, m2 * ad
             sa, sb = aa * u + ba * v, ab * u + bb * v
@@ -215,19 +215,17 @@ def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
             yb = (sa * eb + sb * ea) * cd - (ta * bb + tb * ba) * ad
             if not (xa or xb or ya or yb):
                 continue
-            den = ad * bd * cd * ed
+            xd = yd = ad * bd * cd * ed
             k = (n1 + m1, n2 + m2)
-            if k in acc:  # another pair gave letter k: add over the product denominator
-                pa, pb, qa, qb, f = acc[k]
-                xa, xb = pa * den + xa * f, pb * den + xb * f
-                ya, yb = qa * den + ya * f, qb * den + yb * f
-                den *= f
-            acc[k] = (xa, xb, ya, yb, den)
-    return Derivation._of({
-        k: (_reduced(xa, xb, den), _reduced(ya, yb, den))
-        for k, (xa, xb, ya, yb, den) in acc.items()
-        if xa or xb or ya or yb
-    })
+            if k in out:  # another pair gave letter k: add each half over the product denominator
+                pa, pb, pd, qa, qb, qd = out.pop(k)
+                xa, xb, xd = pa * xd + xa * pd, pb * xd + xb * pd, pd * xd
+                ya, yb, yd = qa * yd + ya * qd, qb * yd + yb * qd, qd * yd
+                if not (xa or xb or ya or yb):
+                    continue
+            g, h = gcd(xa, xb, xd), gcd(ya, yb, yd)
+            out[k] = xa // g, xb // g, xd // g, ya // h, yb // h, yd // h
+    return Derivation._of(out)
 
 
 def bracket_oracle(d1: Derivation, d2: Derivation, p: BiPoly) -> BiPoly:

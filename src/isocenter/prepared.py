@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .algebra import BiPoly, GaussianRational, ZERO, grlex_key
+from .algebra import ONE, BiPoly, GaussianRational, ZERO, grlex_key
 from .errors import InputError, InternalInconsistencyError
-from .operators import Derivation, Letter, Word
+from .operators import Derivation, Letter, Word, linear_combination
 
 _FIELD_KEYS = {"xi_sign", "degree", "coefficients"}
 _COEFF_KEYS = {"i", "j", "value"}
@@ -166,7 +166,7 @@ def reconstruct(f: PlanarField) -> tuple[BiPoly, BiPoly]:
     mismatch is an invariant breach of the decomposition.
     """
     linear = Derivation(BiPoly.monomial(1, 0, f.xi), BiPoly.monomial(0, 1, -f.xi))
-    total = sum(decompose(f).entries.values(), linear)
+    total = linear_combination((ONE, d) for d in (linear, *decompose(f).entries.values()))
     dx, dy = total.dx, total.dy
     p = f.perturbation()
     want_dx = BiPoly.monomial(1, 0, f.xi) + p

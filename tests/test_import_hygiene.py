@@ -50,7 +50,8 @@ def loaded_modules(args) -> set:
 @pytest.mark.parametrize(
     "args,absent",
     [
-        (["complexity", "--condition", "UI", "--degree", "5"], EXACT_WORDS | NUMERICAL | {"lemmas"}),
+        (["complexity", "--condition", "UI", "--degree", "5"],
+         EXACT_WORDS | NUMERICAL | {"lemmas", "algebra", "prepared", "operators"}),
         (["classify", "--input", str(FIELDS / "uniform.json")], EXACT_WORDS | NUMERICAL | {"lemmas"}),
         (["classify", "--input", os.devnull], EXACT_WORDS | NUMERICAL | {"lemmas", "conditions"}),
         (["scan-periods", "--input", str(FIELDS / "uniform.json")], EXACT_WORDS | {"lemmas", "conditions"}),

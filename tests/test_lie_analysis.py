@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from isocenter import lie_analysis
+from isocenter import algebra, lie_analysis, operators
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lie_analysis import (
@@ -23,7 +23,7 @@ from isocenter.lie_analysis import (
     resonant_subset_trivial,
     twin,
 )
-from isocenter.operators import lie_bracket, nested_bracket
+from isocenter.operators import Derivation, lie_bracket, nested_bracket
 from isocenter.prenormal import structural_linearisability
 from isocenter.prepared import Alphabet, PlanarField, decompose, weight
 from isocenter.samples import quadratic, random_cr_field, random_field, random_ui_homogeneous
@@ -471,3 +471,70 @@ def test_builders_make_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def scalar_work(fn):
+    """Run fn, counting the scalars that operators builds and the calls into
+    algebra's code, where every GaussianRational is made and operated on."""
+    built, entered = [], Counter()
+    make = operators._triple
+
+    def counted(*triple):
+        built.append(triple)
+        return make(*triple)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == algebra.__file__:
+            entered[frame.f_code.co_name] += 1
+
+    operators._triple = counted
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+        operators._triple = make
+    return result, len(built), entered
+
+
+def test_exact_hot_path_builds_no_scalar_object():
+    # the series and the resonance verdict work on the letter maps' ints:
+    # no GaussianRational is made or touched, only the views make them
+    a = decompose(PlanarField.load(FIELDS / "cubic.json"))
+    series, built, entered = scalar_work(lambda: central_series(a, 3))
+    assert [len(level) for level in series.levels] == [9, 68, 580]
+    assert (built, entered) == (0, Counter())
+    report, built, entered = scalar_work(lambda: resonant_subset_trivial(a, 6))
+    assert not report.all_brackets_zero and not report.structurally_proven
+    assert (built, entered) == (0, Counter())
+    # the probe sees the scalars that a view makes
+    d = series.levels[2][0]
+    _, built, entered = scalar_work(lambda: (d.dx, d.dy, d.terms))
+    assert built == len(d.dx.terms) + len(d.dy.terms) + 2 * len(d.raw) > 0
+    assert entered["_triple"] == built
+
+
+def test_cr_structural_predicate_matches_object_route():
+    # the predicate reads zero tests off the stored ints; compare with the
+    # scalar objects of the terms view, on halves that are zero, real,
+    # imaginary or complex
+    rng = random.Random(61)
+    letters = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (-1, 2), (2, -1)]
+    halves = [G(0), G(0), G(2, 0), G(0, 3), G(1, -1)]
+    outcomes = Counter()
+    for _ in range(400):
+        entries = {}
+        for n in rng.sample(letters, rng.randint(1, 2)):
+            a = rng.choice(halves) if n[1] >= 0 else G(0)
+            b = rng.choice(halves) if n[0] >= 0 else G(0)
+            if a or b:
+                entries[n] = Derivation.from_terms({n: (a, b)})
+        want = all(
+            (not cy and n2 == 0) or (not cx and n1 == 0)
+            for op in entries.values()
+            for (n1, n2), (cx, cy) in op.terms.items()
+        )
+        got = cr_structural_predicate(Alphabet(entries))
+        assert got == want, entries
+        outcomes[got] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50, outcomes

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from isocenter.algebra import ZERO, BiPoly, GaussianRational, X, Y
+from isocenter.algebra import ONE, ZERO, BiPoly, GaussianRational, X, Y
 from isocenter.errors import InputError
+from isocenter.lie_analysis import _independent
 from isocenter.operators import (
     ZERO_DERIVATION,
     Derivation,
@@ -258,7 +261,7 @@ def reference_lie_bracket(d1, d2):
                 t[k] = (x, y)
             else:
                 t.pop(k, None)
-    return Derivation._of(t)
+    return Derivation.from_terms(t)
 
 
 def wide_scalar(rng):
@@ -274,14 +277,18 @@ def wide_scalar(rng):
     return GaussianRational(part(), part())
 
 
-def wide_derivation(rng):
+def wide_terms(rng):
     """1-4 letters with components in -1..2, so pairs often share an output letter."""
     t, size = {}, rng.randint(1, 4)
     while len(t) < size:
         a, b = wide_scalar(rng), wide_scalar(rng)
         if a or b:
             t[(rng.randint(-1, 2), rng.randint(-1, 2))] = (a, b)
-    return Derivation._of(t)
+    return t
+
+
+def wide_derivation(rng):
+    return Derivation.from_terms(wide_terms(rng))
 
 
 def test_lie_bracket_matches_object_route():
@@ -316,3 +323,159 @@ def test_linear_combination_cancels_to_zero():
         terms = [(c, d), (e, d), (-(c + e), d)]
         assert linear_combination(terms) == ZERO_DERIVATION
         assert linear_combination(terms).letter is None
+
+
+# --- the integer letter maps against an object route -----------------------
+
+
+def canonical(d):
+    """Every half of every letter is in lowest terms over a positive
+    denominator, so a zero half is (0, 0, 1), and no letter is all zero."""
+    for r in d.raw.values():
+        assert all(type(x) is int for x in r)
+        assert r[2] > 0 and r[5] > 0 and gcd(*r[:3]) == 1 and gcd(*r[3:]) == 1
+        assert r[0] or r[1] or r[3] or r[4]
+    return True
+
+
+def object_sum(t1, t2):
+    """The letter maps of GaussianRational pairs added scalar by scalar."""
+    t = dict(t1)
+    for n, (c, e) in t2.items():
+        if n in t:
+            c, e = t[n][0] + c, t[n][1] + e
+        if c or e:
+            t[n] = (c, e)
+        else:
+            t.pop(n, None)
+    return t
+
+
+def object_scale(t, c):
+    return {n: (a * c, b * c) for n, (a, b) in t.items() if a * c or b * c}
+
+
+def object_neg(t):
+    return {n: (-a, -b) for n, (a, b) in t.items()}
+
+
+def partner_terms(rng, t):
+    """Fresh wide terms, or t with some halves negated and the rest redrawn,
+    so a sum with t cancels halves and whole letters."""
+    if rng.random() < 0.5:
+        return wide_terms(rng)
+    out = {}
+    for n, (a, b) in t.items():
+        a = -a if rng.random() < 0.6 else wide_scalar(rng)
+        b = -b if rng.random() < 0.6 else wide_scalar(rng)
+        if a or b:
+            out[n] = (a, b)
+    return out or wide_terms(rng)
+
+
+def test_storage_arithmetic_matches_object_route():
+    rng = random.Random(43)
+    cancelled = 0
+    for _ in range(600):
+        t1 = wide_terms(rng)
+        t2 = partner_terms(rng, t1)
+        c, e = wide_scalar(rng), wide_scalar(rng)
+        d1, d2 = Derivation.from_terms(t1), Derivation.from_terms(t2)
+        total = object_sum(t1, t2)
+        cancelled += len(total) < len(set(t1) | set(t2))
+        results = {
+            "neg": (-d1, object_neg(t1)),
+            "add": (d1 + d2, total),
+            "sub": (d1 - d2, object_sum(t1, object_neg(t2))),
+            "scale": (d1.scale(c), object_scale(t1, c)),
+            "combination": (
+                linear_combination([(c, d1), (e, d2), (ZERO, d1), (-c, d2)]),
+                object_sum(object_scale(t1, c), object_scale(t2, e - c)),
+            ),
+        }
+        for name, (got, want) in results.items():
+            assert canonical(got), name
+            assert got.terms == want, name
+            assert got == Derivation.from_terms(want), name
+    assert cancelled >= 100
+
+
+def polynomial_terms(rng):
+    """Wide terms on the letters a polynomial field has: n >= 0, or
+    (-1, k) with only a and (k, -1) with only b."""
+    t = {}
+    for _ in range(rng.randint(1, 5)):
+        n = (rng.randint(-1, 3), rng.randint(-1, 3))
+        a = wide_scalar(rng) if n[0] >= -1 and n[1] >= 0 else ZERO
+        b = wide_scalar(rng) if n[0] >= 0 and n[1] >= -1 else ZERO
+        if a or b:
+            t[n] = (a, b)
+    return t
+
+
+def test_views_match_object_route():
+    rng = random.Random(47)
+    for _ in range(400):
+        t = polynomial_terms(rng)
+        d = Derivation.from_terms(t)
+        dx = BiPoly({(n1 + 1, n2): a for (n1, n2), (a, _) in t.items() if a})
+        dy = BiPoly({(n1, n2 + 1): b for (n1, n2), (_, b) in t.items() if b})
+        assert canonical(d) and d.terms == t
+        assert d.dx == dx and d.dy == dy
+        assert d.to_dict() == Derivation(dx, dy).to_dict()
+        assert d == Derivation(dx, dy) == Derivation.from_terms(d.terms)
+        assert d.dx.to_dict() == dx.to_dict() and d.dy.to_dict() == dy.to_dict()
+
+
+def test_equality_and_hash_are_value_equality():
+    rng = random.Random(53)
+    for _ in range(300):
+        t = wide_terms(rng)
+        d, c = Derivation.from_terms(t), wide_scalar(rng) or G(1)
+        inverse = c.conj() * GaussianRational(1 / c.norm_sq().re)
+        same = [d, -(-d), d.scale(c).scale(inverse), d + d - d, linear_combination([(ONE, d)])]
+        assert all(x == d and hash(x) == hash(d) for x in same)
+        # a half that cancels is stored as the canonical zero (0, 0, 1)
+        n = next(iter(t))
+        a, b = t[n]
+        e = wide_scalar(rng) or G(1)
+        s = Derivation.from_terms({n: (a, b)}) + Derivation.from_terms({n: (-a, e)})
+        want = Derivation.from_terms({n: (G(0), b + e)})
+        assert s == want and hash(s) == hash(want)
+        assert s.raw[n][:3] == (0, 0, 1) or not (b + e)
+        assert want == Derivation.from_terms({n: (G(Fraction(0, 7)), b + e)})
+        # all-zero pairs are dropped, so they leave no letter behind
+        padded = Derivation.from_terms({**t, (5, 5): (ZERO, G(Fraction(0, 3)))})
+        assert padded == d and hash(padded) == hash(d) and (5, 5) not in padded.raw
+
+
+def object_independent(u, v):
+    """The span test by the object determinant a*e - b*c."""
+    ((a, b),), ((c, e),) = u.terms.values(), v.terms.values()
+    return bool(a * e - b * c)
+
+
+def test_independent_matches_object_determinant():
+    rng = random.Random(59)
+    outcomes = Counter()
+    for _ in range(800):
+        n = (rng.randint(-1, 2), rng.randint(-1, 2))
+        a, b = wide_scalar(rng), wide_scalar(rng)
+        if not (a or b):
+            continue
+        u = Derivation.from_terms({n: (a, b)})
+        kind = rng.randrange(3)
+        if kind == 0:  # a multiple of u: dependent
+            v = u.scale(wide_scalar(rng) or G(1))
+        elif kind == 1:  # zero exactly where u is zero
+            c, e = wide_scalar(rng), wide_scalar(rng)
+            v = Derivation.from_terms({n: (c if a else ZERO, e if b else ZERO)})
+        else:
+            v = Derivation.from_terms({n: (wide_scalar(rng), wide_scalar(rng))})
+        if not v:
+            continue
+        got = _independent([((n,), u)], n, v)
+        assert got == object_independent(u, v)
+        assert _independent([], n, v)
+        outcomes[got] += 1
+    assert outcomes[True] >= 200 and outcomes[False] >= 200, outcomes
