@@ -37,10 +37,6 @@ class GaussianRational:
         # lowest-terms parts over their least common denominator share no factor with it
         self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
 
-    @staticmethod
-    def of(re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
-        return GaussianRational(re, im)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -86,9 +82,6 @@ class GaussianRational:
     def norm_sq(self) -> "GaussianRational":
         """|z|^2 = z * conj(z); always has zero imaginary part."""
         return _reduced(self._a * self._a + self._b * self._b, 0, self._d * self._d)
-
-    def is_zero(self) -> bool:
-        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
@@ -203,19 +196,12 @@ class BiPoly:
         return out
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
     def monomial(i: int, j: int, coef=ONE) -> "BiPoly":
         return BiPoly({(i, j): _coerce(coef)})
 
     @property
     def terms(self) -> Mapping[Exponent, GaussianRational]:
         return self._t
-
-    def is_zero(self) -> bool:
-        return not self._t
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -258,7 +244,7 @@ class BiPoly:
     def scale(self, scalar) -> "BiPoly":
         s = _coerce(scalar)
         if not s:
-            return BiPoly.zero()
+            return BiPoly()
         return BiPoly._of({e: c * s for e, c in self._t.items()})
 
     def partial(self, var: str) -> "BiPoly":

@@ -99,7 +99,7 @@ def check_cauchy_riemann(f: PlanarField) -> ConditionVerdict:
         for (i, j), c in sorted(f.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0][0]))
         if j
     ]
-    identity_holds = f.perturbation().partial("y").is_zero()
+    identity_holds = not f.perturbation().partial("y")
     if identity_holds != (not failing):
         raise InternalInconsistencyError(
             "Cauchy-Riemann routes disagree: "
@@ -131,20 +131,20 @@ def classify_quadratic(f: PlanarField) -> set[str]:
     phase = 2 * p02 * p11.conj()
     square = p11 * p11
     out = set()
-    if p11.is_zero() and p02.is_zero():
+    if not p11 and not p02:
         out.add("Q_i")
-    if (p20 - p11.conj()).is_zero() and p02.is_zero():
+    if not (p20 - p11.conj()) and not p02:
         out.add("Q_ii")
     if (
-        (p20 - p11.conj() * Fraction(5, 2)).is_zero()
-        and (p11.norm_sq() - p02.norm_sq() * Fraction(4, 9)).is_zero()
-        and (phase + 3 * square).is_zero()
+        not (p20 - p11.conj() * Fraction(5, 2))
+        and not (p11.norm_sq() - p02.norm_sq() * Fraction(4, 9))
+        and not (phase + 3 * square)
     ):
         out.add("Q_iii")
     if (
-        (p20 - p11.conj() * Fraction(7, 6)).is_zero()
-        and (p11.norm_sq() - p02.norm_sq() * 4).is_zero()
-        and (phase - square).is_zero()
+        not (p20 - p11.conj() * Fraction(7, 6))
+        and not (p11.norm_sq() - p02.norm_sq() * 4)
+        and not (phase - square)
     ):
         out.add("Q_iv")
     return out

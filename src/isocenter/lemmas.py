@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import X, Y, BiPoly, GaussianRational
+from .algebra import X, Y, BiPoly
 from .lie_analysis import central_series, resonant_subset_trivial
 from .operators import (
     ZERO_DERIVATION,
@@ -54,7 +54,7 @@ def quadratic_display_bracket(p20, p11) -> Derivation:
 
 def extreme_pair_bracket(n: int, p0n) -> Derivation:
     """Expected [B_{(n,-1)}, B_{(-1,n)}] = n|p_{0,n}|^2 (xy)^{n-1}(x d/dx - y d/dy)."""
-    c = p0n.norm_sq() * GaussianRational.of(n)
+    c = p0n.norm_sq() * n
     return Derivation(BiPoly.monomial(n, n - 1, c), BiPoly.monomial(n - 1, n, -c))
 
 
@@ -68,11 +68,8 @@ def transpose_pair_bracket(n: int, i: int, a, c) -> Derivation:
     with the quadratic bracket identity (n = 2, i = 2).
     """
     u = c - a.conj()
-    cx = GaussianRational.of(n - i) * a * u + GaussianRational.of(i - 1) * c * u.conj()
-    cy = -(
-        GaussianRational.of(n - i) * a.conj() * u.conj()
-        + GaussianRational.of(i - 1) * c.conj() * u
-    )
+    cx = (n - i) * a * u + (i - 1) * c * u.conj()
+    cy = -((n - i) * a.conj() * u.conj() + (i - 1) * c.conj() * u)
     return Derivation(BiPoly.monomial(n, n - 1, cx), BiPoly.monomial(n - 1, n, cy))
 
 
@@ -94,8 +91,8 @@ def transpose_pair_ops(n: int, i: int, a, c) -> tuple[Derivation, Derivation]:
 
 def extreme_pair_ops(n: int, p0n) -> tuple[Derivation, Derivation]:
     """B_{(n,-1)} = conj(p_{0,n}) x^n d/dy and B_{(-1,n)} = p_{0,n} y^n d/dx."""
-    first = hom_op((n, -1), BiPoly.zero(), BiPoly.monomial(n, 0, p0n.conj()))
-    second = hom_op((-1, n), BiPoly.monomial(0, n, p0n), BiPoly.zero())
+    first = hom_op((n, -1), BiPoly(), BiPoly.monomial(n, 0, p0n.conj()))
+    second = hom_op((-1, n), BiPoly.monomial(0, n, p0n), BiPoly())
     return first, second
 
 
@@ -166,7 +163,7 @@ def lemma_fond2(seed: int) -> LemmaResult:
         p11 = random_scalar(rng)
         fields = [
             quadratic(p11.conj(), p11, 0),
-            quadratic(random_scalar(rng), GaussianRational.of(0), 0),
+            quadratic(random_scalar(rng), 0, 0),
         ]
         for which, f in enumerate(fields):
             a = decompose(f)

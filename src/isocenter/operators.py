@@ -13,10 +13,11 @@ bracket of two one-letter operators has the closed form
 
 extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints
 over one common denominator per letter pair, with one gcd per output
-half; ``linear_combination`` makes one gcd per half and added term, and
-negation flips signs.  None of them builds a scalar object:
+half; ``linear_combination`` takes its coefficients as integer triples
+(a, b, d) meaning (a + b i)/d and makes one gcd per half and added term,
+and negation flips signs.  None of them builds a scalar object:
 ``GaussianRational`` appears only in the (dx, dy) views, ``terms``,
-``to_dict``, the constructors and ``linear_combination``'s coefficients.
+``to_dict``, the constructors and ``scale``'s argument.
 After a partial sum cancels, a result may store its letters in another
 order than a letter-by-letter sum would; no output reads that order,
 since the (dx, dy) views sort by grlex.  The (dx, dy) polynomial views
@@ -32,7 +33,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ONE, BiPoly, GaussianRational, _coerce, _triple
+from .algebra import BiPoly, GaussianRational, _coerce, _triple
 from .errors import InputError
 
 Letter = tuple[int, int]
@@ -62,7 +63,8 @@ class Derivation:
         """The operator with the scalar pair (a, b) at each letter, all-zero pairs dropped.
 
         Any integer letters are taken, as the closed forms hold for all of
-        them, but only a polynomial field's letters have polynomial views.
+        them, but only a polynomial field's letters have polynomial views:
+        ``dx`` and ``dy`` raise InputError on a part that has no monomial.
         """
         return Derivation._of({
             n: (a._a, a._b, a._d, b._a, b._b, b._d) for n, (a, b) in terms.items() if a or b
@@ -91,12 +93,14 @@ class Derivation:
     @property
     def dx(self) -> BiPoly:
         return BiPoly._of({(n1 + 1, n2): _triple(p, q, r)
-                           for (n1, n2), (p, q, r, _, _, _) in self._t.items() if p or q})
+                           for (n1, n2), (p, q, r, _, _, _) in self._t.items()
+                           if (p or q) and (n1 >= -1 and n2 >= 0 or _no_monomial(n1, n2, "dx"))})
 
     @property
     def dy(self) -> BiPoly:
         return BiPoly._of({(n1, n2 + 1): _triple(s, u, v)
-                           for (n1, n2), (_, _, _, s, u, v) in self._t.items() if s or u})
+                           for (n1, n2), (_, _, _, s, u, v) in self._t.items()
+                           if (s or u) and (n1 >= 0 and n2 >= -1 or _no_monomial(n1, n2, "dy"))})
 
     def split(self) -> dict[Letter, "Derivation"]:
         """The one-letter operators whose sum is this derivation."""
@@ -104,9 +108,6 @@ class Derivation:
 
     def apply(self, p: BiPoly) -> BiPoly:
         return self.dx * p.partial("x") + self.dy * p.partial("y")
-
-    def is_zero(self) -> bool:
-        return not self._t
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -124,13 +125,14 @@ class Derivation:
                                for n, (p, q, r, s, u, v) in self._t.items()})
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        return linear_combination(((ONE, self), (ONE, other)))
+        return linear_combination((((1, 0, 1), self), ((1, 0, 1), other)))
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-other)
 
     def scale(self, scalar) -> "Derivation":
-        return linear_combination(((_coerce(scalar), self),))
+        c = _coerce(scalar)
+        return linear_combination((((c._a, c._b, c._d), self),))
 
     def to_dict(self) -> dict:
         out = {"dx": self.dx.to_dict(), "dy": self.dy.to_dict()}
@@ -145,19 +147,24 @@ class Derivation:
     __repr__ = __str__
 
 
-ZERO_DERIVATION = Derivation(BiPoly.zero(), BiPoly.zero())
+ZERO_DERIVATION = Derivation._of({})
 
 
-def linear_combination(terms: Iterable[tuple[GaussianRational, Derivation]]) -> Derivation:
+def _no_monomial(n1: int, n2: int, part: str):
+    """Refuse a view of letter (n1, n2), whose d/dx or d/dy part has no monomial."""
+    raise InputError(f"letter ({n1},{n2}) has no d/{part} monomial")
+
+
+def linear_combination(terms: Iterable[tuple[tuple[int, int, int], Derivation]]) -> Derivation:
     """Sum of c * d over the (c, d) pairs, zero c skipped.
 
-    Each letter's running pair is kept as six ints, and each added term
-    c * (a, b) brings a half to lowest terms with one gcd.  Letters whose
-    sum is all zero are dropped from the result.
+    Each c is an integer triple (a, b, d) meaning (a + b i)/d, d > 0, not
+    necessarily in lowest terms.  Each letter's running pair is kept as six
+    ints, and each added term c * (a, b) brings a half to lowest terms with
+    one gcd, so the result is canonical.  All-zero letters are dropped.
     """
     acc: dict[Letter, list[int]] = {}  # n -> [pa, pb, pd, qa, qb, qd]
-    for c, d in terms:
-        ca, cb, cd = c._a, c._b, c._d
+    for (ca, cb, cd), d in terms:
         if not (ca or cb):
             continue
         for n, z in d._t.items():

@@ -8,7 +8,6 @@ sent to zero before the user function is consulted.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from operator import attrgetter
@@ -32,9 +31,10 @@ class Mould:
     A mould is a left fold, ``fold = (start, step, finish)``: a word's state
     is ``start`` taken through ``step(state, letter)`` letter by letter, and
     ``finish(state)`` is the value as an integer triple (a, b, d) meaning
-    (a + b i)/d, d > 0, not necessarily in lowest terms.  ``Mould(fn)`` has
-    the word fold: the state is the word so far, ``step`` appends a letter
-    and ``finish`` is ``fn``'s value.
+    (a + b i)/d, d > 0, not necessarily in lowest terms, which the sums
+    pass to ``linear_combination`` unreduced.  ``Mould(fn)`` has the word
+    fold: the state is the word so far, ``step`` appends a letter and
+    ``finish`` is the triple of ``fn``'s value.
     """
 
     def __init__(self, evaluate_fn: Callable[[Word], GaussianRational] | None = None,
@@ -109,7 +109,7 @@ def indicator_mould(word: Word) -> Mould:
     target = tuple(tuple(map(int, n)) for n in word)
 
     def evaluate(w: Word) -> GaussianRational:
-        return GaussianRational.of(1) if w == target else ZERO
+        return ONE if w == target else ZERO
 
     return Mould(evaluate, support_resonant_only=False)
 
@@ -131,7 +131,9 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     empty word never contributes.  The tree's levels hold only the words
     whose bracket is nonzero, and from level 2 on an entry (w, d) stands
     for w and twin(w), whose bracket is -d, so it is weighted by
-    M(w) - M(twin w), one reduction of the two finished triples.  The
+    M(w) - M(twin w), the unreduced difference of the two finished
+    triples.  Every weight, 1/r factor included, is an integer triple
+    that ``linear_combination`` reduces with one gcd per term.  The
     entries carry the mould's fold states of w and twin(w), so a deeper
     word costs one ``step`` per lineage.  Below the deepest level L the
     mould is finished only on nonzero brackets, and with resonant support
@@ -161,23 +163,23 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
             ends = ((_class_value(finish, step(s, n), twinned and step(t, n), twinned), d)
                     for _, w, d, s, t in level if not (resonant and w + wn))
             by_letter[n] = linear_combination(ends)
-        brackets = ((ONE, lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
+        brackets = (((1, 0, 1), lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
-    return linear_combination((GaussianRational(Fraction(1, r)), s) for r, s in enumerate(sums, 1))
+    return linear_combination(((1, 0, r), s) for r, s in enumerate(sums, 1))
 
 
-def _class_value(finish: Callable, s, t, twinned: bool) -> GaussianRational:
-    """M at fold state s, less M at state t when the tree entry is a twin class."""
+def _class_value(finish: Callable, s, t, twinned: bool) -> tuple[int, int, int]:
+    """M at fold state s, less M at state t for a twin class, as an unreduced triple."""
     a, b, d = finish(s)
     if twinned:
         e, f, g = finish(t)
-        a, b, d = a * g - e * d, b * g - f * d, d * g
-    return _reduced(a, b, d)
+        return a * g - e * d, b * g - f * d, d * g
+    return a, b, d
 
 
 def letter_sum(m: Mould, a: Alphabet) -> Derivation:
     """sum over weight-zero letters of M^n B_n, no bracket terms."""
-    return linear_combination((m.value((n,)), a[n]) for n in a.resonant_letters())
+    return linear_combination((m.finish(m.step(m.start, n)), a[n]) for n in a.resonant_letters())
 
 
 def structural_linearisability(a: Alphabet, max_len: int) -> str:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .algebra import ONE, BiPoly, GaussianRational, ZERO, grlex_key
+from .algebra import BiPoly, GaussianRational, ZERO, grlex_key
 from .errors import InputError, InternalInconsistencyError
 from .operators import Derivation, Letter, Word, linear_combination
 
@@ -47,7 +47,7 @@ class PlanarField:
 
     @property
     def xi(self) -> GaussianRational:
-        return GaussianRational.of(0, 1 if self.xi_sign == "+" else -1)
+        return GaussianRational(0, 1 if self.xi_sign == "+" else -1)
 
     def coeff(self, i: int, j: int) -> GaussianRational:
         return self.coefficients.get((i, j), ZERO)
@@ -166,7 +166,7 @@ def reconstruct(f: PlanarField) -> tuple[BiPoly, BiPoly]:
     mismatch is an invariant breach of the decomposition.
     """
     linear = Derivation(BiPoly.monomial(1, 0, f.xi), BiPoly.monomial(0, 1, -f.xi))
-    total = linear_combination((ONE, d) for d in (linear, *decompose(f).entries.values()))
+    total = linear_combination(((1, 0, 1), d) for d in (linear, *decompose(f).entries.values()))
     dx, dy = total.dx, total.dy
     p = f.perturbation()
     want_dx = BiPoly.monomial(1, 0, f.xi) + p

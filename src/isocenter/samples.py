@@ -53,9 +53,9 @@ def random_ui_homogeneous(
             c[partner] = c[i].conj()
         elif i == partner:
             if force_middle_zero:
-                c[i] = GaussianRational.of(0)
+                c[i] = GaussianRational(0)
             else:
-                c[i] = GaussianRational.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                c[i] = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
     coeffs = {(i, d - i): v for i, v in c.items() if v}
     return PlanarField(degree=d, coefficients=coeffs)
 
@@ -81,10 +81,10 @@ def random_hom_op(rng: random.Random, max_deg: int = 4) -> Derivation:
         )
     if kind < 0.85:
         return hom_op(
-            (-1, k), BiPoly.monomial(0, k, random_nonzero_scalar(rng)), BiPoly.zero()
+            (-1, k), BiPoly.monomial(0, k, random_nonzero_scalar(rng)), BiPoly()
         )
     return hom_op(
-        (k, -1), BiPoly.zero(), BiPoly.monomial(k, 0, random_nonzero_scalar(rng))
+        (k, -1), BiPoly(), BiPoly.monomial(k, 0, random_nonzero_scalar(rng))
     )
 
 
@@ -92,7 +92,7 @@ def quadratic(p20, p11, p02) -> PlanarField:
     """Convenience quadratic field from three scalars."""
     coeffs = {}
     for key, val in (((2, 0), p20), ((1, 1), p11), ((0, 2), p02)):
-        g = val if isinstance(val, GaussianRational) else GaussianRational.of(Fraction(val))
+        g = val if isinstance(val, GaussianRational) else GaussianRational(Fraction(val))
         if g:
             coeffs[key] = g
     return PlanarField(degree=2, coefficients=coeffs)

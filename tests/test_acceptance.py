@@ -26,7 +26,7 @@ SEED = 20260823
 
 
 def G(re, im=0):
-    return GaussianRational.of(Fraction(re), Fraction(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 def check(num, desc, ok):

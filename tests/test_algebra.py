@@ -17,7 +17,7 @@ polys = st.dictionaries(exponents, scalars, max_size=5).map(BiPoly)
 
 
 def G(re, im=0):
-    return GaussianRational.of(Fraction(re), Fraction(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 class TestGaussianRational:
@@ -49,7 +49,7 @@ class TestGaussianRational:
 class TestBiPoly:
     def test_additive_identity(self):
         x2 = BiPoly.monomial(2, 0)
-        assert x2 + BiPoly.zero() == x2
+        assert x2 + BiPoly() == x2
 
     def test_difference_of_squares(self):
         assert (X + Y) * (X - Y) == BiPoly.monomial(2, 0) - BiPoly.monomial(0, 2)
@@ -62,12 +62,12 @@ class TestBiPoly:
         p = BiPoly.monomial(2, 1)
         assert p.partial("x") == BiPoly.monomial(1, 1, G(2))
         assert p.partial("y") == BiPoly.monomial(2, 0)
-        assert BiPoly.monomial(0, 0, G(7)).partial("x").is_zero()
+        assert not BiPoly.monomial(0, 0, G(7)).partial("x")
 
     def test_no_zero_terms_stored(self):
         p = BiPoly({(1, 0): G(1), (0, 1): G(0)})
         assert (0, 1) not in p.terms
-        assert (p - p).is_zero()
+        assert not (p - p)
 
     def test_swap_conj_examples(self):
         # termwise hand oracle: (1+i) x y^2 -> (1-i) x^2 y
@@ -140,10 +140,10 @@ def test_scalar_kernel_matches_fraction_pairs(p, q, k):
     assert agrees(z + k, (a + k, b)) and agrees(k + z, (a + k, b))
     assert agrees(z - k, (a - k, b))
     assert agrees(z * k, (a * k, b * k)) and agrees(k * z, (a * k, b * k))
-    assert agrees(GaussianRational.of(k), (Fraction(k), Fraction(0)))
+    assert agrees(GaussianRational(k), (Fraction(k), Fraction(0)))
     assert (z == w) == (p == q)
     assert z == GaussianRational(a, b) and hash(z) == hash(GaussianRational(a, b))
-    assert bool(z) == (p != (0, 0)) and z.is_zero() == (p == (0, 0))
+    assert bool(z) == (p != (0, 0))
     assert str(z) == ref_str(a, b)
     assert agrees(GaussianRational.parse(str(z)), p)
     assert z.to_complex() == complex(float(a), float(b))

@@ -19,7 +19,7 @@ from isocenter.samples import quadratic, random_field, random_ui_homogeneous
 
 
 def G(re, im=0):
-    return GaussianRational.of(Fraction(re), Fraction(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 class TestUniform:

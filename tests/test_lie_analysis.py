@@ -24,13 +24,13 @@ from isocenter.lie_analysis import (
     twin,
 )
 from isocenter.operators import Derivation, lie_bracket, nested_bracket
-from isocenter.prenormal import structural_linearisability
+from isocenter.prenormal import projection_sum, random_mould, structural_linearisability
 from isocenter.prepared import Alphabet, PlanarField, decompose, weight
 from isocenter.samples import quadratic, random_cr_field, random_field, random_ui_homogeneous
 
 
 def G(re, im=0):
-    return GaussianRational.of(Fraction(re), Fraction(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 def test_pairwise_fond2_conditions():
@@ -60,7 +60,7 @@ def test_central_series_levels():
     for k, level in enumerate(report.levels, start=1):
         for d in level:
             for part in (d.dx, d.dy):
-                assert part.is_zero() or part.is_homogeneous(k + 1)
+                assert not part or part.is_homogeneous(k + 1)
 
 
 def test_central_series_trivial_cases():
@@ -145,7 +145,7 @@ def test_series_grading_homogeneous():
         for k, level in enumerate(report.levels, start=1):
             for deriv in level:
                 for part in (deriv.dx, deriv.dy):
-                    assert part.is_zero() or part.is_homogeneous(k * (d - 1) + 1)
+                    assert not part or part.is_homogeneous(k * (d - 1) + 1)
 
 
 def random_alphabet(rng):
@@ -507,6 +507,12 @@ def test_exact_hot_path_builds_no_scalar_object():
     report, built, entered = scalar_work(lambda: resonant_subset_trivial(a, 6))
     assert not report.all_brackets_zero and not report.structurally_proven
     assert (built, entered) == (0, Counter())
+    # the projection sum hands mould values, bracket weights and 1/r
+    # factors to linear_combination as integer triples
+    for resonant in (False, True):
+        m = random_mould(7, resonant)
+        total, built, entered = scalar_work(lambda: projection_sum(m, a, 4))
+        assert total and (built, entered) == (0, Counter())
     # the probe sees the scalars that a view makes
     d = series.levels[2][0]
     _, built, entered = scalar_work(lambda: (d.dx, d.dy, d.terms))

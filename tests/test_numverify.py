@@ -166,7 +166,7 @@ MISSING_START = RealSystem(lambda z: complex(-1.0, z.real - 0.1))
 # crossing is at u = -r0
 NEGATIVE_RETURN = RealSystem(lambda z: complex(-1.0, math.cos(math.pi * (z.real - 0.1) / 0.1)))
 # strong outward drift never returns to the section from r0 = 0.45
-NON_RETURNING = PlanarField(degree=3, coefficients={(2, 1): GaussianRational.of(50)})
+NON_RETURNING = PlanarField(degree=3, coefficients={(2, 1): GaussianRational(50)})
 # u' = u^2 blows up at t = 10 from u = 0.1, where the step size underflows
 BLOW_UP = RealSystem(lambda z: complex(z.real * z.real, 1.0))
 
@@ -209,7 +209,7 @@ def mirror(f):
 
 
 def G(re, im=0):
-    return GaussianRational.of(Fraction(re), Fraction(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 MIRROR_FIELDS = [

@@ -1,11 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from isocenter.algebra import ONE, ZERO, BiPoly, GaussianRational, X, Y
+from isocenter.algebra import ZERO, BiPoly, GaussianRational, X, Y
 from isocenter.errors import InputError
 from isocenter.lie_analysis import _independent
 from isocenter.operators import (
@@ -22,11 +22,11 @@ from isocenter.prepared import decompose
 
 
 def G(re, im=0):
-    return GaussianRational.of(Fraction(re), Fraction(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 def test_apply_to_coordinate():
-    d = Derivation(BiPoly.monomial(2, 0), BiPoly.zero())
+    d = Derivation(BiPoly.monomial(2, 0), BiPoly())
     assert d.apply(X) == BiPoly.monomial(2, 0)
 
 
@@ -38,7 +38,7 @@ def test_apply_quadratic_family():
 
 
 def test_apply_extreme_family():
-    op = hom_op((-1, 2), BiPoly.monomial(0, 2, G(3)), BiPoly.zero())
+    op = hom_op((-1, 2), BiPoly.monomial(0, 2, G(3)), BiPoly())
     # 3 y^2 d/dx applied to x^2 gives 6 x y^2
     assert op.apply(BiPoly.monomial(2, 0)) == BiPoly.monomial(1, 2, G(6))
 
@@ -99,8 +99,8 @@ def test_bracket_oracle_equivalence_small():
 def op_with_letter(rng, n):
     """Random operator of letter n, drawn apart from any other of that letter."""
     n1, n2 = n
-    dx = BiPoly.monomial(n1 + 1, n2, random_scalar(rng)) if n2 >= 0 else BiPoly.zero()
-    dy = BiPoly.monomial(n1, n2 + 1, random_scalar(rng)) if n1 >= 0 else BiPoly.zero()
+    dx = BiPoly.monomial(n1 + 1, n2, random_scalar(rng)) if n2 >= 0 else BiPoly()
+    dy = BiPoly.monomial(n1, n2 + 1, random_scalar(rng)) if n1 >= 0 else BiPoly()
     return hom_op(n, dx, dy)
 
 
@@ -142,12 +142,12 @@ def test_polynomial_views_roundtrip():
 
 
 def test_bracket_oracle_trivial_cases():
-    d = hom_op((1, 0), BiPoly.monomial(2, 0), BiPoly.zero())
+    d = hom_op((1, 0), BiPoly.monomial(2, 0), BiPoly())
     xy = BiPoly.monomial(1, 1)
-    assert bracket_oracle(d, d, xy).is_zero()
-    xdx = Derivation(X, BiPoly.zero())
-    ydy = Derivation(BiPoly.zero(), Y)
-    assert bracket_oracle(xdx, ydy, xy).is_zero()
+    assert not bracket_oracle(d, d, xy)
+    xdx = Derivation(X, BiPoly())
+    ydy = Derivation(BiPoly(), Y)
+    assert not bracket_oracle(xdx, ydy, xy)
 
 
 def test_extreme_pair_bracket_instance():
@@ -170,7 +170,7 @@ def test_nested_bracket_conventions():
     d_inner, d_outer = ops[(1, 0)], ops[(0, 1)]
     assert br.dx == bracket_oracle(d_outer, d_inner, X)
     assert br.dy == bracket_oracle(d_outer, d_inner, Y)
-    assert not br.is_zero()
+    assert br
 
 
 def test_nested_bracket_errors():
@@ -184,12 +184,12 @@ def test_nested_bracket_errors():
 
 def test_hom_op_rejects_wrong_multidegree():
     with pytest.raises(InputError):
-        hom_op((1, 0), BiPoly.monomial(1, 1), BiPoly.zero())
+        hom_op((1, 0), BiPoly.monomial(1, 1), BiPoly())
 
 
 def test_zero_derivations_compare_equal():
     d = hom_op((1, 0), BiPoly.monomial(2, 0), BiPoly.monomial(1, 1, G(2)))
-    zeros = [Derivation(BiPoly.zero(), BiPoly.zero()), d.scale(0), d - d, lie_bracket(d, d)]
+    zeros = [Derivation(BiPoly(), BiPoly()), d.scale(0), d - d, lie_bracket(d, d)]
     assert all(z == ZERO_DERIVATION and z.letter is None for z in zeros)
     assert d.letter == (1, 0) and (-d).letter == (1, 0) and d.scale(G(0, 3)).letter == (1, 0)
 
@@ -291,6 +291,12 @@ def wide_derivation(rng):
     return Derivation.from_terms(wide_terms(rng))
 
 
+def triple(c):
+    """The coefficient (a, b, d) of linear_combination for the scalar c."""
+    d = lcm(c.re.denominator, c.im.denominator)
+    return int(c.re * d), int(c.im * d), d
+
+
 def test_lie_bracket_matches_object_route():
     rng = random.Random(31)
     shared = 0
@@ -312,7 +318,16 @@ def test_linear_combination_matches_fold_of_scale():
         c, d = terms[rng.randrange(len(terms))]
         terms.insert(rng.randrange(len(terms) + 1), (-c, d))
         fold = sum((d.scale(c) for c, d in terms), ZERO_DERIVATION)
-        assert linear_combination(terms) == fold
+        assert linear_combination([(triple(c), d) for c, d in terms]) == fold
+        # the same coefficients unreduced as (k a, k b, k d), and a zero (0, 0, d) term
+        unreduced = []
+        for c, d in terms:
+            k, (a, b, e) = rng.randint(1, 10**12), triple(c)
+            unreduced.append(((k * a, k * b, k * e), d))
+        unreduced.insert(rng.randrange(len(unreduced) + 1),
+                         ((0, 0, rng.randint(1, 10**12)), wide_derivation(rng)))
+        got = linear_combination(unreduced)
+        assert canonical(got) and got == fold
 
 
 def test_linear_combination_cancels_to_zero():
@@ -320,7 +335,7 @@ def test_linear_combination_cancels_to_zero():
     for _ in range(100):
         d = wide_derivation(rng)
         c, e = wide_scalar(rng), wide_scalar(rng)
-        terms = [(c, d), (e, d), (-(c + e), d)]
+        terms = [(triple(c), d), (triple(e), d), (triple(-(c + e)), d)]
         assert linear_combination(terms) == ZERO_DERIVATION
         assert linear_combination(terms).letter is None
 
@@ -389,7 +404,8 @@ def test_storage_arithmetic_matches_object_route():
             "sub": (d1 - d2, object_sum(t1, object_neg(t2))),
             "scale": (d1.scale(c), object_scale(t1, c)),
             "combination": (
-                linear_combination([(c, d1), (e, d2), (ZERO, d1), (-c, d2)]),
+                linear_combination([(triple(c), d1), (triple(e), d2), ((0, 0, 1), d1),
+                                    (triple(-c), d2)]),
                 object_sum(object_scale(t1, c), object_scale(t2, e - c)),
             ),
         }
@@ -427,13 +443,30 @@ def test_views_match_object_route():
         assert d.dx.to_dict() == dx.to_dict() and d.dy.to_dict() == dy.to_dict()
 
 
+def test_views_refuse_letters_without_a_monomial():
+    # any integer letter is stored and bracketed, but x^-1 y^-1 x d/dx and
+    # x^-2 y (y d/dy) have no polynomial view
+    for letter, pair, view in (((-1, -1), (G(1), ZERO), "dx"), ((-2, 1), (G(4), ZERO), "dx"),
+                               ((0, -3), (G(2), G(5)), "dx"), ((-2, 0), (ZERO, G(3)), "dy"),
+                               ((2, -2), (ZERO, G(1, 1)), "dy")):
+        d = Derivation.from_terms({letter: pair})
+        assert d.terms == {letter: pair} and not lie_bracket(d, d)
+        message = rf"letter \({letter[0]},{letter[1]}\) has no d/{view} monomial"
+        with pytest.raises(InputError, match=message):
+            getattr(d, view)
+    d = Derivation.from_terms({(-1, -1): (G(1), ZERO)})
+    assert d.dy == BiPoly()
+    with pytest.raises(InputError, match=r"letter \(-1,-1\)"):
+        str(d)
+
+
 def test_equality_and_hash_are_value_equality():
     rng = random.Random(53)
     for _ in range(300):
         t = wide_terms(rng)
         d, c = Derivation.from_terms(t), wide_scalar(rng) or G(1)
         inverse = c.conj() * GaussianRational(1 / c.norm_sq().re)
-        same = [d, -(-d), d.scale(c).scale(inverse), d + d - d, linear_combination([(ONE, d)])]
+        same = [d, -(-d), d.scale(c).scale(inverse), d + d - d, linear_combination([((1, 0, 1), d)])]
         assert all(x == d and hash(x) == hash(d) for x in same)
         # a half that cancels is stored as the canonical zero (0, 0, 1)
         n = next(iter(t))

@@ -32,7 +32,7 @@ from isocenter.samples import quadratic, random_field, random_ui_homogeneous
 
 
 def G(re, im=0):
-    return GaussianRational.of(Fraction(re), Fraction(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 def test_projection_sum_zero_field():
@@ -88,9 +88,9 @@ def test_resonant_support_enforced():
     a = decompose(quadratic(1, 2, 3))
     # a resonant-supported mould evaluates to zero off resonance
     m = Mould(lambda w: G(1), support_resonant_only=True)
-    assert m.value(((1, 0),)).is_zero()
+    assert not m.value(((1, 0),))
     assert m.value(((1, 0), (0, 1))) == G(1)
-    assert m.value(()).is_zero()
+    assert not m.value(())
     # zeroing all resonant values yields the zero derivation
     zero_on_res = Mould(lambda w: G(0), support_resonant_only=True)
     assert projection_sum(zero_on_res, a, 4) == ZERO_DERIVATION
@@ -237,7 +237,7 @@ def brute_projection_sum(m, brackets):
     """Sum of M(w) [B_w] / |w| over the (word, bracket) pairs, term by term."""
     total = ZERO_DERIVATION
     for w, d in brackets:
-        total = total + d.scale(m.value(w) * GaussianRational.of(Fraction(1, len(w))))
+        total = total + d.scale(m.value(w) * GaussianRational(Fraction(1, len(w))))
     return total
 
 
