@@ -4,8 +4,12 @@ Everything here is immutable and exact.  A scalar is the integer triple
 (a, b, d) meaning (a + b i)/d, kept in lowest terms: d > 0 and
 gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have equal
 triples.  Each sum or product makes one gcd, none when the denominator
-is 1.  Polynomials are sparse maps from exponent pairs to scalars with no
-stored zero coefficients.  Floating point never appears in this module.
+is 1.  A polynomial is a sparse map from exponent pairs to the same
+triples, with no stored zero coefficients, and its arithmetic works on
+the ints with one gcd per coefficient it adds or makes: scalar objects
+appear only at the edge (the constructor, ``monomial``, ``scale``'s argument,
+``terms``, ``sorted_terms``, ``to_dict`` and ``str``).  Floating point
+never appears in this module.
 """
 
 from __future__ import annotations
@@ -138,15 +142,33 @@ def _triple(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """The scalar (a + b i)/d for d > 0, brought to lowest terms."""
+def _lowest(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The triple (a, b, d), d > 0, brought to lowest terms."""
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
-            a, b, d = a // g, b // g, d // g
-    z = object.__new__(GaussianRational)
-    z._a, z._b, z._d = a, b, d
-    return z
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _add_into(t: dict, e, a: int, b: int, d: int) -> None:
+    """Add (a + b i)/d, d > 0, to t[e] with one gcd; drop the entry if it cancels."""
+    z = t.get(e)
+    if z is not None:
+        p, q, r = z
+        if r == d:
+            a, b = p + a, q + b
+        else:
+            a, b, d = p * d + a * r, q * d + b * r, r * d
+        if not (a or b):
+            del t[e]
+            return
+    t[e] = _lowest(a, b, d)
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b i)/d for d > 0, brought to lowest terms."""
+    return _triple(*_lowest(a, b, d))
 
 
 ZERO = GaussianRational()
@@ -170,38 +192,38 @@ def grlex_key(e: Exponent) -> tuple[int, int]:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial in (x, y) over GaussianRational.
+    """Sparse bivariate polynomial in (x, y): exponent -> lowest-terms triple.
 
-    Canonical form: no zero coefficients are stored, exponents are
-    nonnegative integer pairs.  Instances are treated as immutable.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[Exponent, GaussianRational] | None = None):
-        t: dict[Exponent, GaussianRational] = {}
+        t: dict[Exponent, tuple[int, int, int]] = {}
         if terms:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise InputError(f"negative exponent in term {(i, j)}")
                 if c:
-                    t[(i, j)] = c
+                    c = _coerce(c)
+                    t[(i, j)] = (c._a, c._b, c._d)
         self._t = t
 
     @staticmethod
-    def _of(t: dict[Exponent, GaussianRational]) -> "BiPoly":
-        """The polynomial with these terms, taken as canonical without a check."""
+    def _of(t: dict[Exponent, tuple[int, int, int]]) -> "BiPoly":
+        """The polynomial with these lowest-terms triples, taken as canonical without a check."""
         out = BiPoly.__new__(BiPoly)
         out._t = t
         return out
 
     @staticmethod
     def monomial(i: int, j: int, coef=ONE) -> "BiPoly":
-        return BiPoly({(i, j): _coerce(coef)})
+        return BiPoly({(i, j): coef})
 
     @property
-    def terms(self) -> Mapping[Exponent, GaussianRational]:
-        return self._t
+    def terms(self) -> dict[Exponent, GaussianRational]:
+        return {e: _triple(*c) for e, c in self._t.items()}
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -210,56 +232,51 @@ class BiPoly:
         return isinstance(other, BiPoly) and self._t == other._t
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
+        if not other._t:
+            return self
+        if not self._t:
+            return other
         t = dict(self._t)
-        for e, c in other._t.items():
-            s = t.get(e, ZERO) + c
-            if s:
-                t[e] = s
-            elif e in t:
-                del t[e]
+        for e, (a, b, d) in other._t.items():
+            _add_into(t, e, a, b, d)
         return BiPoly._of(t)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly._of({e: -c for e, c in self._t.items()})
+        return BiPoly._of({e: (-a, -b, d) for e, (a, b, d) in self._t.items()})
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, BiPoly):
-            t: dict[Exponent, GaussianRational] = {}
-            for (i1, j1), c1 in self._t.items():
-                for (i2, j2), c2 in other._t.items():
-                    e = (i1 + i2, j1 + j2)
-                    s = t.get(e, ZERO) + c1 * c2
-                    if s:
-                        t[e] = s
-                    elif e in t:
-                        del t[e]
-            return BiPoly._of(t)
-        return self.scale(other)
+        if not isinstance(other, BiPoly):
+            return self.scale(other)
+        if not other._t:
+            return other
+        t: dict[Exponent, tuple[int, int, int]] = {}
+        for (i1, j1), (a, b, d) in self._t.items():
+            for (i2, j2), (c, f, h) in other._t.items():
+                _add_into(t, (i1 + i2, j1 + j2), a * c - b * f, a * f + b * c, d * h)
+        return BiPoly._of(t)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "BiPoly":
         s = _coerce(scalar)
-        if not s:
+        c, f, h = s._a, s._b, s._d
+        if not (c or f):
             return BiPoly()
-        return BiPoly._of({e: c * s for e, c in self._t.items()})
+        return BiPoly._of({e: _lowest(a * c - b * f, a * f + b * c, d * h)
+                           for e, (a, b, d) in self._t.items()})
 
     def partial(self, var: str) -> "BiPoly":
         """Formal partial derivative with respect to "x" or "y"."""
-        if var not in ("x", "y"):
-            raise InputError(f"unknown variable {var!r}")
-        t: dict[Exponent, GaussianRational] = {}
-        for (i, j), c in self._t.items():
-            if var == "x":
-                if i > 0:
-                    t[(i - 1, j)] = c * i
-            else:
-                if j > 0:
-                    t[(i, j - 1)] = c * j
-        return BiPoly._of(t)
+        if var == "x":
+            return BiPoly._of({(i - 1, j): _lowest(a * i, b * i, d)
+                               for (i, j), (a, b, d) in self._t.items() if i})
+        if var == "y":
+            return BiPoly._of({(i, j - 1): _lowest(a * j, b * j, d)
+                               for (i, j), (a, b, d) in self._t.items() if j})
+        raise InputError(f"unknown variable {var!r}")
 
     def swap_conj(self) -> "BiPoly":
         """Conjugate every coefficient and transpose exponents.
@@ -267,7 +284,7 @@ class BiPoly:
         Realizes the companion polynomial rule q_{i,j} = conj(p_{j,i}):
         the result is sum conj(p_{j,i}) x^i y^j.
         """
-        return BiPoly._of({(j, i): c.conj() for (i, j), c in self._t.items()})
+        return BiPoly._of({(j, i): (a, -b, d) for (i, j), (a, b, d) in self._t.items()})
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {i + j for i, j in self._t}
@@ -279,7 +296,7 @@ class BiPoly:
 
     def sorted_terms(self) -> Iterator[tuple[Exponent, GaussianRational]]:
         for e in sorted(self._t, key=grlex_key):
-            yield e, self._t[e]
+            yield e, _triple(*self._t[e])
 
     def to_dict(self) -> dict[str, str]:
         """Serialize as {"i,j": "a/b+c/di"} in graded lexicographic order."""

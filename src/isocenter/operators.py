@@ -13,16 +13,18 @@ bracket of two one-letter operators has the closed form
 
 extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints
 over one common denominator per letter pair, with one gcd per output
-half; ``linear_combination`` takes its coefficients as integer triples
-(a, b, d) meaning (a + b i)/d and makes one gcd per half and added term,
-and negation flips signs.  None of them builds a scalar object:
-``GaussianRational`` appears only in the (dx, dy) views, ``terms``,
-``to_dict``, the constructors and ``scale``'s argument.
-After a partial sum cancels, a result may store its letters in another
-order than a letter-by-letter sum would; no output reads that order,
-since the (dx, dy) views sort by grlex.  The (dx, dy) polynomial views
-and ``apply`` serve the independent double-application route
-(``bracket_oracle``) only.  The nested bracket of a word n1...nr is
+half, and skips a pair whose s and t both vanish; ``linear_combination``
+takes its coefficients as integer triples (a, b, d) meaning (a + b i)/d
+and makes one gcd per half and added term, and negation flips signs.
+None of them builds a scalar object: ``GaussianRational`` appears only
+in ``terms``, ``to_dict``, ``str``, ``from_terms`` and ``scale``'s
+argument.  The (dx, dy) views hand each half's triple straight to
+``BiPoly``, which stores the same triples, and ``Derivation(dx, dy)``
+reads them back.  After a partial sum cancels, a result may store its
+letters in another order than a letter-by-letter sum would; no output
+reads that order, since the (dx, dy) views sort by grlex.  The (dx, dy)
+polynomial views and ``apply`` serve the independent double-application
+route (``bracket_oracle``) only.  The nested bracket of a word n1...nr is
 left-nested with the last letter outermost:
 [B_{nr}, [B_{n_{r-1}}, ..., [B_{n2}, B_{n1}]...]].  This nesting order is
 fixed project-wide.
@@ -52,10 +54,10 @@ class Derivation:
     __slots__ = ("_t",)
 
     def __init__(self, dx: BiPoly, dy: BiPoly):
-        t = {(i - 1, j): (c._a, c._b, c._d, 0, 0, 1) for (i, j), c in dx.terms.items()}
-        for (i, j), c in dy.terms.items():
-            p, q, r, _, _, _ = t.get((i, j - 1), (0, 0, 1, 0, 0, 1))
-            t[(i, j - 1)] = (p, q, r, c._a, c._b, c._d)
+        t = {(i - 1, j): c + (0, 0, 1) for (i, j), c in dx._t.items()}
+        for (i, j), c in dy._t.items():
+            n = (i, j - 1)
+            t[n] = t.get(n, (0, 0, 1))[:3] + c
         self._t = t
 
     @staticmethod
@@ -92,13 +94,13 @@ class Derivation:
 
     @property
     def dx(self) -> BiPoly:
-        return BiPoly._of({(n1 + 1, n2): _triple(p, q, r)
+        return BiPoly._of({(n1 + 1, n2): (p, q, r)
                            for (n1, n2), (p, q, r, _, _, _) in self._t.items()
                            if (p or q) and (n1 >= -1 and n2 >= 0 or _no_monomial(n1, n2, "dx"))})
 
     @property
     def dy(self) -> BiPoly:
-        return BiPoly._of({(n1, n2 + 1): _triple(s, u, v)
+        return BiPoly._of({(n1, n2 + 1): (s, u, v)
                            for (n1, n2), (_, _, _, s, u, v) in self._t.items()
                            if (s or u) and (n1 >= 0 and n2 >= -1 or _no_monomial(n1, n2, "dy"))})
 
@@ -203,7 +205,8 @@ def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
 
     The closed form is evaluated on the stored ints, over the one common
     denominator of the pair's four scalars, and each output half is
-    brought to lowest terms with one gcd.  If both
+    brought to lowest terms with one gcd; a pair whose s and t both
+    vanish brackets to zero and is skipped.  If both
     arguments are homogeneous with letters n and m, a nonzero result is
     homogeneous with letter n + m.
     """
@@ -215,6 +218,8 @@ def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
             sa, sb = aa * u + ba * v, ab * u + bb * v
             u, v = n1 * ed, n2 * cd
             ta, tb = ca * u + ea * v, cb * u + eb * v
+            if not (sa or sb or ta or tb):  # s = t = 0: this pair's bracket is zero
+                continue
             # x = s*c - t*a and y = s*e - t*b over D = ad*bd*cd*ed
             xa = (sa * ca - sb * cb) * ed - (ta * aa - tb * ab) * bd
             xb = (sa * cb + sb * ca) * ed - (ta * ab + tb * aa) * bd

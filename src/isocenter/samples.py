@@ -5,16 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import BiPoly, GaussianRational
+from .algebra import BiPoly, GaussianRational, _reduced
 from .operators import Derivation, hom_op
 from .prepared import PlanarField
 
 
 def random_scalar(rng: random.Random, bound: int = 9) -> GaussianRational:
-    return GaussianRational(
-        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),
-        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),
-    )
+    """p/q + (r/s) i from the draws p, q, r, s in this order, q and s >= 1."""
+    p, q = rng.randint(-bound, bound), rng.randint(1, bound)
+    r, s = rng.randint(-bound, bound), rng.randint(1, bound)
+    return _reduced(p * s, r * q, q * s)
 
 
 def random_nonzero_scalar(rng: random.Random, bound: int = 9) -> GaussianRational:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocenter.algebra import BiPoly, GaussianRational, X, Y
+from isocenter.algebra import ZERO, BiPoly, GaussianRational, X, Y
 from isocenter.errors import InputError
+from isocenter.samples import random_scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=9
@@ -155,3 +157,123 @@ def test_scalar_parts_and_zero():
     assert agrees(G(3, 4) * 0, (Fraction(0), Fraction(0)))
     with pytest.raises(TypeError):
         GaussianRational(0.5)
+
+
+# BiPoly's integer arithmetic against the coefficient-by-coefficient
+# route on the GaussianRational objects of .terms.
+
+def ref_add(t1, t2):
+    t = dict(t1)
+    for e, c in t2.items():
+        s = t.get(e, ZERO) + c
+        if s:
+            t[e] = s
+        else:
+            t.pop(e, None)
+    return t
+
+
+def ref_mul(t1, t2):
+    t = {}
+    for (i1, j1), c1 in t1.items():
+        for (i2, j2), c2 in t2.items():
+            t = ref_add(t, {(i1 + i2, j1 + j2): c1 * c2})
+    return t
+
+
+def ref_scale(t, s):
+    return {e: c * s for e, c in t.items() if c * s}
+
+
+def ref_partial(t, var):
+    k = 0 if var == "x" else 1
+    return {(i - (k == 0), j - (k == 1)): c * (i, j)[k] for (i, j), c in t.items() if (i, j)[k]}
+
+
+def ref_swap_conj(t):
+    return {(j, i): c.conj() for (i, j), c in t.items()}
+
+
+def lowest(p: BiPoly) -> bool:
+    """Every stored coefficient is a nonzero int triple in lowest terms."""
+    for a, b, d in p._t.values():
+        assert type(a) is type(b) is type(d) is int
+        assert d > 0 and gcd(a, b, d) == 1 and (a or b)
+    return True
+
+
+def wide_coefficient(rng):
+    """Small parts over small denominators, so sums and products share
+    factors, or parts near 10^25."""
+    def part():
+        if rng.random() < 0.7:
+            return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 12)))
+        return Fraction(rng.randint(-10**25, 10**25), rng.randint(1, 10**25))
+    return GaussianRational(part(), part())
+
+
+def wide_poly(rng, size=4):
+    """Up to size terms of total degree <= 3, so products collide."""
+    return BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): wide_coefficient(rng)
+                   for _ in range(rng.randint(0, size))})
+
+
+def partner(rng, p):
+    """A fresh polynomial, or -p with some terms redrawn, so p + partner cancels."""
+    if rng.random() < 0.4:
+        return wide_poly(rng)
+    return BiPoly({e: -c if rng.random() < 0.7 else wide_coefficient(rng)
+                   for e, c in p.terms.items()})
+
+
+def test_bipoly_arithmetic_matches_scalar_route():
+    rng = random.Random(59)
+    cancelled = reduced = 0
+    for _ in range(600):
+        p = wide_poly(rng)
+        q = partner(rng, p)
+        # (r + s)(r - s): the cross terms r s - s r cancel inside the product
+        r, s = wide_poly(rng, 2), wide_poly(rng, 2)
+        k = rng.choice((wide_coefficient(rng), rng.randint(-6, 6), Fraction(rng.randint(-6, 6), 4)))
+        kz = k if isinstance(k, GaussianRational) else GaussianRational(k)
+        tp, tq = p.terms, q.terms
+        cancelled += len(ref_add(tp, tq)) < len(set(tp) | set(tq))
+        reduced += any(gcd(c1._a * c2._a - c1._b * c2._b, c1._a * c2._b + c1._b * c2._a,
+                           c1._d * c2._d) > 1 for c1 in tp.values() for c2 in tq.values())
+        results = {
+            "add": (p + q, ref_add(tp, tq)),
+            "sub": (p - q, ref_add(tp, {e: -c for e, c in tq.items()})),
+            "mul": (p * q, ref_mul(tp, tq)),
+            "square difference": ((r + s) * (r - s),
+                                  ref_add(ref_mul(r.terms, r.terms), ref_scale(ref_mul(s.terms, s.terms), -1))),
+            "scale": (p.scale(k), ref_scale(tp, kz)),
+            "scalar product": (p * k, ref_scale(tp, kz)),
+            "partial x": (p.partial("x"), ref_partial(tp, "x")),
+            "partial y": (p.partial("y"), ref_partial(tp, "y")),
+            "swap_conj": (p.swap_conj(), ref_swap_conj(tp)),
+        }
+        for name, (got, want) in results.items():
+            assert lowest(got), name
+            assert got.terms == want, name
+            assert got == BiPoly(want), name
+    assert cancelled >= 100 and reduced >= 100, (cancelled, reduced)
+
+
+def fraction_route_scalar(rng, bound=9):
+    """random_scalar as it was first written: two Fractions through the constructor."""
+    return GaussianRational(
+        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),
+        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),
+    )
+
+
+def test_random_scalar_matches_fraction_route():
+    # same values and the same draws: the generator states agree after each one
+    for seed in range(40):
+        for bound in (1, 2, 3, 9, 12, 10**6, 10**20):
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(25):
+                z = random_scalar(new, bound) if bound != 9 else random_scalar(new)
+                w = fraction_route_scalar(old, bound)
+                assert (z._a, z._b, z._d) == (w._a, w._b, w._d)
+                assert new.getstate() == old.getstate()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from isocenter import algebra, lie_analysis, operators
+from isocenter import algebra, lie_analysis
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lie_analysis import (
@@ -23,7 +23,7 @@ from isocenter.lie_analysis import (
     resonant_subset_trivial,
     twin,
 )
-from isocenter.operators import Derivation, lie_bracket, nested_bracket
+from isocenter.operators import Derivation, bracket_oracle, lie_bracket, nested_bracket
 from isocenter.prenormal import projection_sum, random_mould, structural_linearisability
 from isocenter.prepared import Alphabet, PlanarField, decompose, weight
 from isocenter.samples import quadratic, random_cr_field, random_field, random_ui_homogeneous
@@ -473,33 +473,31 @@ def test_builders_make_no_reference_cycle():
         gc.enable()
 
 
-def scalar_work(fn):
-    """Run fn, counting the scalars that operators builds and the calls into
-    algebra's code, where every GaussianRational is made and operated on."""
-    built, entered = [], Counter()
-    make = operators._triple
+# the only code that makes a GaussianRational: the constructor, and
+# _triple, which calls object.__new__ itself
+SCALAR_MAKERS = ("GaussianRational.__init__", "_triple")
 
-    def counted(*triple):
-        built.append(triple)
-        return make(*triple)
+
+def scalar_work(fn):
+    """Run fn, counting the calls into algebra's code by qualified name
+    and, among them, the GaussianRational objects made."""
+    entered = Counter()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename == algebra.__file__:
-            entered[frame.f_code.co_name] += 1
+            entered[frame.f_code.co_qualname] += 1
 
-    operators._triple = counted
     sys.setprofile(profile)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
-        operators._triple = make
-    return result, len(built), entered
+    return result, sum(entered[k] for k in SCALAR_MAKERS), entered
 
 
 def test_exact_hot_path_builds_no_scalar_object():
     # the series and the resonance verdict work on the letter maps' ints:
-    # no GaussianRational is made or touched, only the views make them
+    # no GaussianRational is made or touched
     a = decompose(PlanarField.load(FIELDS / "cubic.json"))
     series, built, entered = scalar_work(lambda: central_series(a, 3))
     assert [len(level) for level in series.levels] == [9, 68, 580]
@@ -513,11 +511,28 @@ def test_exact_hot_path_builds_no_scalar_object():
         m = random_mould(7, resonant)
         total, built, entered = scalar_work(lambda: projection_sum(m, a, 4))
         assert total and (built, entered) == (0, Counter())
-    # the probe sees the scalars that a view makes
-    d = series.levels[2][0]
-    _, built, entered = scalar_work(lambda: (d.dx, d.dy, d.terms))
-    assert built == len(d.dx.terms) + len(d.dy.terms) + 2 * len(d.raw) > 0
-    assert entered["_triple"] == built
+    # the views hand each half's stored triple to BiPoly, and the
+    # constructor reads them back; only .terms makes scalars
+    d = next(d for d in series.levels[2] if d.dx and d.dy)
+    (dx, dy), built, entered = scalar_work(lambda: (d.dx, d.dy))
+    assert dx and dy and (built, entered) == (0, Counter({"BiPoly._of": 2}))
+    back, built, entered = scalar_work(lambda: Derivation(dx, dy))
+    assert back == d and (built, entered) == (0, Counter())
+    _, built, entered = scalar_work(lambda: d.terms)
+    assert built == entered["_triple"] == 2 * len(d.raw)
+    # the double-application oracle runs on BiPoly's ints throughout
+    ops = list(a.entries.values())
+    polys = (BiPoly.monomial(1, 0), BiPoly.monomial(0, 1), dx * dy + dx)
+    nonzero = 0
+    for d1, d2 in product(ops[:5], repeat=2):
+        for p in polys:
+            got, built, entered = scalar_work(lambda: bracket_oracle(d1, d2, p))
+            assert got == lie_bracket(d1, d2).apply(p)
+            # BiPoly's own methods and its two triple helpers, no scalar code
+            assert built == 0, entered
+            assert all(k.startswith("BiPoly.") or k in ("_lowest", "_add_into") for k in entered), entered
+            nonzero += bool(got)
+    assert nonzero >= 20
 
 
 def test_cr_structural_predicate_matches_object_route():

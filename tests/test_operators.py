@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -17,7 +18,7 @@ from isocenter.operators import (
     linear_combination,
     nested_bracket,
 )
-from isocenter.samples import quadratic, random_hom_op, random_scalar
+from isocenter.samples import quadratic, random_cr_field, random_hom_op, random_scalar
 from isocenter.prepared import decompose
 
 
@@ -126,6 +127,52 @@ def test_multi_letter_bracket_matches_oracle():
         for p in (X, Y, BiPoly.monomial(rng.randint(0, 4), rng.randint(0, 4))):
             assert br.apply(p) == bracket_oracle(d1, d2, p)
     assert multi >= 20
+
+
+def vanishing(d1, d2):
+    """Which of s = a m1 + b m2 and t = c n1 + e n2 vanish, per letter pair."""
+    kinds = Counter()
+    for n, (a, b) in d1.terms.items():
+        for m, (c, e) in d2.terms.items():
+            s, t = a * m[0] + b * m[1], c * n[0] + e * n[1]
+            kinds["both" if not (s or t) else "s only" if not s else "t only" if not t else "neither"] += 1
+    return kinds
+
+
+def cancelling_op(rng):
+    """1-3 letters among (k, 0), (0, k) and (k, k), with halves often zero
+    or opposite, so that s or t of a letter pair often vanishes."""
+    t = {}
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 3)
+        n = rng.choice(((k, 0), (0, k), (k, k)))
+        a = random_scalar(rng) or G(1)
+        a, b = rng.choice(((a, ZERO), (ZERO, a), (a, -a), (a, random_scalar(rng))))
+        t[n] = (a, b)
+    return Derivation.from_terms(t)
+
+
+def test_lie_bracket_of_pairs_with_vanishing_s_and_t_matches_oracle():
+    # the closed form skips a letter pair when s and t both vanish; a pair
+    # where only one of them vanishes still brackets to a nonzero operator
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(500):
+        d1, d2 = cancelling_op(rng), cancelling_op(rng)
+        seen += vanishing(d1, d2)
+        br = lie_bracket(d1, d2)
+        assert br.dx == bracket_oracle(d1, d2, X) and br.dy == bracket_oracle(d1, d2, Y)
+    # the x-family against the y-family of a Cauchy-Riemann alphabet
+    for d in (2, 3, 4, 5):
+        a = decompose(random_cr_field(rng, d))
+        for n, m in product(a.letters(), repeat=2):
+            (kind,) = vanishing(a[n], a[m])
+            seen["CR " + kind] += 1
+            br = lie_bracket(a[n], a[m])
+            assert br.dx == bracket_oracle(a[n], a[m], X) and br.dy == bracket_oracle(a[n], a[m], Y)
+            assert kind != "both" or not br
+    assert all(seen[k] >= 80 for k in ("both", "s only", "t only", "neither")), seen
+    assert seen["CR both"] >= 20, seen
 
 
 def test_polynomial_views_roundtrip():
