@@ -25,7 +25,12 @@ RationalLike = Union[int, Fraction]
 
 
 class GaussianRational:
-    """Complex number (a + b i)/d with exact integer a, b and d."""
+    """Complex number (a + b i)/d with exact integer a, b and d.
+
+    ``+``, ``-`` and ``*`` take an int, a ``Fraction`` or a
+    ``GaussianRational`` on either side; for any other operand they return
+    ``NotImplemented``, so the other operand's reflected method is tried.
+    """
 
     __slots__ = ("_a", "_b", "_d")
 
@@ -51,6 +56,8 @@ class GaussianRational:
 
     def __add__(self, other) -> "GaussianRational":
         if type(other) is not GaussianRational:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
             other = _coerce(other)
         d, f = self._d, other._d
         if d == f:
@@ -61,6 +68,8 @@ class GaussianRational:
 
     def __sub__(self, other) -> "GaussianRational":
         if type(other) is not GaussianRational:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
             other = _coerce(other)
         d, f = self._d, other._d
         if d == f:
@@ -71,6 +80,8 @@ class GaussianRational:
         if type(other) is int:
             return _reduced(self._a * other, self._b * other, self._d)
         if type(other) is not GaussianRational:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
             other = _coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
@@ -173,6 +184,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
+_OPERANDS = (int, Fraction, GaussianRational)  # what the arithmetic operators coerce
 
 
 def _coerce(value) -> GaussianRational:

@@ -3,7 +3,11 @@
 A mould is any map from words to exact scalars; the concrete correction
 and prenormal moulds are supplied by the caller, never computed here.
 Resonant-support enforcement wraps the evaluation: non-resonant words are
-sent to zero before the user function is consulted.
+sent to zero before the user function is consulted.  The projection sum
+has two routes: a mould that knows a finite word set off which it is zero
+(``indicator_mould``, ``table_mould``) is summed one nested bracket per
+support word, and every other mould by the prefix tree of
+``iter_bracket_levels``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Mapping
 from .algebra import ONE, GaussianRational, ZERO, _reduced
 from .errors import InputError
 from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
-from .operators import Derivation, Letter, Word, lie_bracket, linear_combination
+from .operators import Derivation, Letter, Word, lie_bracket, linear_combination, nested_bracket
 from .prepared import Alphabet, weight
 
 LINEARISABLE_STRUCTURAL = "LinearisableStructural"
@@ -35,11 +39,16 @@ class Mould:
     pass to ``linear_combination`` unreduced.  ``Mould(fn)`` has the word
     fold: the state is the word so far, ``step`` appends a letter and
     ``finish`` is the triple of ``fn``'s value.
+
+    ``support`` is None, or a finite collection of words off which the
+    mould is zero.  Only ``indicator_mould`` and ``table_mould`` set it,
+    and ``projection_sum`` then sums over those words alone.
     """
 
     def __init__(self, evaluate_fn: Callable[[Word], GaussianRational] | None = None,
                  support_resonant_only: bool = False, fold: tuple | None = None):
         self.support_resonant_only = support_resonant_only
+        self.support = None
         word_fold = (), lambda w, n: w + (n,), lambda w: _parts(evaluate_fn(w))
         self.start, self.step, self.finish = fold or word_fold
 
@@ -66,11 +75,6 @@ def _split(z: int) -> tuple[int, int, int, int]:
     z, q = divmod(z, 9)
     z, r = divmod(z, 19)
     return p - 9, q + 1, r - 9, z % 9 + 1
-
-
-def _draws(seed: int, word: Word) -> tuple[int, int, int, int]:
-    """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
-    return _split(reduce(_mix, word, seed & _MASK))
 
 
 def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
@@ -104,23 +108,37 @@ def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
 def indicator_mould(word: Word) -> Mould:
     """Mould equal to 1 on one chosen word and 0 elsewhere.
 
-    Letters are taken as int tuples, so a JSON word (letters as lists) matches.
+    Letters are taken as int tuples, so a JSON word (letters as lists)
+    matches.  Its support is that one word, so ``projection_sum`` brackets
+    it alone.
     """
     target = tuple(tuple(map(int, n)) for n in word)
 
     def evaluate(w: Word) -> GaussianRational:
         return ONE if w == target else ZERO
 
-    return Mould(evaluate, support_resonant_only=False)
+    return _finite(evaluate, (target,))
 
 
 def table_mould(entries: Mapping[Word, GaussianRational]) -> Mould:
+    """Mould with the given value on each listed word and 0 elsewhere.
+
+    Its support is the listed words, so ``projection_sum`` brackets each
+    of them once and no other word.
+    """
     table = {tuple(w): v for w, v in entries.items()}
 
     def evaluate(w: Word) -> GaussianRational:
         return table.get(w, ZERO)
 
-    return Mould(evaluate, support_resonant_only=False)
+    return _finite(evaluate, tuple(table))
+
+
+def _finite(evaluate: Callable[[Word], GaussianRational], support: tuple) -> Mould:
+    """The word-fold mould of ``evaluate``, zero off the words in ``support``."""
+    m = Mould(evaluate)
+    m.support = support
+    return m
 
 
 def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
@@ -146,7 +164,15 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     word costs one step and one finish, and each letter with nonzero S_n
     one bracket.  The mould is therefore also evaluated on length-L words
     whose own bracket vanishes: it must be a pure function of the word.
+
+    A mould with a known ``support`` (``indicator_mould``, ``table_mould``)
+    skips the tree: the sum is taken over its support words w with
+    1 <= |w| <= max_len and every letter in the alphabet, weight zero too
+    under resonant support, each weighted by its folded value over |w|
+    and bracketed by ``nested_bracket``.  The result is the tree's.
     """
+    if m.support is not None:
+        return _support_sum(m, a, max_len)
     resonant, step, finish = m.support_resonant_only, m.step, m.finish
     levels = iter_bracket_levels(a, max_len, resonant, (m.start, step))
     sums = []
@@ -166,6 +192,22 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         brackets = (((1, 0, 1), lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
     return linear_combination(((1, 0, r), s) for r, s in enumerate(sums, 1))
+
+
+def _support_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
+    """``projection_sum`` of a mould that is zero off the words of ``m.support``."""
+    if max_len < 1:
+        raise InputError(f"max_len must be >= 1, got {max_len}")
+    ops, resonant = a.entries, m.support_resonant_only
+    terms = []
+    for w in m.support:
+        # a word with a letter outside the alphabet has no bracket, and so no term
+        if not 0 < len(w) <= max_len or any(n not in ops for n in w) or resonant and weight(w):
+            continue
+        p, q, d = m.finish(reduce(m.step, w, m.start))
+        if p or q:
+            terms.append(((p, q, d * len(w)), nested_bracket(w, ops)))
+    return linear_combination(terms)
 
 
 def _class_value(finish: Callable, s, t, twinned: bool) -> tuple[int, int, int]:

@@ -159,6 +159,32 @@ def test_scalar_parts_and_zero():
         GaussianRational(0.5)
 
 
+def test_scalar_operators_defer_to_unknown_operands():
+    # an operand type the scalar does not know gets NotImplemented, so its
+    # own reflected method runs: k * p is BiPoly's p * k
+    k = G(1, 2)
+    p = BiPoly({(1, 0): G(3), (0, 2): G(Fraction(1, 2), -1)})
+    assert k * p == p * k == p.scale(k) and k * p != p
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        assert getattr(k, op)(p) is NotImplemented, op
+        assert getattr(k, op)("x") is NotImplemented, op
+    for operand in ("x", 0.5, None):
+        with pytest.raises(TypeError):
+            k + operand
+        with pytest.raises(TypeError):
+            k - operand
+        with pytest.raises(TypeError):
+            k * operand
+    # known operands keep their results, on either side
+    assert k + 1 == 1 + k == G(2, 2) and k - Fraction(1, 2) == G(Fraction(1, 2), 2)
+    assert Fraction(1, 3) * k == k * Fraction(1, 3) == G(Fraction(1, 3), Fraction(2, 3))
+    # the constructor and the coercion behind scale still refuse
+    with pytest.raises(TypeError, match="cannot coerce str"):
+        p.scale("x")
+    with pytest.raises(TypeError, match="cannot make a GaussianRational"):
+        GaussianRational("1")
+
+
 # BiPoly's integer arithmetic against the coefficient-by-coefficient
 # route on the GaussianRational objects of .terms.
 

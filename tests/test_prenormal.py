@@ -2,23 +2,25 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, product
 
 import pytest
 from test_lie_analysis import random_alphabet
 from test_numverify import run_fresh
 
-from isocenter import lie_analysis, prenormal
+from isocenter import lie_analysis, operators, prenormal
 from isocenter.algebra import ZERO, GaussianRational
 from isocenter.errors import InputError
-from isocenter.lie_analysis import iter_bracket_levels, resonant_subset_trivial
+from isocenter.lie_analysis import iter_bracket_levels, resonant_subset_trivial, twin
 from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
     UNKNOWN,
+    _MASK,
     Mould,
-    _draws,
+    _mix,
+    _split,
     indicator_mould,
     letter_sum,
     projection_sum,
@@ -157,6 +159,11 @@ def test_random_mould_matches_reference_fold(resonant_only):
         for w in MOULD_WORDS + random.Random(seed).sample(MOULD_WORDS, 50):
             want = ZERO if resonant_only and weight(w) else reference_random_mould_value(seed, w)
             assert m.value(w) == want, (seed, w)
+
+
+def _draws(seed, word):
+    """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
+    return _split(reduce(_mix, word, seed & _MASK))
 
 
 # chi-square quantiles at p = 1e-6 for 18 and 8 degrees of freedom: the
@@ -352,7 +359,8 @@ def test_projection_sum_brackets_no_length_l_word(monkeypatch):
     )
     monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
     monkeypatch.setattr(prenormal, "lie_bracket", counted)
-    got = projection_sum(indicator_mould(word), a, max_len)
+    # the word fold of an indicator has no support, so it takes the tree
+    got = projection_sum(Mould(indicator_mould(word).value), a, max_len)
     assert got == nested_bracket(word, a.entries).scale(G(Fraction(1, max_len)))
     assert len(a) == 9 and calls[0] <= bound
 
@@ -377,6 +385,110 @@ def test_projection_sum_brackets_each_swap_twin_pair_once(monkeypatch):
     assert projection_sum(random_mould(3, support_resonant_only=False), a, 4)
     assert k == 9 and pairs > 0
     assert tree[0] == k * (k - 1) // 2 + k * pairs and last[0] <= k
+
+
+OUTSIDE = (9, -1)  # no letter of a random_alphabet, whose degree is at most 4
+
+
+def edge_support(rng, a, max_len):
+    """Support words on a's letters with each edge case of the finite route,
+    keyed by case: longer than L, a letter outside the alphabet, empty, the
+    first two letters equal, a word with its twin, and a weight-zero word."""
+    letters = a.letters()
+
+    def word(r):
+        return tuple(rng.choice(letters) for _ in range(r))
+
+    w = word(rng.randint(2, max(2, max_len)))
+    inner = word(rng.randint(1, max_len))
+    k = rng.randrange(len(inner))
+    n = rng.choice(letters)
+    cases = {
+        "plain": [word(rng.randint(1, max_len)) for _ in range(3)],
+        "long": [word(max_len + rng.randint(1, 2))],
+        "outside": [inner[:k] + (OUTSIDE,) + inner[k + 1:]],
+        "empty": [()],
+        "equal": [(n, n) + word(rng.randint(0, max(0, max_len - 2)))],
+        "twins": [w, twin(w)],
+    }
+    small = (v for r in range(1, min(max_len, 3) + 1) for v in product(letters, repeat=r))
+    cases["resonant"] = [v for v in small if weight(v) == 0][:2]
+    return cases
+
+
+def test_finite_support_route_matches_tree():
+    # indicator and table moulds on random alphabets, L = 1..5, against the
+    # same values as a word fold, Mould(m.value), which has no support and so
+    # takes the tree; with resonant support too, set on the finite mould
+    rng = random.Random(23)
+    seen, lengths = Counter(), set()
+    nonzero = 0
+    for k in range(60):
+        a = random_alphabet(rng)
+        if not a:
+            continue
+        max_len = max(L for L in range(1, 1 + k % 5 + 1) if L == 1 or len(a) ** L <= 700)
+        lengths.add(max_len)
+        cases = edge_support(rng, a, max_len)
+        words = [w for ws in cases.values() for w in ws]
+        values = [G(rng.randint(-5, 5), rng.randint(0, 5)) for _ in words]
+        values[rng.randrange(len(values))] = ZERO
+        moulds = [indicator_mould(w) for w in words] + [table_mould(dict(zip(words, values)))]
+        for m in moulds:
+            for resonant in (False, True):
+                m.support_resonant_only = resonant
+                got = projection_sum(m, a, max_len)
+                assert got == projection_sum(Mould(m.value, resonant), a, max_len), (k, m.support)
+                nonzero += bool(got)
+        seen.update(case for case, ws in cases.items() if ws)
+    assert lengths == {1, 2, 3, 4, 5} and len(seen) == 7 and min(seen.values()) >= 10
+    assert nonzero >= 200
+
+
+def test_finite_support_route_skips_the_tree(monkeypatch):
+    # no call of iter_bracket_levels, no bracket beyond the support words'
+    # own nested brackets, and no mould value off the support
+    a = decompose(random_field(random.Random(18), 3, density=1))
+    letters = a.letters()
+    words = [tuple(letters[:4]), tuple(letters[2:5]), (letters[1], letters[0], letters[2]),
+             (letters[-1],)]
+    table = {w: G(k + 1, -k) for k, w in enumerate(words)}
+    want = {w: projection_sum(Mould(indicator_mould(w).value), a, 4) for w in words}
+    want_table = projection_sum(Mould(table_mould(table).value), a, 4)
+    calls = [0]
+
+    def refuse(*args):
+        raise AssertionError("the prefix tree was walked")
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(prenormal, "iter_bracket_levels", refuse)
+    monkeypatch.setattr(operators, "lie_bracket", counted)
+    for w in words:
+        m = indicator_mould(w)
+        m.finish = lambda word, f=m.finish, w=w: f(word) if word == w else pytest.fail(word)
+        assert projection_sum(m, a, 4) == want[w] and want[w]
+    assert projection_sum(table_mould(table), a, 4) == want_table
+    assert calls[0] == 2 * sum(len(w) - 1 for w in words)
+    with pytest.raises(AssertionError, match="tree was walked"):
+        projection_sum(random_mould(1, support_resonant_only=False), a, 4)
+
+
+def test_support_is_set_by_finite_moulds_only():
+    word = ((1, 0), (0, 1))
+    assert indicator_mould([list(n) for n in word]).support == (word,)
+    assert table_mould({word: G(2), word[:1]: G(3)}).support == (word, word[:1])
+    assert table_mould({}).support == ()
+    assert Mould(lambda w: G(1)).support is None
+    assert random_mould(1).support is None and random_mould(1, False).support is None
+    # max_len below 1 is refused alike on both routes
+    a = decompose(quadratic(1, 2, 3))
+    for m in (indicator_mould(word), table_mould({}), random_mould(1), Mould(lambda w: G(1))):
+        for max_len in (0, -2):
+            with pytest.raises(InputError, match=f"^max_len must be >= 1, got {max_len}$"):
+                projection_sum(m, a, max_len)
 
 
 def old_structural_linearisability(a, max_len):
