@@ -15,50 +15,54 @@ never appears in this module.
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import InputError
 
-RationalLike = Union[int, Fraction]
+if TYPE_CHECKING:  # ``re`` and ``im`` import it when called, so no command loads it
+    from fractions import Fraction
 
 
 class GaussianRational:
     """Complex number (a + b i)/d with exact integer a, b and d.
 
-    ``+``, ``-`` and ``*`` take an int, a ``Fraction`` or a
-    ``GaussianRational`` on either side; for any other operand they return
-    ``NotImplemented``, so the other operand's reflected method is tried.
+    The constructor takes two rationals: ints, or Fraction-like values
+    whose ``numerator`` and ``denominator`` are ints.  ``+``, ``-`` and
+    ``*`` take an int, a Fraction-like value or a ``GaussianRational`` on
+    either side; for any other operand they return ``NotImplemented``, so
+    the other operand's reflected method is tried.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+        r, i = _ratio(re), _ratio(im)
+        if r is None or i is None:
             raise TypeError(f"cannot make a GaussianRational from {re!r}, {im!r}")
-        re, im = Fraction(re), Fraction(im)
-        p, q = re.denominator, im.denominator
-        d = p // gcd(p, q) * q
-        # lowest-terms parts over their least common denominator share no factor with it
-        self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
+        (a, p), (b, q) = r, i
+        self._a, self._b, self._d = _lowest(a * q, b * p, p * q)
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     def __add__(self, other) -> "GaussianRational":
         if type(other) is not GaussianRational:
-            if not isinstance(other, _OPERANDS):
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
-            other = _coerce(other)
         d, f = self._d, other._d
         if d == f:
             return _reduced(self._a + other._a, self._b + other._b, d)
@@ -68,21 +72,24 @@ class GaussianRational:
 
     def __sub__(self, other) -> "GaussianRational":
         if type(other) is not GaussianRational:
-            if not isinstance(other, _OPERANDS):
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
-            other = _coerce(other)
         d, f = self._d, other._d
         if d == f:
             return _reduced(self._a - other._a, self._b - other._b, d)
         return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
+    def __rsub__(self, other) -> "GaussianRational":
+        return (-self).__add__(other)
+
     def __mul__(self, other) -> "GaussianRational":
         if type(other) is int:
             return _reduced(self._a * other, self._b * other, self._d)
         if type(other) is not GaussianRational:
-            if not isinstance(other, _OPERANDS):
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
-            other = _coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
@@ -123,14 +130,19 @@ class GaussianRational:
         return f"GaussianRational({self})"
 
     _FULL = _re.compile(
-        r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-]\s*\d+(?:/\d+)?)\s*i\s*$"
+        r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-] *\d+(?:/\d+)?)\s*i\s*$"
     )
     _REAL = _re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*$")
     _IMAG = _re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*i\s*$")
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
-        """Parse the text form "a/b+c/d i" (denominators optional)."""
+        """Parse the text form "a/b+c/d i" (denominators optional).
+
+        Spaces may follow the sign of the imaginary part.  Each part is
+        read with ``int()``, and the value brought to lowest terms with
+        one gcd.
+        """
         if m := GaussianRational._FULL.match(text):
             re, im = m.group(1), m.group(2).replace(" ", "")
         elif m := GaussianRational._REAL.match(text):
@@ -140,10 +152,28 @@ class GaussianRational:
         else:
             raise InputError(f"cannot parse Gaussian rational: {text!r}")
         try:
-            return GaussianRational(Fraction(re), Fraction(im))
+            (a, p), (b, q) = _parse_ratio(re), _parse_ratio(im)
         except (ZeroDivisionError, ValueError) as exc:
             # a zero denominator, or more digits than int() converts
             raise InputError(f"cannot parse Gaussian rational: {text!r}: {exc}") from None
+        return _reduced(a * q, b * p, p * q)
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """Numerator and denominator of a matched "n" or "n/d"; d = 0 raises."""
+    num, _, den = text.partition("/")
+    n, d = int(num), int(den) if den else 1
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")  # worded as Fraction(n, 0) words it
+    return n, d
+
+
+def _ratio(value) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or a Fraction-like value, else None."""
+    n, d = getattr(value, "numerator", None), getattr(value, "denominator", None)
+    if isinstance(n, int) and isinstance(d, int) and d > 0:
+        return n, d
+    return None
 
 
 def _triple(a: int, b: int, d: int) -> GaussianRational:
@@ -184,15 +214,23 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
-_OPERANDS = (int, Fraction, GaussianRational)  # what the arithmetic operators coerce
+
+
+def _operand(value) -> GaussianRational | None:
+    """A scalar, int or Fraction-like value as a scalar; None for any other type."""
+    if isinstance(value, GaussianRational):
+        return value
+    if type(value) is int:
+        return _triple(value, 0, 1)
+    r = _ratio(value)
+    return None if r is None else _reduced(r[0], 0, r[1])
 
 
 def _coerce(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+    z = _operand(value)
+    if z is None:
+        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+    return z
 
 
 Exponent = tuple[int, int]

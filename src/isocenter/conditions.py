@@ -8,22 +8,24 @@ never via square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalInconsistencyError
+from .records import Record
 
 if TYPE_CHECKING:  # the checkers import these when they run, so `complexity` loads neither
     from .algebra import GaussianRational
     from .prepared import PlanarField
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    condition_id: str
-    holds: bool
-    failing_relations: list[tuple[str, GaussianRational]] = field(default_factory=list)
+class ConditionVerdict(Record):
+    """Whether a condition holds, with the residual of each failing relation."""
+
+    __slots__ = ("condition_id", "holds", "failing_relations")
+
+    def __init__(self, condition_id: str, holds: bool,
+                 failing_relations: list[tuple[str, GaussianRational]] | None = None):
+        self._fill(condition_id, holds, [] if failing_relations is None else failing_relations)
 
     def to_json_obj(self) -> dict:
         return {
@@ -36,14 +38,14 @@ class ConditionVerdict:
         }
 
 
-@dataclass(frozen=True)
-class GeomComplexity:
+class GeomComplexity(Record):
     """(q, m): q polynomial identities of degree at most m, in an ambient
     coefficient space of the stated dimension."""
 
-    q: int
-    m: int
-    ambient_dim: int
+    __slots__ = ("q", "m", "ambient_dim")
+
+    def __init__(self, q: int, m: int, ambient_dim: int):
+        self._fill(q, m, ambient_dim)
 
     def to_json_obj(self) -> dict:
         return {"q": self.q, "m": self.m, "ambient_dim": self.ambient_dim}
@@ -123,7 +125,9 @@ def classify_quadratic(f: PlanarField) -> set[str]:
 
     The last relation of Q_iii and Q_iv fixes the phase of p02 against
     p11^3; like the others it is covariant under rotation of the plane.
-    Modulus relations are exact identities between squared moduli.
+    Modulus relations are exact identities between squared moduli.  A
+    relation with a fraction is tested with its denominators cleared,
+    2 p20 = 5 conj(p11) for the first, so only integers multiply.
     """
     if f.degree != 2:
         raise InputError(f"quadratic classification needs degree 2, got {f.degree}")
@@ -136,13 +140,13 @@ def classify_quadratic(f: PlanarField) -> set[str]:
     if not (p20 - p11.conj()) and not p02:
         out.add("Q_ii")
     if (
-        not (p20 - p11.conj() * Fraction(5, 2))
-        and not (p11.norm_sq() - p02.norm_sq() * Fraction(4, 9))
+        not (2 * p20 - 5 * p11.conj())
+        and not (9 * p11.norm_sq() - 4 * p02.norm_sq())
         and not (phase + 3 * square)
     ):
         out.add("Q_iii")
     if (
-        not (p20 - p11.conj() * Fraction(7, 6))
+        not (6 * p20 - 7 * p11.conj())
         and not (p11.norm_sq() - p02.norm_sq() * 4)
         and not (phase - square)
     ):

@@ -8,7 +8,6 @@ on seeded random instances.  All checks are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import X, Y, BiPoly
 from .lie_analysis import central_series, resonant_subset_trivial
@@ -21,6 +20,7 @@ from .operators import (
 )
 from .prenormal import projection_sum, random_mould, verify_fond3
 from .prepared import decompose
+from .records import Record
 from .samples import (
     quadratic,
     random_cr_field,
@@ -30,11 +30,13 @@ from .samples import (
 )
 
 
-@dataclass(frozen=True)
-class LemmaResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class LemmaResult(Record):
+    """One lemma suite's outcome, with a line on what it ran or where it failed."""
+
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._fill(name, passed, detail)
 
     def to_json_obj(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import InputError
 from .operators import Derivation, Letter, Word, lie_bracket
 from .prepared import Alphabet, weight
+from .records import Record
 
 
 def _gc_paused(fn: Callable) -> Callable:
@@ -63,17 +63,17 @@ def _gc_paused(fn: Callable) -> Callable:
     return paused
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Record):
     """Central-series generating sets plus the order-1 nilpotency verdict."""
 
-    levels: list[list[Derivation]]
-    nilpotent_order1: bool
-    witnesses: list[tuple[tuple[Letter, Letter], Derivation]] = field(default_factory=list)
+    __slots__ = ("levels", "nilpotent_order1", "witnesses")
+
+    def __init__(self, levels: list[list[Derivation]], nilpotent_order1: bool,
+                 witnesses: list[tuple[tuple[Letter, Letter], Derivation]] | None = None):
+        self._fill(levels, nilpotent_order1, [] if witnesses is None else witnesses)
 
 
-@dataclass(frozen=True)
-class ResonanceReport:
+class ResonanceReport(Record):
     """Verdict on the resonant nested brackets up to a word-length bound.
 
     ``witnesses`` is empty when every resonant bracket up to the bound
@@ -85,9 +85,11 @@ class ResonanceReport:
     alphabet.
     """
 
-    all_brackets_zero: bool
-    witnesses: list[tuple[Word, Derivation]] = field(default_factory=list)
-    structurally_proven: bool = False
+    __slots__ = ("all_brackets_zero", "witnesses", "structurally_proven")
+
+    def __init__(self, all_brackets_zero: bool, witnesses: list[tuple[Word, Derivation]] | None = None,
+                 structurally_proven: bool = False):
+        self._fill(all_brackets_zero, [] if witnesses is None else witnesses, structurally_proven)
 
 
 @_gc_paused

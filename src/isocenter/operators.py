@@ -24,7 +24,8 @@ reads them back.  After a partial sum cancels, a result may store its
 letters in another order than a letter-by-letter sum would; no output
 reads that order, since the (dx, dy) views sort by grlex.  The (dx, dy)
 polynomial views and ``apply`` serve the independent double-application
-route (``bracket_oracle``) only.  The nested bracket of a word n1...nr is
+route only: ``bracket_oracle`` builds each operator's two views once and
+applies them on ``BiPoly``'s arithmetic.  The nested bracket of a word n1...nr is
 left-nested with the last letter outermost:
 [B_{nr}, [B_{n_{r-1}}, ..., [B_{n2}, B_{n1}]...]].  This nesting order is
 fixed project-wide.
@@ -109,7 +110,7 @@ class Derivation:
         return {n: Derivation._of({n: r}) for n, r in self._t.items()}
 
     def apply(self, p: BiPoly) -> BiPoly:
-        return self.dx * p.partial("x") + self.dy * p.partial("y")
+        return _apply(self.dx, self.dy, p)
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -241,8 +242,17 @@ def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
 
 
 def bracket_oracle(d1: Derivation, d2: Derivation, p: BiPoly) -> BiPoly:
-    """Independent check value: d1(d2(p)) - d2(d1(p)) by double application."""
-    return d1.apply(d2.apply(p)) - d2.apply(d1.apply(p))
+    """Independent check value: d1(d2(p)) - d2(d1(p)) by double application.
+
+    Each operator's ``dx`` and ``dy`` views are built once and applied twice.
+    """
+    x1, y1, x2, y2 = d1.dx, d1.dy, d2.dx, d2.dy
+    return _apply(x1, y1, _apply(x2, y2, p)) - _apply(x2, y2, _apply(x1, y1, p))
+
+
+def _apply(dx: BiPoly, dy: BiPoly, p: BiPoly) -> BiPoly:
+    """The operator with views (dx, dy) applied to p: dx dp/dx + dy dp/dy."""
+    return dx * p.partial("x") + dy * p.partial("y")
 
 
 def nested_bracket(word: Sequence[Letter], ops: Mapping[Letter, Derivation]) -> Derivation:

@@ -15,13 +15,16 @@ from __future__ import annotations
 from functools import reduce
 from itertools import islice
 from operator import attrgetter
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from .algebra import ONE, GaussianRational, ZERO, _reduced
+from .algebra import ONE, GaussianRational, ZERO, _coerce, _reduced
 from .errors import InputError
 from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
 from .operators import Derivation, Letter, Word, lie_bracket, linear_combination, nested_bracket
 from .prepared import Alphabet, weight
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LINEARISABLE_STRUCTURAL = "LinearisableStructural"
 UNKNOWN = "Unknown"
@@ -112,32 +115,35 @@ def indicator_mould(word: Word) -> Mould:
     matches.  Its support is that one word, so ``projection_sum`` brackets
     it alone.
     """
-    target = tuple(tuple(map(int, n)) for n in word)
-
-    def evaluate(w: Word) -> GaussianRational:
-        return ONE if w == target else ZERO
-
-    return _finite(evaluate, (target,))
+    return _finite({tuple(tuple(map(int, n)) for n in word): ONE})
 
 
-def table_mould(entries: Mapping[Word, GaussianRational]) -> Mould:
+def table_mould(entries: Mapping[Word, GaussianRational | int | Fraction]) -> Mould:
     """Mould with the given value on each listed word and 0 elsewhere.
 
-    Its support is the listed words, so ``projection_sum`` brackets each
-    of them once and no other word.
+    Values may be ints or ``Fraction``s too; each is made a scalar once,
+    here.  Its support is the listed words, so ``projection_sum`` brackets
+    each of them once and no other word.
     """
-    table = {tuple(w): v for w, v in entries.items()}
+    return _finite({tuple(w): _coerce(v) for w, v in entries.items()})
+
+
+def _finite(table: dict[Word, GaussianRational]) -> Mould:
+    """The word-fold mould with the table's values, zero off its words, which are its support.
+
+    ``value`` takes a JSON word (letters as lists) too: such a word cannot
+    be hashed, so it is looked up again with tuple letters.  The support
+    route folds only the table's own words and never meets one.
+    """
 
     def evaluate(w: Word) -> GaussianRational:
-        return table.get(w, ZERO)
+        try:
+            return table.get(w, ZERO)
+        except TypeError:
+            return table.get(tuple(map(tuple, w)), ZERO)
 
-    return _finite(evaluate, tuple(table))
-
-
-def _finite(evaluate: Callable[[Word], GaussianRational], support: tuple) -> Mould:
-    """The word-fold mould of ``evaluate``, zero off the words in ``support``."""
     m = Mould(evaluate)
-    m.support = support
+    m.support = tuple(table)
     return m
 
 

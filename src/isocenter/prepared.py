@@ -11,39 +11,40 @@ additivity are unchanged).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .algebra import BiPoly, GaussianRational, ZERO, grlex_key
 from .errors import InputError, InternalInconsistencyError
 from .operators import Derivation, Letter, Word, linear_combination
+from .records import Record
 
 _FIELD_KEYS = {"xi_sign", "degree", "coefficients"}
 _COEFF_KEYS = {"i", "j", "value"}
 
 
-@dataclass(frozen=True)
-class PlanarField:
-    """Degree-d perturbation P plus the sign of ξ (ξ^2 = -1, default +i)."""
+class PlanarField(Record):
+    """Degree-d perturbation P plus the sign of ξ (ξ^2 = -1, default +i).
 
-    degree: int
-    coefficients: Mapping[tuple[int, int], GaussianRational]
-    xi_sign: str = "+"
+    ``coefficients`` keeps the nonzero entries of the given map.
+    """
 
-    def __post_init__(self):
-        if self.degree < 2:
-            raise InputError(f"degree must be >= 2, got {self.degree}")
-        if self.xi_sign not in ("+", "-"):
-            raise InputError(f"xi_sign must be '+' or '-', got {self.xi_sign!r}")
+    __slots__ = ("degree", "coefficients", "xi_sign")
+
+    def __init__(self, degree: int, coefficients: Mapping[tuple[int, int], GaussianRational],
+                 xi_sign: str = "+"):
+        if degree < 2:
+            raise InputError(f"degree must be >= 2, got {degree}")
+        if xi_sign not in ("+", "-"):
+            raise InputError(f"xi_sign must be '+' or '-', got {xi_sign!r}")
         clean = {}
-        for (i, j), c in self.coefficients.items():
-            if not (2 <= i + j <= self.degree) or i < 0 or j < 0:
+        for (i, j), c in coefficients.items():
+            if not (2 <= i + j <= degree) or i < 0 or j < 0:
                 raise InputError(
-                    f"coefficient exponent ({i},{j}) outside 2 <= i+j <= {self.degree}"
+                    f"coefficient exponent ({i},{j}) outside 2 <= i+j <= {degree}"
                 )
             if c:
                 clean[(i, j)] = c
-        object.__setattr__(self, "coefficients", clean)
+        self._fill(degree, clean, xi_sign)
 
     @property
     def xi(self) -> GaussianRational:
@@ -110,15 +111,14 @@ class PlanarField:
         return PlanarField.from_json_obj(obj)
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Letters with their (nonzero) homogeneous operators."""
+class Alphabet(Record):
+    """Letters with their (nonzero) homogeneous operators, in grlex letter order."""
 
-    entries: Mapping[Letter, Derivation] = field(default_factory=dict)
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        ordered = {letter: self.entries[letter] for letter in sorted(self.entries, key=grlex_key)}
-        object.__setattr__(self, "entries", ordered)
+    def __init__(self, entries: Mapping[Letter, Derivation] | None = None):
+        entries = entries or {}
+        self._fill({letter: entries[letter] for letter in sorted(entries, key=grlex_key)})
 
     def letters(self) -> list[Letter]:
         return list(self.entries)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .algebra import BiPoly, GaussianRational, _reduced
+from .algebra import BiPoly, GaussianRational, _coerce, _reduced
 from .operators import Derivation, hom_op
 from .prepared import PlanarField
 
@@ -55,7 +54,7 @@ def random_ui_homogeneous(
             if force_middle_zero:
                 c[i] = GaussianRational(0)
             else:
-                c[i] = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                c[i] = _reduced(rng.randint(-9, 9), 0, rng.randint(1, 9))
     coeffs = {(i, d - i): v for i, v in c.items() if v}
     return PlanarField(degree=d, coefficients=coeffs)
 
@@ -92,7 +91,7 @@ def quadratic(p20, p11, p02) -> PlanarField:
     """Convenience quadratic field from three scalars."""
     coeffs = {}
     for key, val in (((2, 0), p20), ((1, 1), p11), ((0, 2), p02)):
-        g = val if isinstance(val, GaussianRational) else GaussianRational(Fraction(val))
+        g = _coerce(val)
         if g:
             coeffs[key] = g
     return PlanarField(degree=2, coefficients=coeffs)

@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -140,7 +142,7 @@ def test_scalar_kernel_matches_fraction_pairs(p, q, k):
     assert agrees(z.conj(), (a, -b))
     assert agrees(z.norm_sq(), (a * a + b * b, Fraction(0)))
     assert agrees(z + k, (a + k, b)) and agrees(k + z, (a + k, b))
-    assert agrees(z - k, (a - k, b))
+    assert agrees(z - k, (a - k, b)) and agrees(k - z, (k - a, -b))
     assert agrees(z * k, (a * k, b * k)) and agrees(k * z, (a * k, b * k))
     assert agrees(GaussianRational(k), (Fraction(k), Fraction(0)))
     assert (z == w) == (p == q)
@@ -157,6 +159,18 @@ def test_scalar_parts_and_zero():
     assert agrees(G(3, 4) * 0, (Fraction(0), Fraction(0)))
     with pytest.raises(TypeError):
         GaussianRational(0.5)
+    # any value with int numerator and denominator is a rational, not in
+    # lowest terms perhaps, but a denominator below 1 is refused
+    ratio = namedtuple("ratio", "numerator denominator")
+    assert agrees(GaussianRational(ratio(4, 6), ratio(-3, 12)), (Fraction(2, 3), Fraction(-1, 4)))
+    assert agrees(G(1) - ratio(2, 4), (Fraction(1, 2), Fraction(0)))
+    for bad in (ratio(1, 0), ratio(1, -2), ratio(1.0, 2)):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            G(1) + bad
+    with pytest.raises(TypeError):  # a scalar is no part of another
+        GaussianRational(G(1))
 
 
 def test_scalar_operators_defer_to_unknown_operands():
@@ -165,7 +179,7 @@ def test_scalar_operators_defer_to_unknown_operands():
     k = G(1, 2)
     p = BiPoly({(1, 0): G(3), (0, 2): G(Fraction(1, 2), -1)})
     assert k * p == p * k == p.scale(k) and k * p != p
-    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         assert getattr(k, op)(p) is NotImplemented, op
         assert getattr(k, op)("x") is NotImplemented, op
     for operand in ("x", 0.5, None):
@@ -174,9 +188,12 @@ def test_scalar_operators_defer_to_unknown_operands():
         with pytest.raises(TypeError):
             k - operand
         with pytest.raises(TypeError):
+            operand - k
+        with pytest.raises(TypeError):
             k * operand
     # known operands keep their results, on either side
     assert k + 1 == 1 + k == G(2, 2) and k - Fraction(1, 2) == G(Fraction(1, 2), 2)
+    assert 1 - k == -(k - 1) == G(0, -2) and Fraction(1, 2) - k == G(Fraction(-1, 2), -2)
     assert Fraction(1, 3) * k == k * Fraction(1, 3) == G(Fraction(1, 3), Fraction(2, 3))
     # the constructor and the coercion behind scale still refuse
     with pytest.raises(TypeError, match="cannot coerce str"):
@@ -303,3 +320,89 @@ def test_random_scalar_matches_fraction_route():
                 w = fraction_route_scalar(old, bound)
                 assert (z._a, z._b, z._d) == (w._a, w._b, w._d)
                 assert new.getstate() == old.getstate()
+
+
+# GaussianRational.parse against the route it replaced: the same grammar,
+# with each matched part read by Fraction.
+
+FULL_AS_FIRST_WRITTEN = re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-]\s*\d+(?:/\d+)?)\s*i\s*$")
+
+
+def fraction_route_parse(text):
+    """parse as it was first written, giving the lowest-terms triple."""
+    if m := FULL_AS_FIRST_WRITTEN.match(text):
+        re_part, im_part = m.group(1), m.group(2).replace(" ", "")
+    elif m := GaussianRational._REAL.match(text):
+        re_part, im_part = m.group(1), "0"
+    elif m := GaussianRational._IMAG.match(text):
+        re_part, im_part = "0", m.group(1)
+    else:
+        raise InputError(f"cannot parse Gaussian rational: {text!r}")
+    try:
+        return canonical(Fraction(re_part), Fraction(im_part))
+    except (ZeroDivisionError, ValueError) as exc:
+        raise InputError(f"cannot parse Gaussian rational: {text!r}: {exc}") from None
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+def grammar_text(rng):
+    """A random text of parse's grammar, sometimes with one character
+    inserted, dropped or replaced."""
+    def numeral():
+        digits = str(rng.choice((0, 1, 6, 12, rng.randint(0, 10**6))))
+        return rng.choice(("", "", "0", "00")) + digits
+
+    def part(signs):
+        text = rng.choice(signs) + numeral()
+        return text + "/" + numeral() if rng.random() < 0.6 else text
+
+    def space():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    re_part, im_part = part(("", "+", "-")), part(("+", "-", "+ ", "-  "))
+    text = rng.choice((
+        space() + re_part + space() + im_part + space() + "i" + space(),
+        space() + re_part + space(),
+        space() + im_part.replace(" ", "").lstrip("+") + space() + "i" + space(),
+    ))
+    if rng.random() < 0.2:
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + rng.choice("0123456789+-/i .x\n") + text[k + 1 if rng.random() < 0.5 else k:]
+    return text
+
+
+def test_parse_matches_fraction_route():
+    # the same triple, or the same InputError message, on random texts of the
+    # grammar, non-lowest terms, signs and spaces, zero denominators and
+    # numerals too long for int()
+    rng = random.Random(71)
+    long = "7" * 5000
+    texts = [grammar_text(rng) for _ in range(4000)] + [
+        "4/6", "-10/4+15/-6i", "-10/4+15/6i", "6/4-9/6i", "0/5", "-0/3+0/9i", "007/014", "12i", "-4/8i",
+        "+1/2+3/4i", " -1 /2", "1 +  2i", "1 -   2/4 i", "\t3/9\t-\t1i\n", "+-1", "1+2", "1i+2", "", " ",
+        "1/0", "-3/0", "0/0", "+3/0+1i", "1+2/0i", "1/0+2/0i", "0/0i", "٣/٤-١i", "1 +\t2i", "1- 2/3i",
+        long, "-" + long, "1/" + long, long + "+1i", "1+" + long + "i", "1+1/" + long + "i",
+        "1/0+" + long + "i", long + "+1/0i", long[:4300] + "/" + long[:4300],
+    ]
+    counts = Counter()
+    for text in texts:
+        got, want = parse_outcome(GaussianRational.parse, text), parse_outcome(fraction_route_parse, text)
+        if isinstance(want, tuple):
+            counts["value"] += 1
+            assert isinstance(got, GaussianRational) and (got._a, got._b, got._d) == want, text
+        elif FULL_AS_FIRST_WRITTEN.match(text) and not GaussianRational._FULL.match(text):
+            # whitespace other than spaces after the imaginary part's sign: the
+            # first pattern took it and Fraction refused it, the pattern now
+            # refuses it itself, so the message lacks Fraction's reason
+            counts["sign whitespace"] += 1
+            assert got == f"cannot parse Gaussian rational: {text!r}" and want.startswith(got + ": "), text
+        else:
+            counts["error"] += 1
+            assert got == want, text
+    assert counts["value"] >= 2000 and counts["error"] >= 500 and counts["sign whitespace"] >= 2, counts

@@ -89,12 +89,21 @@ def test_homogeneity_of_action():
             assert set(image.terms) == {(m[0] + n1, m[1] + n2)}
 
 
-def test_bracket_oracle_equivalence_small():
+def test_bracket_oracle_equivalence_small(monkeypatch):
+    # the oracle builds each operator's dx and dy views once per call
+    built = Counter()
+    for view in ("dx", "dy"):
+        build = getattr(Derivation, view).fget
+        monkeypatch.setattr(Derivation, view, property(
+            lambda d, build=build, view=view: built.update([(id(d), view)]) or build(d)))
     rng = random.Random(19)
     for _ in range(50):
         d1, d2 = random_hom_op(rng), random_hom_op(rng)
         p = BiPoly.monomial(rng.randint(0, 4), rng.randint(0, 4))
-        assert lie_bracket(d1, d2).apply(p) == bracket_oracle(d1, d2, p)
+        built.clear()
+        got = bracket_oracle(d1, d2, p)
+        assert built == Counter({(id(d), view): 1 for d in (d1, d2) for view in ("dx", "dy")})
+        assert lie_bracket(d1, d2).apply(p) == got
 
 
 def op_with_letter(rng, n):

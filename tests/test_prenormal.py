@@ -108,6 +108,18 @@ def test_indicator_and_table_moulds():
         assert projection_sum(indicator_mould(given), a, 3) == expect
     tab = table_mould({word: G(2)})
     assert projection_sum(tab, a, 3) == expect.scale(2)
+    # int and Fraction values are made scalars once, at construction
+    plain = table_mould({word: 2, word[:1]: Fraction(-1, 3), word[1:]: 0})
+    scalars = table_mould({word: G(2), word[:1]: G(Fraction(-1, 3)), word[1:]: G(0)})
+    assert all(type(v) is GaussianRational for v in map(plain.value, plain.support))
+    for max_len in (1, 2, 3):
+        assert projection_sum(plain, a, max_len) == projection_sum(scalars, a, max_len)
+    # value takes JSON words (letters as lists), as random_mould's does
+    json_word = json.loads(json.dumps(word))
+    assert indicator_mould(word).value(json_word) == G(1)
+    assert indicator_mould(word).value(json_word[:1]) == ZERO
+    assert tab.value(json_word) == plain.value(json_word) == G(2)
+    assert plain.value(json_word[:1]) == G(Fraction(-1, 3)) and not tab.value([[0, 1]])
 
 
 MOULD_LETTERS = [(1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (1 << 33, -3)]

@@ -1,0 +1,99 @@
+"""The package's result records: construction by position or keyword, value
+equality, a fresh default list per instance, and no assignment."""
+
+import copy
+import pickle
+import random
+
+import pytest
+
+from isocenter.algebra import GaussianRational
+from isocenter.conditions import ConditionVerdict, GeomComplexity
+from isocenter.errors import InputError
+from isocenter.lemmas import LemmaResult
+from isocenter.lie_analysis import ResonanceReport, SeriesReport
+from isocenter.operators import Derivation
+from isocenter.prepared import Alphabet, PlanarField
+from isocenter.records import Record
+from isocenter.samples import random_hom_op
+
+OPS = [random_hom_op(random.Random(k)) for k in range(3)]
+HALF = GaussianRational(1, 2)
+
+# (class, positional arguments, the same by keyword, one argument changed)
+CASES = [
+    (PlanarField, (2, {(2, 0): HALF}, "-"),
+     dict(degree=2, coefficients={(2, 0): HALF}, xi_sign="-"), (2, {(2, 0): HALF}, "+")),
+    (Alphabet, ({(1, 0): OPS[0]},), dict(entries={(1, 0): OPS[0]}), ({(1, 0): OPS[1]},)),
+    (SeriesReport, ([[OPS[0]]], False, [(((1, 0), (0, 1)), OPS[1])]),
+     dict(levels=[[OPS[0]]], nilpotent_order1=False, witnesses=[(((1, 0), (0, 1)), OPS[1])]),
+     ([[OPS[0]]], True, [(((1, 0), (0, 1)), OPS[1])])),
+    (ResonanceReport, (False, [(((1, 1),), OPS[2])], True),
+     dict(all_brackets_zero=False, witnesses=[(((1, 1),), OPS[2])], structurally_proven=True),
+     (False, [(((1, 1),), OPS[2])], False)),
+    (ConditionVerdict, ("UI", False, [("p_{0,2}=0", HALF)]),
+     dict(condition_id="UI", holds=False, failing_relations=[("p_{0,2}=0", HALF)]),
+     ("CR", False, [("p_{0,2}=0", HALF)])),
+    (GeomComplexity, (6, 1, 18), dict(q=6, m=1, ambient_dim=18), (7, 1, 18)),
+    (LemmaResult, ("fond2", True, "100 draws"), dict(name="fond2", passed=True, detail="100 draws"),
+     ("fond2", False, "100 draws")),
+]
+
+
+@pytest.mark.parametrize("cls,args,kwargs,changed", CASES, ids=[c[0].__name__ for c in CASES])
+def test_record_is_an_immutable_value(cls, args, kwargs, changed):
+    r = cls(*args)
+    assert isinstance(r, Record) and not hasattr(r, "__dict__")
+    assert r == cls(**kwargs) and not r != cls(**kwargs)
+    assert r != cls(*changed)
+    assert r != args and r != object()
+    assert copy.copy(r) == r == pickle.loads(pickle.dumps(r))
+    assert repr(r) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(r, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(r, name)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert r == cls(**kwargs)
+
+
+def test_hash_follows_the_values():
+    assert hash(GeomComplexity(6, 1, 18)) == hash(GeomComplexity(q=6, m=1, ambient_dim=18))
+    assert hash(LemmaResult("a", True)) == hash(LemmaResult("a", True, ""))
+    assert {LemmaResult("a", True), LemmaResult("a", True)} == {LemmaResult("a", True)}
+    with pytest.raises(TypeError):  # a dict field is unhashable
+        hash(PlanarField(2, {}))
+
+
+def test_defaults_are_fresh_per_instance():
+    lists = [
+        (SeriesReport([], True), "witnesses"),
+        (SeriesReport([], True), "witnesses"),
+        (ResonanceReport(True), "witnesses"),
+        (ResonanceReport(True), "witnesses"),
+        (ConditionVerdict("UI", True), "failing_relations"),
+        (ConditionVerdict("UI", True), "failing_relations"),
+    ]
+    values = [getattr(r, name) for r, name in lists]
+    assert all(v == [] for v in values) and len({id(v) for v in values}) == len(values)
+    values[0].append(1)
+    assert SeriesReport([], True).witnesses == [] and values[1] == []
+    assert ResonanceReport(True).structurally_proven is False and LemmaResult("a", True).detail == ""
+    assert PlanarField(2, {}).xi_sign == "+"
+    a, b = Alphabet(), Alphabet()
+    assert a == b and a.entries == {} and a.entries is not b.entries
+
+
+def test_constructors_keep_their_checks_and_order():
+    f = PlanarField(3, {(0, 3): HALF, (2, 0): GaussianRational(0), (1, 1): HALF})
+    assert f.coefficients == {(0, 3): HALF, (1, 1): HALF}
+    with pytest.raises(InputError, match="degree must be >= 2"):
+        PlanarField(1, {})
+    with pytest.raises(InputError, match="xi_sign"):
+        PlanarField(2, {}, "i")
+    with pytest.raises(InputError, match="outside"):
+        PlanarField(degree=2, coefficients={(3, 0): HALF})
+    ops = {(2, 0): OPS[0], (-1, 2): OPS[1], (1, 0): OPS[2], (0, 1): Derivation.from_terms({})}
+    assert list(Alphabet(ops).entries) == [(1, 0), (0, 1), (-1, 2), (2, 0)]
