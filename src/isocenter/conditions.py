@@ -86,11 +86,7 @@ def check_uniform(f: PlanarField) -> ConditionVerdict:
     failing = _uniform_relations(f)
     p = f.perturbation()
     identity_holds = (BiPoly.monomial(0, 1) * p) == (BiPoly.monomial(1, 0) * p.swap_conj())
-    if identity_holds != (not failing):
-        raise InternalInconsistencyError(
-            "uniform-isochronicity routes disagree: "
-            f"identity={identity_holds}, relations_failing={len(failing)}"
-        )
+    _routes_agree("uniform-isochronicity", identity_holds, failing)
     return ConditionVerdict("UI", not failing, failing)
 
 
@@ -101,13 +97,18 @@ def check_cauchy_riemann(f: PlanarField) -> ConditionVerdict:
         for (i, j), c in sorted(f.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0][0]))
         if j
     ]
-    identity_holds = not f.perturbation().partial("y")
+    _routes_agree("Cauchy-Riemann", not f.perturbation().partial("y"), failing)
+    return ConditionVerdict("CR", not failing, failing)
+
+
+def _routes_agree(condition: str, identity_holds: bool, failing: list) -> None:
+    """Raise InternalInconsistencyError unless the identity holds exactly
+    when no relation fails."""
     if identity_holds != (not failing):
         raise InternalInconsistencyError(
-            "Cauchy-Riemann routes disagree: "
+            f"{condition} routes disagree: "
             f"identity={identity_holds}, relations_failing={len(failing)}"
         )
-    return ConditionVerdict("CR", not failing, failing)
 
 
 def classify_quadratic(f: PlanarField) -> set[str]:

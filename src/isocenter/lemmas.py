@@ -1,15 +1,16 @@
 """Closed-form bracket formulas and the randomized lemma suites.
 
 The closed forms are the stated expected values; every suite checks them
-against brute-force double application, or checks a structural statement
-on seeded random instances.  All checks are exact.
+against both ``lie_bracket`` and brute-force double application
+(``bracket_oracle``), or checks a structural statement on seeded random
+instances.  All checks are exact.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algebra import X, Y, BiPoly
+from .algebra import BiPoly
 from .lie_analysis import central_series, resonant_subset_trivial
 from .operators import (
     ZERO_DERIVATION,
@@ -98,8 +99,13 @@ def extreme_pair_ops(n: int, p0n) -> tuple[Derivation, Derivation]:
     return first, second
 
 
-def _op(alphabet, letter) -> Derivation:
-    return alphabet[letter] if letter in alphabet else ZERO_DERIVATION
+def _bracket_mismatch(d1: Derivation, d2: Derivation, want: Derivation) -> str:
+    """Empty when ``lie_bracket`` and ``bracket_oracle`` both give want,
+    else what differs: the closed form's result, or the oracle."""
+    got = lie_bracket(d1, d2)
+    if got != want:
+        return f"got {got}, want {want}"
+    return "" if bracket_oracle(d1, d2) == want else "oracle differs"
 
 
 def lemma_quadratic_bracket(seed: int) -> LemmaResult:
@@ -107,16 +113,11 @@ def lemma_quadratic_bracket(seed: int) -> LemmaResult:
     rng = random.Random(seed)
     for k in range(draws):
         p20, p11, p02 = (random_scalar(rng) for _ in range(3))
-        a = decompose(quadratic(p20, p11, p02))
-        d1, d2 = _op(a, (1, 0)), _op(a, (0, 1))
-        got = lie_bracket(d1, d2)
-        want = quadratic_display_bracket(p20, p11)
-        if got != want:
-            return LemmaResult(
-                "quadratic_bracket", False, f"draw {k}: got {got}, want {want}"
-            )
-        if bracket_oracle(d1, d2, X) != want.dx or bracket_oracle(d1, d2, Y) != want.dy:
-            return LemmaResult("quadratic_bracket", False, f"draw {k}: oracle differs")
+        ops = decompose(quadratic(p20, p11, p02)).entries
+        d1, d2 = ops.get((1, 0), ZERO_DERIVATION), ops.get((0, 1), ZERO_DERIVATION)
+        err = _bracket_mismatch(d1, d2, quadratic_display_bracket(p20, p11))
+        if err:
+            return LemmaResult("quadratic_bracket", False, f"draw {k}: {err}")
     return LemmaResult("quadratic_bracket", True, f"{draws} draws")
 
 
@@ -126,33 +127,17 @@ def lemma_bracket_formulas(seed: int) -> LemmaResult:
     for n in range(2, max_n + 1):
         for k in range(draws):
             p0n = random_nonzero_scalar(rng)
-            d1, d2 = extreme_pair_ops(n, p0n)
-            want = extreme_pair_bracket(n, p0n)
-            if lie_bracket(d1, d2) != want:
-                return LemmaResult(
-                    "bracket_formulas", False, f"extreme pair n={n} draw {k}"
-                )
-            if bracket_oracle(d1, d2, X) != want.dx or bracket_oracle(d1, d2, Y) != want.dy:
-                return LemmaResult(
-                    "bracket_formulas", False, f"extreme pair oracle n={n} draw {k}"
-                )
+            err = _bracket_mismatch(*extreme_pair_ops(n, p0n), extreme_pair_bracket(n, p0n))
+            if err:
+                return LemmaResult("bracket_formulas", False, f"extreme pair n={n} draw {k}: {err}")
             for i in range(1, n + 1):
                 a = random_scalar(rng)
                 c = random_scalar(rng)
-                d1, d2 = transpose_pair_ops(n, i, a, c)
-                want = transpose_pair_bracket(n, i, a, c)
-                if lie_bracket(d1, d2) != want:
+                err = _bracket_mismatch(*transpose_pair_ops(n, i, a, c),
+                                        transpose_pair_bracket(n, i, a, c))
+                if err:
                     return LemmaResult(
-                        "bracket_formulas", False, f"transpose pair n={n} i={i} draw {k}"
-                    )
-                if (
-                    bracket_oracle(d1, d2, X) != want.dx
-                    or bracket_oracle(d1, d2, Y) != want.dy
-                ):
-                    return LemmaResult(
-                        "bracket_formulas",
-                        False,
-                        f"transpose pair oracle n={n} i={i} draw {k}",
+                        "bracket_formulas", False, f"transpose pair n={n} i={i} draw {k}: {err}"
                     )
     return LemmaResult("bracket_formulas", True, f"n=2..{max_n}, {draws} draws each")
 

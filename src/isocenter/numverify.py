@@ -83,9 +83,14 @@ def to_real_system(f: PlanarField) -> RealSystem:
     share the rhs's code object and differ only in its globals.  Its floats
     are those of ``dz = ξz; dz += c * z**i * conj(z)**j`` term by term, up to
     the sign of a zero part (``**`` starts each power from 1+0j), except that
-    products overflow to inf where ``**`` raises."""
+    products overflow to inf where ``**`` raises.  Raises InputError on a
+    coefficient beyond the range of a double."""
     namespace = {"xi": f.xi.to_complex()}
-    namespace.update((f"c{k}", c.to_complex()) for k, c in enumerate(f.coefficients.values()))
+    for k, ((i, j), c) in enumerate(f.coefficients.items()):
+        try:
+            namespace[f"c{k}"] = c.to_complex()
+        except OverflowError:
+            raise InputError(f"coefficient p_{{{i},{j}}} is beyond the range of a double") from None
     exec(_rhs_code(tuple(f.coefficients)), namespace)
     return RealSystem(namespace["rhs"])
 
@@ -104,8 +109,9 @@ def measure_period(
     the section, so the first step records a crossing at t = 0; the second
     crossing, the first return, is found on the step's 7th-order interpolant
     by Brent's method, and integration stops there: the time budget bounds
-    only orbits that never return.  Raises InputError when the absolute
-    tolerance tol * r0 * 1e-3 underflows to 0.  Raises NonPeriodicError
+    only orbits that never return.  The relative tolerance is
+    max(tol, 1e-13) and the absolute one max(tol, 1e-13) * r0 * 1e-3;
+    raises InputError when the latter underflows to 0.  Raises NonPeriodicError
     when the rhs overflows at the start point, when the integration fails
     (step-size underflow or a non-finite state), when the start crossing is
     missing, when the return crosses at u <= 0, or when no return occurs

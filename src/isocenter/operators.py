@@ -24,8 +24,10 @@ reads them back.  After a partial sum cancels, a result may store its
 letters in another order than a letter-by-letter sum would; no output
 reads that order, since the (dx, dy) views sort by grlex.  The (dx, dy)
 polynomial views and ``apply`` serve the independent double-application
-route only: ``bracket_oracle`` builds each operator's two views once and
-applies them on ``BiPoly``'s arithmetic.  The nested bracket of a word n1...nr is
+route only: ``bracket_oracle`` returns the whole bracket as a
+``Derivation``, from each operator's two views built once and applied on
+``BiPoly``'s arithmetic, so one call checks one operator pair against
+``lie_bracket`` with ``==``.  The nested bracket of a word n1...nr is
 left-nested with the last letter outermost:
 [B_{nr}, [B_{n_{r-1}}, ..., [B_{n2}, B_{n1}]...]].  This nesting order is
 fixed project-wide.
@@ -241,13 +243,16 @@ def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation._of(out)
 
 
-def bracket_oracle(d1: Derivation, d2: Derivation, p: BiPoly) -> BiPoly:
-    """Independent check value: d1(d2(p)) - d2(d1(p)) by double application.
+def bracket_oracle(d1: Derivation, d2: Derivation) -> Derivation:
+    """Independent check route: [d1, d2] by double application to x and y.
 
-    Each operator's ``dx`` and ``dy`` views are built once and applied twice.
+    The bracket's d/dx part is d1(d2.dx) - d2(d1.dx) and its d/dy part
+    d1(d2.dy) - d2(d1.dy), on ``BiPoly`` arithmetic; each operator's two
+    views are built once.  ``lie_bracket`` is not called.
     """
     x1, y1, x2, y2 = d1.dx, d1.dy, d2.dx, d2.dy
-    return _apply(x1, y1, _apply(x2, y2, p)) - _apply(x2, y2, _apply(x1, y1, p))
+    return Derivation(_apply(x1, y1, x2) - _apply(x2, y2, x1),
+                      _apply(x1, y1, y2) - _apply(x2, y2, y1))
 
 
 def _apply(dx: BiPoly, dy: BiPoly, p: BiPoly) -> BiPoly:

@@ -106,7 +106,7 @@ class PlanarField(Record):
         try:
             with open(path) as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
             raise InputError(f"cannot read field file {path}: {exc}") from exc
         return PlanarField.from_json_obj(obj)
 

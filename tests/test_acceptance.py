@@ -134,7 +134,8 @@ def test_criterion_10_oracle_equivalence():
 
         i = rng.randint(0, 8)
         p = BiPoly.monomial(i, rng.randint(0, 8 - i))
-        if lie_bracket(d1, d2).apply(p) != bracket_oracle(d1, d2, p):
+        br = lie_bracket(d1, d2)
+        if br != bracket_oracle(d1, d2) or br.apply(p) != d1.apply(d2.apply(p)) - d2.apply(d1.apply(p)):
             ok = False
             break
     check(10, "1000 random bracket/oracle agreement triples", ok)

@@ -161,7 +161,7 @@ def test_scan_periods_non_returning_orbit(runner, tmp_path):
 
 
 def test_scan_periods_tiny_radius(runner):
-    # at r0 = 1e-320 the absolute tolerance tol * r0 * 1e-3 underflows to 0
+    # at r0 = 1e-320 the absolute tolerance max(tol, 1e-13) * r0 * 1e-3 underflows to 0
     result = runner.invoke(main, ["scan-periods", "--input", CUBIC, "--radii", "1e-320"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
@@ -280,6 +280,38 @@ def test_error_line_bytes(runner, args, stderr):
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert result.stderr == f"error: {stderr}\n"
     assert result.stdout == ""
+
+
+UNREADABLE_JSON = {
+    "not_utf8.json": b'{"degree": 2, "coefficients": ["\xff"]}',
+    "deep.json": b"[" * 200_000 + b"]" * 200_000,
+    "long_int.json": b'{"degree": 2, "coefficients": [], "n": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze", "scan-periods"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_undecodable_field_file_is_an_error_line(runner, tmp_path, command, name):
+    # bytes json cannot decode: not UTF-8, nested past the recursion limit,
+    # an integer literal past the interpreter's digit limit
+    path = tmp_path / name
+    path.write_bytes(UNREADABLE_JSON[name])
+    result = runner.invoke(main, [command, "--input", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr.startswith(f"error: cannot read field file {path}: ")
+    assert "Traceback" not in result.output
+
+
+def test_coefficient_beyond_double_range(runner, tmp_path):
+    # exact commands take p_{2,0} = 10^400; the period oracle cannot
+    path = write_field(tmp_path, "huge.json", 2, {(2, 0): f"{10 ** 400}/1+0/1i"})
+    for command in ("classify", "analyze"):
+        assert runner.invoke(main, [command, "--input", path]).exit_code == 0
+    result = runner.invoke(main, ["scan-periods", "--input", path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr == "error: coefficient p_{2,0} is beyond the range of a double\n"
 
 
 def test_keyboard_interrupt_aborts(runner, monkeypatch):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from isocenter.algebra import GaussianRational
+from isocenter import conditions
+from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.conditions import (
     check_cauchy_riemann,
     check_uniform,
@@ -11,7 +12,7 @@ from isocenter.conditions import (
     geometric_complexity,
     homogeneous_uniform_verdict,
 )
-from isocenter.errors import InputError
+from isocenter.errors import InputError, InternalInconsistencyError
 from isocenter.lie_analysis import central_series
 from isocenter.prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
 from isocenter.prepared import PlanarField, decompose
@@ -201,3 +202,19 @@ def test_sparse_relations_match_dense_loops():
             f = random_ui_homogeneous(rng, d)
         assert check_uniform(f).failing_relations == dense_uniform_relations(f)
         assert check_cauchy_riemann(f).failing_relations == dense_cr_relations(f)
+
+
+def test_disagreeing_routes_raise_with_the_checker_message(monkeypatch):
+    # each checker's relation route is made to disagree with its identity route
+    with monkeypatch.context() as m:
+        m.setattr(conditions, "_uniform_relations", lambda f: [])
+        with pytest.raises(InternalInconsistencyError) as exc:
+            check_uniform(quadratic(1, 1, 3))
+    assert str(exc.value) == (
+        "uniform-isochronicity routes disagree: identity=False, relations_failing=0"
+    )
+    with monkeypatch.context() as m:
+        m.setattr(BiPoly, "partial", lambda p, var: BiPoly())
+        with pytest.raises(InternalInconsistencyError) as exc:
+            check_cauchy_riemann(quadratic(1, 1, 3))
+    assert str(exc.value) == "Cauchy-Riemann routes disagree: identity=True, relations_failing=2"

@@ -522,17 +522,15 @@ def test_exact_hot_path_builds_no_scalar_object():
     assert built == entered["_triple"] == 2 * len(d.raw)
     # the double-application oracle runs on BiPoly's ints throughout
     ops = list(a.entries.values())
-    polys = (BiPoly.monomial(1, 0), BiPoly.monomial(0, 1), dx * dy + dx)
     nonzero = 0
     for d1, d2 in product(ops[:5], repeat=2):
-        for p in polys:
-            got, built, entered = scalar_work(lambda: bracket_oracle(d1, d2, p))
-            assert got == lie_bracket(d1, d2).apply(p)
-            # BiPoly's own methods and its two triple helpers, no scalar code
-            assert built == 0, entered
-            assert all(k.startswith("BiPoly.") or k in ("_lowest", "_add_into") for k in entered), entered
-            nonzero += bool(got)
-    assert nonzero >= 20
+        got, built, entered = scalar_work(lambda: bracket_oracle(d1, d2))
+        assert got == lie_bracket(d1, d2)
+        # BiPoly's own methods and its two triple helpers, no scalar code
+        assert built == 0, entered
+        assert all(k.startswith("BiPoly.") or k in ("_lowest", "_add_into") for k in entered), entered
+        nonzero += bool(got)
+    assert nonzero >= 15
 
 
 def test_cr_structural_predicate_matches_object_route():

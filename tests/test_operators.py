@@ -7,7 +7,17 @@ from math import gcd, lcm
 import pytest
 
 from isocenter.algebra import ZERO, BiPoly, GaussianRational, X, Y
+from isocenter import operators
 from isocenter.errors import InputError
+from isocenter.lemmas import (
+    extreme_pair_bracket,
+    extreme_pair_ops,
+    lemma_bracket_formulas,
+    lemma_quadratic_bracket,
+    quadratic_display_bracket,
+    transpose_pair_bracket,
+    transpose_pair_ops,
+)
 from isocenter.lie_analysis import _independent
 from isocenter.operators import (
     ZERO_DERIVATION,
@@ -89,21 +99,64 @@ def test_homogeneity_of_action():
             assert set(image.terms) == {(m[0] + n1, m[1] + n2)}
 
 
-def test_bracket_oracle_equivalence_small(monkeypatch):
-    # the oracle builds each operator's dx and dy views once per call
+def double_application(d1, d2, p):
+    """d1(d2(p)) - d2(d1(p)), the bracket's action on p by its definition."""
+    return d1.apply(d2.apply(p)) - d2.apply(d1.apply(p))
+
+
+def count_view_builds(monkeypatch):
+    """Counter of (id of the operator, "dx" or "dy") per view built from now on."""
     built = Counter()
     for view in ("dx", "dy"):
         build = getattr(Derivation, view).fget
         monkeypatch.setattr(Derivation, view, property(
             lambda d, build=build, view=view: built.update([(id(d), view)]) or build(d)))
+    return built
+
+
+def test_bracket_oracle_equivalence_small(monkeypatch):
+    # the oracle builds each operator's dx and dy views once per call
+    built = count_view_builds(monkeypatch)
     rng = random.Random(19)
     for _ in range(50):
         d1, d2 = random_hom_op(rng), random_hom_op(rng)
         p = BiPoly.monomial(rng.randint(0, 4), rng.randint(0, 4))
         built.clear()
-        got = bracket_oracle(d1, d2, p)
+        got = bracket_oracle(d1, d2)
         assert built == Counter({(id(d), view): 1 for d in (d1, d2) for view in ("dx", "dy")})
-        assert lie_bracket(d1, d2).apply(p) == got
+        br = lie_bracket(d1, d2)
+        assert br == got
+        assert br.apply(p) == double_application(d1, d2, p)
+
+
+def test_bracket_oracle_does_not_call_lie_bracket(monkeypatch):
+    # the two routes are independent: with the closed form unavailable, the
+    # oracle still returns the lemmas' closed-form brackets
+    def refuse(d1, d2):
+        raise AssertionError("bracket_oracle called lie_bracket")
+
+    monkeypatch.setattr(operators, "lie_bracket", refuse)
+    rng = random.Random(31)
+    for n in range(2, 6):
+        p0n = random_scalar(rng) or G(1)
+        assert bracket_oracle(*extreme_pair_ops(n, p0n)) == extreme_pair_bracket(n, p0n)
+        for i in range(1, n + 1):
+            a, c = random_scalar(rng), random_scalar(rng)
+            assert bracket_oracle(*transpose_pair_ops(n, i, a, c)) == transpose_pair_bracket(n, i, a, c)
+    p20, p11, p02 = (random_scalar(rng) or G(1, 1) for _ in range(3))
+    ops = decompose(quadratic(p20, p11, p02))
+    assert bracket_oracle(ops[(1, 0)], ops[(0, 1)]) == quadratic_display_bracket(p20, p11)
+
+
+def test_lemmas_call_the_oracle_once_per_operator_pair(monkeypatch):
+    # each pair's four views are built once, by its one oracle call; the
+    # closed form and the expected operators build none
+    built = count_view_builds(monkeypatch)
+    for run, seed, pairs in ((lemma_bracket_formulas, 1, 1250), (lemma_quadratic_bracket, 0, 100)):
+        built.clear()
+        assert run(seed).passed
+        views = Counter(view for _, view in built.elements())
+        assert views == Counter(dx=2 * pairs, dy=2 * pairs)
 
 
 def op_with_letter(rng, n):
@@ -133,8 +186,9 @@ def test_multi_letter_bracket_matches_oracle():
         d1, d2 = random_sum_op(rng), random_sum_op(rng)
         multi += d1.letter is None and bool(d1)
         br = lie_bracket(d1, d2)
+        assert br == bracket_oracle(d1, d2)
         for p in (X, Y, BiPoly.monomial(rng.randint(0, 4), rng.randint(0, 4))):
-            assert br.apply(p) == bracket_oracle(d1, d2, p)
+            assert br.apply(p) == double_application(d1, d2, p)
     assert multi >= 20
 
 
@@ -169,8 +223,7 @@ def test_lie_bracket_of_pairs_with_vanishing_s_and_t_matches_oracle():
     for _ in range(500):
         d1, d2 = cancelling_op(rng), cancelling_op(rng)
         seen += vanishing(d1, d2)
-        br = lie_bracket(d1, d2)
-        assert br.dx == bracket_oracle(d1, d2, X) and br.dy == bracket_oracle(d1, d2, Y)
+        assert lie_bracket(d1, d2) == bracket_oracle(d1, d2)
     # the x-family against the y-family of a Cauchy-Riemann alphabet
     for d in (2, 3, 4, 5):
         a = decompose(random_cr_field(rng, d))
@@ -178,7 +231,7 @@ def test_lie_bracket_of_pairs_with_vanishing_s_and_t_matches_oracle():
             (kind,) = vanishing(a[n], a[m])
             seen["CR " + kind] += 1
             br = lie_bracket(a[n], a[m])
-            assert br.dx == bracket_oracle(a[n], a[m], X) and br.dy == bracket_oracle(a[n], a[m], Y)
+            assert br == bracket_oracle(a[n], a[m])
             assert kind != "both" or not br
     assert all(seen[k] >= 80 for k in ("both", "s only", "t only", "neither")), seen
     assert seen["CR both"] >= 20, seen
@@ -200,10 +253,11 @@ def test_polynomial_views_roundtrip():
 def test_bracket_oracle_trivial_cases():
     d = hom_op((1, 0), BiPoly.monomial(2, 0), BiPoly())
     xy = BiPoly.monomial(1, 1)
-    assert not bracket_oracle(d, d, xy)
+    assert not bracket_oracle(d, d)
     xdx = Derivation(X, BiPoly())
     ydy = Derivation(BiPoly(), Y)
-    assert not bracket_oracle(xdx, ydy, xy)
+    assert not bracket_oracle(xdx, ydy)
+    assert not double_application(xdx, ydy, xy)
 
 
 def test_extreme_pair_bracket_instance():
@@ -224,8 +278,7 @@ def test_nested_bracket_conventions():
     word = ((1, 0), (0, 1))
     br = nested_bracket(word, ops)
     d_inner, d_outer = ops[(1, 0)], ops[(0, 1)]
-    assert br.dx == bracket_oracle(d_outer, d_inner, X)
-    assert br.dy == bracket_oracle(d_outer, d_inner, Y)
+    assert br == bracket_oracle(d_outer, d_inner)
     assert br
 
 
