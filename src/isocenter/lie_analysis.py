@@ -22,6 +22,16 @@ and its pair witnesses are read off its levels; the projection sum reads
 it up to level L-1 (level 1 when L is 1) and brackets level L once per
 letter.
 
+The tree is the alphabet's comould: its brackets depend on the alphabet
+alone, never on a mould.  So it is built once, a level at a time as its
+levels are first asked for, and kept on the ``Alphabet`` while the
+alphabet lives: one full tree, shared by every length bound and by the
+central series, and one tree pruned to resonant words per bound, since
+that pruning depends on the bound.  Each entry records the index of its
+parent, along which the projection sum takes a mould's fold states.  The
+memory retained is that of the largest trees asked for; dropping the
+alphabet frees it.
+
 ``central_series``, ``enumerate_resonant_words`` and
 ``resonant_subset_trivial`` run with the cyclic garbage collector paused,
 and restore its state on return or raise.  What they build is tuples,
@@ -36,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import gc
-from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import InputError
@@ -100,18 +109,19 @@ def central_series(a: Alphabet, depth: int) -> SeriesReport:
     class of level k >= 2 listed as its bracket d and then -d.  Stops
     early at an empty level; no linear-independence reduction is made.
     The witnesses are the nonzero [B_n, B_m] with n before m: the level-2
-    entries (m, n), in order.
+    entries (m, n), in order.  The levels are read off the alphabet's kept
+    tree, so a later series or verdict on the same alphabet brackets no
+    letter pair again.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     tree = iter_bracket_levels(a, max(depth, 2))
-    levels = [[d for _, _, d in next(tree)]]
+    levels = [[d for _, _, d, _ in next(tree)]]
     pairs = next(tree)
-    witnesses = [((n, m), d) for (m, n), _, d in pairs]
-    for level in chain([pairs], tree):
-        if len(levels) == depth or not levels[-1]:
-            break
-        levels.append([e for _, _, d in level for e in (d, -d)])
+    witnesses = [((n, m), d) for (m, n), _, d, _ in pairs]
+    while len(levels) < depth and levels[-1]:  # so the level after an empty one is never built
+        level = pairs if len(levels) == 1 else next(tree)
+        levels.append([e for _, _, d, _ in level for e in (d, -d)])
     return SeriesReport(levels=levels, nilpotent_order1=not witnesses, witnesses=witnesses)
 
 
@@ -125,51 +135,57 @@ def _reach(a: Alphabet, max_len: int) -> list[set[int]]:
     return reach
 
 
-def iter_bracket_levels(
-    a: Alphabet, max_len: int, resonant_only: bool = False, fold: tuple | None = None
-) -> Iterator[list[tuple]]:
+def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) -> Iterator[list[tuple]]:
     """Yield the prefix tree level by level, word lengths 1..max_len.
 
-    Level r lists (word, weight, nested bracket) entries with a nonzero
-    bracket, so no zero subtree is formed.  Level 1 is the letters.  From
-    level 2 on an entry (w, weight, d) stands for its swap-twin class: w,
-    and ``twin(w)`` with the same weight and bracket -d.  Level 2 is the
-    pairs (m, n) with n before m; level r+1 extends every level-r entry by
-    every letter, letter-major, as twin(w) + (n,) is twin(w + (n,)).  So
-    each word with a nonzero bracket is stood for exactly once.  With
-    ``resonant_only`` an entry is also skipped when no extension within
-    the length bound brings its weight back to zero.  A level is built
-    only when asked for.
+    Level r lists (word, weight, nested bracket, link) entries with a
+    nonzero bracket, so no zero subtree is formed.  Level 1 is the
+    letters, with link None.  From level 2 on an entry (w, weight, d,
+    link) stands for its swap-twin class: w, and ``twin(w)`` with the same
+    weight and bracket -d.  Level 2 is the pairs (m, n) with n before m,
+    linked to (i, j), the indices of m and n in level 1.  Level r+1
+    extends every level-r entry by every letter, letter-major, as
+    twin(w) + (n,) is twin(w + (n,)), and is linked to the index of the
+    entry it extends.  So each word with a nonzero bracket is stood for
+    exactly once.  With ``resonant_only`` an entry is also skipped when no
+    extension within the length bound brings its weight back to zero.
 
-    ``fold = (start, step)`` appends the fold states of w and twin(w): (n,)
-    gets step(start, n) and None, (m, n) gets step(s_m, n) and step(s_n, m),
-    and w + (n,) one step from each of w's.
+    The levels are kept on the alphabet (see the module docstring): the
+    full tree for every bound, the resonant one per bound.  A level is
+    built only when it is first asked for, and never again.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
-    start, step = fold or (None, None)
-    reach = _reach(a, max_len) if resonant_only else None
-    keep = reach[max_len - 1] if reach else None
-    level = [((n,), weight(n), a[n]) for n in a if a[n] and (not keep or -weight(n) in keep)]
-    if step:
-        level = [e + (step(start, e[0][0]), None) for e in level]
-    yield level
-    first = level  # no word of the tree has a letter outside level 1
-    for left in range(max_len - 2, -1, -1):
-        nxt = []
-        for j, ((n,), wn, op, *sn) in enumerate(first):
-            # level 2 extends only the letters after n; later levels every entry
-            for word, w, d, *st in first[j + 1:] if level is first else level:
-                if reach and -(w + wn) not in reach[left]:
-                    continue
-                br = lie_bracket(op, d)
-                if br:
-                    if step:  # the states of word + (n,) and of its twin
-                        t = step(sn[0], word[0]) if level is first else step(st[1], n)
-                        st = step(st[0], n), t
-                    nxt.append((word + (n,), w + wn, br, *st))
-        level = nxt
-        yield level
+    key = max_len if resonant_only else 0
+    if key not in a._trees:
+        a._trees[key] = [], _reach(a, max_len) if resonant_only else None
+    levels, reach = a._trees[key]
+    for r in range(max_len):
+        if r == len(levels):
+            levels.append(_grow(a, levels, None if reach is None else reach[max_len - r - 1]))
+        yield levels[r]
+
+
+def _grow(a: Alphabet, levels: list[list[tuple]], keep: set[int] | None) -> list[tuple]:
+    """The tree's level after ``levels``, its levels so far.
+
+    ``keep`` is None for the full tree; for the resonant one an entry is
+    kept only if the negation of its weight is in ``keep``.
+    """
+    if not levels:
+        return [((n,), weight(n), a[n], None) for n in a if a[n] and (keep is None or -weight(n) in keep)]
+    first, level = levels[0], levels[-1]  # no word of the tree has a letter outside level 1
+    pairs = len(levels) == 1  # level 2 extends only the letters after n; later levels every entry
+    nxt = []
+    for j, ((n,), wn, op, _) in enumerate(first):
+        for i in range(j + 1 if pairs else 0, len(level)):
+            word, w, d, _ = level[i]
+            if keep is not None and -(w + wn) not in keep:
+                continue
+            br = lie_bracket(op, d)
+            if br:
+                nxt.append((word + (n,), w + wn, br, (i, j) if pairs else i))
+    return nxt
 
 
 def twin(word: Word) -> Word:

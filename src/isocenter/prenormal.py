@@ -7,7 +7,12 @@ sent to zero before the user function is consulted.  The projection sum
 has two routes: a mould that knows a finite word set off which it is zero
 (``indicator_mould``, ``table_mould``) is summed one nested bracket per
 support word, and every other mould by the prefix tree of
-``iter_bracket_levels``.
+``iter_bracket_levels``.  That tree, the brackets [B_w] of the comould,
+depends on the alphabet alone: it is built once and kept on the
+``Alphabet`` while the alphabet lives, so the sums of many moulds over one
+alphabet bracket its words once.  The memory retained is that of the
+largest trees asked for; dropping the alphabet frees it.  Each sum takes
+its mould's fold states along the tree's parent links.
 """
 
 from __future__ import annotations
@@ -157,11 +162,15 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     for w and twin(w), whose bracket is -d, so it is weighted by
     M(w) - M(twin w), the unreduced difference of the two finished
     triples.  Every weight, 1/r factor included, is an integer triple
-    that ``linear_combination`` reduces with one gcd per term.  The
-    entries carry the mould's fold states of w and twin(w), so a deeper
-    word costs one ``step`` per lineage.  Below the deepest level L the
-    mould is finished only on nonzero brackets, and with resonant support
-    only at weight zero.  Level L uses bilinearity in the last letter:
+    that ``linear_combination`` reduces with one gcd per term.  The tree
+    is the alphabet's comould, built on the first sum (or central series)
+    that needs it and kept on the alphabet, so a repeat sum brackets no
+    tree word.  The mould's fold states of w and twin(w) are taken level by
+    level, each one ``step`` from those of the entry's parent, which the
+    entry's link names, so a deeper word costs one ``step`` per lineage.
+    Below the deepest level L the mould is finished only on nonzero
+    brackets, and with resonant support only at weight zero.  Level L uses
+    bilinearity in the last letter:
 
         sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
 
@@ -180,12 +189,13 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     if m.support is not None:
         return _support_sum(m, a, max_len)
     resonant, step, finish = m.support_resonant_only, m.step, m.finish
-    levels = iter_bracket_levels(a, max_len, resonant, (m.start, step))
-    sums = []
+    levels = iter_bracket_levels(a, max_len, resonant)
+    sums, states = [], []
     # every level but the deepest, entry by entry; at max_len 1 that is the only level
     for r, level in enumerate(islice(levels, max(max_len - 1, 1)), 1):
+        states = _states(level, states, r, m.start, step)
         values = ((_class_value(finish, s, t, r > 1), d)
-                  for _, w, d, s, t in level if not (resonant and w))
+                  for (_, w, d, _), (s, t) in zip(level, states) if not (resonant and w))
         sums.append(linear_combination(values))
     if max_len > 1:
         twinned = max_len > 2  # the entries u of level L-1 are twin classes
@@ -193,11 +203,30 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         for n in a.letters():
             wn = weight(n)
             ends = ((_class_value(finish, step(s, n), twinned and step(t, n), twinned), d)
-                    for _, w, d, s, t in level if not (resonant and w + wn))
+                    for (_, w, d, _), (s, t) in zip(level, states) if not (resonant and w + wn))
             by_letter[n] = linear_combination(ends)
         brackets = (((1, 0, 1), lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
     return linear_combination(((1, 0, r), s) for r, s in enumerate(sums, 1))
+
+
+def _states(level: list[tuple], parents: list[tuple], r: int, start, step: Callable) -> list[tuple]:
+    """The fold states (s, t) of each level-r entry's word w and of twin(w).
+
+    Each is one ``step`` from the state of the entry's parent, read off
+    ``parents``, the states of level r-1, at the index its link gives.  At
+    level 1 t is None.  A pair (m, n) steps from the state of m, and its
+    twin (n, m) from that of n; a longer w + (n,) steps from both of w's.
+    """
+    if r == 1:
+        return [(step(start, n), None) for (n,), _, _, _ in level]
+    if r == 2:
+        return [(step(parents[i][0], n), step(parents[j][0], m)) for (m, n), _, _, (i, j) in level]
+    out = []
+    for word, _, _, i in level:
+        s, t = parents[i]
+        out.append((step(s, word[-1]), step(t, word[-1])))
+    return out
 
 
 def _support_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:

@@ -112,13 +112,26 @@ class PlanarField(Record):
 
 
 class Alphabet(Record):
-    """Letters with their (nonzero) homogeneous operators, in grlex letter order."""
+    """Letters with their (nonzero) homogeneous operators, in grlex letter order.
 
-    __slots__ = ("entries",)
+    The private slot ``_trees`` holds the alphabet's comould: the nested
+    brackets of the prefix tree that ``lie_analysis.iter_bracket_levels``
+    builds on first use, level by level, and keeps while the alphabet
+    lives, so every later central series or projection sum over it reads
+    them back.  The full tree is kept under the key 0, and the tree pruned
+    for resonant words of at most L letters under L.  The memory retained
+    is that of the largest trees asked for; dropping the alphabet frees
+    it.  ``_trees`` is not a field: ``==``, ``repr``, copy and pickle see
+    ``entries`` only, and a copy starts with no tree.  The trees grow
+    without a lock, so two threads must not use one alphabet at once.
+    """
+
+    __slots__ = ("entries", "_trees")
 
     def __init__(self, entries: Mapping[Letter, Derivation] | None = None):
         entries = entries or {}
         self._fill({letter: entries[letter] for letter in sorted(entries, key=grlex_key)})
+        object.__setattr__(self, "_trees", {})
 
     def letters(self) -> list[Letter]:
         return list(self.entries)

@@ -12,7 +12,7 @@ from test_numverify import run_fresh
 from isocenter import lie_analysis, operators, prenormal
 from isocenter.algebra import ZERO, GaussianRational
 from isocenter.errors import InputError
-from isocenter.lie_analysis import iter_bracket_levels, resonant_subset_trivial, twin
+from isocenter.lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial, twin
 from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
@@ -283,6 +283,15 @@ def test_projection_sum_matches_brute_force():
             table,
             Mould(lambda w, m1=full, m2=table: m1.value(w) + m2.value(w)),
         ]
+        # one alphabet instance, which keeps its trees, at every L up to
+        # max_len in shuffled order and with both supports: a tree pruned
+        # for one L and served at another would differ from a fresh
+        # alphabet's sum and from the brute force
+        for L in random.Random(k).sample(range(1, max_len + 1), max_len):
+            shorter = [(w, d) for w, d in brackets if len(w) <= L]
+            for m in moulds[:2]:
+                got = projection_sum(m, a, L)
+                assert got == projection_sum(m, Alphabet(a.entries), L) == brute_projection_sum(m, shorter)
         for m in moulds:
             got = projection_sum(m, a, max_len)
             assert got == brute_projection_sum(m, brackets)
@@ -397,6 +406,65 @@ def test_projection_sum_brackets_each_swap_twin_pair_once(monkeypatch):
     assert projection_sum(random_mould(3, support_resonant_only=False), a, 4)
     assert k == 9 and pairs > 0
     assert tree[0] == k * (k - 1) // 2 + k * pairs and last[0] <= k
+
+
+def test_projection_sum_reuses_the_alphabets_tree(monkeypatch):
+    # the tree is kept on the alphabet, so a sum of another mould over it
+    # makes no tree bracket and no _reach: only the deepest level's
+    # [B_n, S_n], at most one per letter, with either support
+    a = decompose(random_field(random.Random(18), 3, density=1))
+    fresh = Alphabet(a.entries)
+    want = {resonant: projection_sum(random_mould(5, resonant), fresh, 4) for resonant in (False, True)}
+    for resonant in (False, True):
+        assert projection_sum(random_mould(3, resonant), a, 4)
+    calls = [0]
+
+    def refuse(*args):
+        raise AssertionError("the tree was built again")
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", refuse)
+    monkeypatch.setattr(lie_analysis, "_reach", refuse)
+    monkeypatch.setattr(prenormal, "lie_bracket", counted)
+    for resonant in (False, True):
+        calls[0] = 0
+        assert projection_sum(random_mould(5, resonant), a, 4) == want[resonant]
+        assert 0 < calls[0] <= len(a)
+
+
+def test_analyze_brackets_each_letter_pair_once(monkeypatch):
+    # analyze's calls on a UI-homogeneous alphabet of even degree, which is
+    # order-1 nilpotent with no weight-zero letter: central_series(a, 3)
+    # brackets each unordered letter pair once and stops at the empty level
+    # 2 without building level 3; structural_linearisability(a, 6) reaches
+    # the nilpotent route and reads level 2 back from the alphabet, so it
+    # makes only the brackets of its resonance test
+    a = decompose(random_ui_homogeneous(random.Random(24), 6))
+    k = len(a)
+    calls, grown = [0], [0]
+    grow = lie_analysis._grow
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    def counted_grow(*args):
+        grown[0] += 1
+        return grow(*args)
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    monkeypatch.setattr(lie_analysis, "_grow", counted_grow)
+    assert [len(level) for level in central_series(a, 3).levels] == [k, 0]
+    assert calls[0] == k * (k - 1) // 2 and grown[0] == 2
+    calls[0] = 0
+    assert resonant_subset_trivial(Alphabet(a.entries), 6).all_brackets_zero
+    resonance, calls[0] = calls[0], 0
+    assert structural_linearisability(a, 6) == LINEARISABLE_STRUCTURAL
+    assert calls[0] == resonance and grown[0] == 2
+    assert k == 6 and not a.resonant_letters()
 
 
 OUTSIDE = (9, -1)  # no letter of a random_alphabet, whose degree is at most 4

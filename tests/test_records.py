@@ -11,11 +11,12 @@ from isocenter.algebra import GaussianRational
 from isocenter.conditions import ConditionVerdict, GeomComplexity
 from isocenter.errors import InputError
 from isocenter.lemmas import LemmaResult
-from isocenter.lie_analysis import ResonanceReport, SeriesReport
+from isocenter.lie_analysis import ResonanceReport, SeriesReport, central_series
 from isocenter.operators import Derivation
-from isocenter.prepared import Alphabet, PlanarField
+from isocenter.prenormal import projection_sum, random_mould
+from isocenter.prepared import Alphabet, PlanarField, decompose
 from isocenter.records import Record
-from isocenter.samples import random_hom_op
+from isocenter.samples import quadratic, random_hom_op
 
 OPS = [random_hom_op(random.Random(k)) for k in range(3)]
 HALF = GaussianRational(1, 2)
@@ -65,6 +66,28 @@ def test_hash_follows_the_values():
     assert {LemmaResult("a", True), LemmaResult("a", True)} == {LemmaResult("a", True)}
     with pytest.raises(TypeError):  # a dict field is unhashable
         hash(PlanarField(2, {}))
+
+
+def test_alphabet_trees_are_not_a_field():
+    # the bracket trees an alphabet keeps are private state: a used alphabet
+    # equals a fresh one and prints alike, a copy or a pickle round trip of
+    # it is equal and starts with no tree, and it is as unhashable and as
+    # closed to assignment as before
+    a = decompose(quadratic(1, 2, 3))
+    fresh = Alphabet(a.entries)
+    central_series(a, 3)
+    for resonant in (False, True):
+        projection_sum(random_mould(1, resonant), a, 4)
+    assert set(a._trees) == {0, 4} and fresh._trees == {}
+    assert a == fresh and not a != fresh and repr(a) == repr(fresh)
+    for b in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and b.entries == a.entries and b._trees == {}
+    with pytest.raises(TypeError):
+        hash(a)
+    for name in ("entries", "_trees"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, None)
+    assert set(a._trees) == {0, 4}
 
 
 def test_defaults_are_fresh_per_instance():
