@@ -12,8 +12,17 @@ a space V_{r,g} of dimension at most 2, and
 
 Left-normed brackets span the algebra the letters generate (Reutenauer,
 *Free Lie Algebras*, 1993), so the resonance verdict is read off these
-spans grade by grade instead of walking every word.  Resonant words are
-listed by joining half-words through a table keyed by weight.
+spans grade by grade instead of walking every word.  The spans are built
+inside the components of the non-commutation graph, whose edges are the
+nonzero letter-pair brackets of the tree's level 2: ad_{B_n} is a
+derivation, so [B_n, B_w] = 0 when B_n commutes with every letter of w,
+and the letters of a word with a nonzero bracket all lie in one
+component.  A component whose weights share one sign has no resonant
+word, and each prefix of a resonant word with a nonzero bracket is
+brought back to weight zero by letters of its own component, so the
+verdict brackets no other prefix; the length-2 spans are read off level
+2.  Resonant words are listed by joining half-words through a table
+keyed by weight.
 ``iter_bracket_levels`` is the one traversal of the word prefix tree.
 Swapping the first two letters of a word negates its bracket, so from
 level 2 on each entry stands for a swap-twin class {w, twin(w)}: the
@@ -125,9 +134,9 @@ def central_series(a: Alphabet, depth: int) -> SeriesReport:
     return SeriesReport(levels=levels, nilpotent_order1=not witnesses, witnesses=witnesses)
 
 
-def _reach(a: Alphabet, max_len: int) -> list[set[int]]:
-    """reach[k] is the set of weights of the words of at most k letters."""
-    weights = {weight(n) for n in a}
+def _reach(weights: set[int], max_len: int) -> list[set[int]]:
+    """reach[k] is the set of weights of the words of at most k letters
+    whose letters have the given weights."""
     sums, reach = {0}, [{0}]
     for _ in range(max_len):
         sums = {s + w for s in sums for w in weights}
@@ -158,7 +167,7 @@ def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) 
         raise InputError(f"max_len must be >= 1, got {max_len}")
     key = max_len if resonant_only else 0
     if key not in a._trees:
-        a._trees[key] = [], _reach(a, max_len) if resonant_only else None
+        a._trees[key] = [], _reach({weight(n) for n in a}, max_len) if resonant_only else None
     levels, reach = a._trees[key]
     for r in range(max_len):
         if r == len(levels):
@@ -208,7 +217,7 @@ def enumerate_resonant_words(a: Alphabet, max_len: int) -> list[Word]:
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
     letters = sorted((n, weight(n)) for n in a)
-    reach = _reach(a, max_len)
+    reach = _reach({wn for _, wn in letters}, max_len)
     halves = [[((), 0)]]
     for k in range(1, (max_len + 1) // 2 + 1):
         keep = reach[max_len - k]
@@ -241,40 +250,92 @@ def _independent(basis: list[tuple[Word, Derivation]], letter: Letter, v: Deriva
             or (pa * sb + pb * sa) * f != (qa * rb + qb * ra) * g)
 
 
+def _components(first: list[tuple], pairs: list[tuple]) -> dict[Letter, list[Letter]]:
+    """Each letter of the tree's level 1 mapped to its component's letters.
+
+    The components are those of the non-commutation graph: the letters,
+    joined by an edge for each nonzero pair bracket, that is for each
+    entry of level 2.  A component's letters are listed in letter order,
+    and all its letters map to the one list.
+    """
+    parent = {n: n for (n,), *_ in first}
+
+    def root(n: Letter) -> Letter:
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for (m, n), *_ in pairs:
+        parent[root(m)] = root(n)
+    groups: dict[Letter, list[Letter]] = {}
+    for n in parent:
+        groups.setdefault(root(n), []).append(n)
+    return {n: groups[root(n)] for n in parent}
+
+
 def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivation]]:
     """Basis of the first nonzero resonant span V_{r,(k,k)}, r <= max_len.
 
-    Builds the spans length by length, each cell a basis of word brackets
-    keyed by multidegree.  A cell is kept only if at most max_len - r
-    more letters can bring its weight back to zero.  Returns [] when every
-    resonant span up to the bound is zero.
+    A weight-zero letter is returned at once, before any bracket.  Else
+    the spans are built length by length inside the components of the
+    non-commutation graph, read off the alphabet's level 2: ad_{B_n} is a
+    derivation, so [B_n, B_w] = 0 when B_n commutes with every letter of
+    w, and the letters of a word with a nonzero bracket all lie in one
+    component.  Each cell is a basis of word brackets keyed by component
+    and multidegree.  A cell is kept only if at most max_len - r more
+    letters of its component can bring its weight back to zero, so a
+    component whose weights share one sign makes no cell, and every
+    prefix of a resonant word with a nonzero bracket passes.  The length-2 cells take their brackets
+    from level 2, d for the entry (m, n) and -d for its twin, and each
+    cell is extended by the letters of its own component only.  The
+    spans at the first resonant multidegree are joined over components.
+    Returns [] when every resonant span up to the bound is zero.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
-    letters = a.letters()
-    reach = _reach(a, max_len)
-    cells = {n: [((n,), a[n])] for n in letters if a[n] and -weight(n) in reach[max_len - 1]}
-    for r in range(1, max_len + 1):
-        resonant = sorted(g for g in cells if g[0] == g[1])
-        if resonant:
-            return cells[resonant[0]]
-        if r == max_len or not cells:
-            break
-        keep = reach[max_len - r - 1]
+    for n in a:
+        if not weight(n) and a[n]:
+            return [((n,), a[n])]
+    if max_len == 1:
+        return []
+    first, pairs = iter_bracket_levels(a, 2)
+    part = _components(first, pairs)
+    reach = {}  # component key (its first letter) -> _reach, for components of both signs
+    for letters in part.values():
+        weights = {weight(n) for n in letters}
+        if letters[0] not in reach and min(weights) < 0 < max(weights):
+            reach[letters[0]] = _reach(weights, max_len)
+    cells = {(part[n][0], n): [((n,), d)] for (n,), w, d, _ in first
+             if part[n][0] in reach and -w in reach[part[n][0]][max_len - 1]}
+    if not cells:
+        return []
+    brackets = {}  # every ordered letter pair with a nonzero bracket
+    for (m, n), _, d, _ in pairs:
+        brackets[m, n], brackets[n, m] = d, -d
+    for r in range(1, max_len):
         nxt = {}
-        for g, basis in cells.items():
-            for n in letters:
+        for (c, g), basis in cells.items():
+            keep = reach[c][max_len - r - 1]
+            for n in part[c]:
                 h = (g[0] + n[0], g[1] + n[1])
                 if h[1] - h[0] not in keep:
                     continue
-                cell = nxt.setdefault(h, [])
+                cell = nxt.setdefault((c, h), [])
                 for word, d in basis:
                     if len(cell) == 2:
                         break
-                    br = lie_bracket(a[n], d)
+                    br = brackets.get((word[0], n)) if r == 1 else lie_bracket(a[n], d)
                     if br and _independent(cell, h, br):
                         cell.append((word + (n,), br))
-        cells = {h: basis for h, basis in nxt.items() if basis}
+        cells = {key: basis for key, basis in nxt.items() if basis}
+        resonant = [h for _, h in cells if h[0] == h[1]]
+        if resonant:
+            k = min(resonant)
+            found: list[tuple[Word, Derivation]] = []
+            for word, d in [v for (_, h), basis in cells.items() if h == k for v in basis]:
+                if len(found) < 2 and _independent(found, k, d):
+                    found.append((word, d))
+            return found
     return []
 
 
@@ -283,7 +344,12 @@ def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     """Test whether every resonant nested bracket up to the length bound vanishes.
 
     For length-1 resonant words the "bracket" is the operator itself
-    (always nonzero by alphabet construction, hence always a witness).
+    (always nonzero by alphabet construction, hence always a witness), and
+    it is found before any bracket is made.  Longer ones are sought
+    within the components of the non-commutation graph only, as a nonzero
+    nested bracket never joins two of them; the letter-pair brackets are
+    read from the alphabet's level 2, so after a central series over the
+    same alphabet the verdict brackets no letter pair again.
     """
     witnesses = _first_resonant_basis(a, max_len)
     ok = not witnesses
@@ -295,14 +361,21 @@ def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
 
 
 def cr_structural_predicate(a: Alphabet) -> bool:
-    """Every operator is a monomial multiple of x^n d/dx or y^n d/dy.
+    """Every operator is a monomial multiple of x^{n+1} d/dx or y^{n+1} d/dy, n >= 1.
 
-    Under this shape the two surviving families commute with each other
-    and no resonant word of any length produces a nonzero nested bracket,
-    so a bounded all-zero verdict extends to all word lengths.
+    That is, each letter (n1, n2) has an x-part only, with n2 = 0 and
+    n1 >= 1, or a y-part only, with n1 = 0 and n2 >= 1.  The x-family and
+    the y-family commute with each other, so the letters of a word with a
+    nonzero nested bracket all lie in one family, and within a family the
+    weights all have one sign: +n1 for x, -n2 for y.  So no resonant word
+    of any length has a nonzero nested bracket, and a bounded all-zero
+    verdict extends to all word lengths.  Without n1 >= 1 and n2 >= 1 this
+    fails: the x-only letters (-1, 0) and (1, 0), that is d/dx and
+    x^2 d/dx, make the resonant word ((-1, 0), (1, 0)) with the nonzero
+    bracket -2x d/dx.
     """
     return all(
-        (not (ya or yb) and n2 == 0) or (not (xa or xb) and n1 == 0)
+        (not (ya or yb) and n2 == 0 and n1 >= 1) or (not (xa or xb) and n1 == 0 and n2 >= 1)
         for op in a.entries.values()
         for (n1, n2), (xa, xb, _, ya, yb, _) in op.raw.items()
     )

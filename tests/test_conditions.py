@@ -148,6 +148,24 @@ class TestGeometricComplexity:
         assert geometric_complexity("CR", 3).q == 3
         assert geometric_complexity("UI", 4).q == 5
         assert geometric_complexity("UI", 5).q == 7
+
+    def test_closed_forms_count_the_checkers_relations(self):
+        # a second route: on a generic homogeneous degree-d field every
+        # relation fails, so q is the number of failing relations that the
+        # checker emits, and ambient_dim is the number of coefficient slots
+        # (i, j) with 2 <= i+j <= d
+        rng = random.Random(57)
+        part = lambda: rng.choice((1, -1)) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        for d in range(2, 9):
+            f = PlanarField(degree=d, coefficients={(i, d - i): G(part(), part()) for i in range(d + 1)})
+            cr = check_cauchy_riemann(f).failing_relations
+            ui = homogeneous_uniform_verdict(f).failing_relations
+            assert all(res for _, res in cr + ui)  # the field is generic
+            slots = sum(1 for i in range(d + 1) for j in range(d + 1) if 2 <= i + j <= d)
+            for condition, failing in (("CR", cr), ("UI", ui)):
+                c = geometric_complexity(condition, d)
+                assert (c.q, c.m, c.ambient_dim) == (len(failing), 1, slots), (condition, d)
+            assert len(ui) == (d + 1 if d % 2 == 0 else d + 2)
         assert all(geometric_complexity(c, d).m == 1 for c in ("CR", "UI") for d in range(2, 9))
 
     def test_ambient_dimension(self):

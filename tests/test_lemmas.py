@@ -59,3 +59,28 @@ def test_lemma_draws_at_seed_0_are_pinned(monkeypatch):
     assert [r.name for r in results] == list(LEMMAS) == current
     assert all(r.passed for r in results)
     assert {lemma: (len(d), digest(d)) for lemma, d in draws.items()} == PINNED
+
+
+def test_holom_brackets_only_its_alphabets_letter_pairs(monkeypatch):
+    # lemma_holom's 200 alphabets are CR, whose families are components
+    # with weights of one sign: each verdict brackets its k letters' pairs
+    # once, k(k-1)/2, and nothing past level 2
+    from isocenter import lie_analysis
+    from isocenter.operators import lie_bracket
+
+    sizes, calls = [], [0]
+    decompose = lemmas.decompose
+
+    def recorded(f):
+        a = decompose(f)
+        sizes.append(len(a))
+        return a
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(lemmas, "decompose", recorded)
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    assert lemmas.lemma_holom(4).passed
+    assert len(sizes) == 200 and calls[0] == sum(k * (k - 1) // 2 for k in sizes) == 2500

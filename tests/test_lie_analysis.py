@@ -1,3 +1,4 @@
+import functools
 import gc
 import os
 import random
@@ -126,6 +127,27 @@ def test_cr_structural_predicate():
     rng = random.Random(1)
     assert cr_structural_predicate(decompose(random_cr_field(rng, 4)))
     assert not cr_structural_predicate(decompose(quadratic(1, 2, 0)))
+    # d/dx and x^2 d/dx are x-only, but their weights -1 and +1 cancel: the
+    # resonant word ((-1,0),(1,0)) has the bracket -2x d/dx, so no bound
+    # certifies all lengths
+    a = x_and_y_letters({-1: 1, 1: 1}, {})
+    word = ((-1, 0), (1, 0))
+    assert weight(word) == 0 and nested_bracket(word, a.entries) == Derivation.from_terms({(0, 0): (G(-2), G(0))})
+    assert not cr_structural_predicate(a) and not resonant_subset_trivial(a, 1).structurally_proven
+    assert structural_linearisability(a, 1) == structural_linearisability(a, 2) == "Unknown"
+    assert not cr_structural_predicate(x_and_y_letters({}, {-1: 1, 1: 2}))
+    assert not cr_structural_predicate(x_and_y_letters({0: 1}, {}))
+    assert cr_structural_predicate(x_and_y_letters({1: 1, 2: 3}, {1: 2}))
+    for d in range(2, 7):  # no decomposed CR field has such a letter
+        assert cr_structural_predicate(decompose(random_cr_field(rng, d)))
+
+
+def x_and_y_letters(x, y):
+    """The alphabet of the x-only letters (n, 0), n in x, with operator
+    x^{n+1} d/dx, and the y-only letters (0, n), n in y, with y^{n+1} d/dy."""
+    entries = {(n, 0): Derivation.from_terms({(n, 0): (G(x[n]), G(0))}) for n in x}
+    entries.update({(0, n): Derivation.from_terms({(0, n): (G(0), G(y[n]))}) for n in y})
+    return Alphabet(entries)
 
 
 def test_ui_homogeneous_nilpotent_sampled():
@@ -285,6 +307,186 @@ def test_resonance_witness_is_first_resonant_cell():
     assert {w for w, _ in rep.witnesses} <= {((1, 0), (0, 1)), ((0, 1), (1, 0))}
 
 
+def parent_reach(a, max_len):
+    """The slow route's reach table, over the weights of all letters."""
+    weights = {weight(n) for n in a}
+    sums, reach = {0}, [{0}]
+    for _ in range(max_len):
+        sums = {s + w for s in sums for w in weights}
+        reach.append(reach[-1] | sums)
+    return reach
+
+
+def parent_first_resonant_basis(a, max_len):
+    """The span DP before components, kept as the slow route, verbatim but
+    for its helpers' names: every letter extends every cell, each bracket
+    made, with the reach of the whole alphabet."""
+    if max_len < 1:
+        raise InputError(f"max_len must be >= 1, got {max_len}")
+    letters = a.letters()
+    reach = parent_reach(a, max_len)
+    cells = {n: [((n,), a[n])] for n in letters if a[n] and -weight(n) in reach[max_len - 1]}
+    for r in range(1, max_len + 1):
+        resonant = sorted(g for g in cells if g[0] == g[1])
+        if resonant:
+            return cells[resonant[0]]
+        if r == max_len or not cells:
+            break
+        keep = reach[max_len - r - 1]
+        nxt = {}
+        for g, basis in cells.items():
+            for n in letters:
+                h = (g[0] + n[0], g[1] + n[1])
+                if h[1] - h[0] not in keep:
+                    continue
+                cell = nxt.setdefault(h, [])
+                for word, d in basis:
+                    if len(cell) == 2:
+                        break
+                    br = lie_bracket(a[n], d)
+                    if br and lie_analysis._independent(cell, h, br):
+                        cell.append((word + (n,), br))
+        cells = {h: basis for h, basis in nxt.items() if basis}
+    return []
+
+
+def span_rank(vectors, cell):
+    """The rank of one-letter brackets at the letter cell, by the scalar
+    pairs of their terms views."""
+    pairs = [d.terms[cell] for d in vectors]
+    if not pairs:
+        return 0
+    return 2 if any(p * s - q * r for p, q in pairs for r, s in pairs) else 1
+
+
+def components(a):
+    """The letters of each component of the non-commutation graph, found
+    by search over every nonzero letter-pair bracket."""
+    letters = [n for n in a if a[n]]
+    out, seen = {}, set()
+    for n in letters:
+        if n in seen:
+            continue
+        part, todo = {n}, [n]
+        while todo:
+            m = todo.pop()
+            for k in letters:
+                if k not in part and lie_bracket(a[m], a[k]):
+                    part.add(k)
+                    todo.append(k)
+        seen |= part
+        out.update((k, frozenset(part)) for k in part)
+    return out
+
+
+@functools.cache
+def word_weights(letters, k):
+    """The weights of the words of at most k letters drawn from letters."""
+    return {weight(w) for j in range(k + 1) for w in product(sorted(letters), repeat=j)}
+
+
+def sparse_alphabet(rng):
+    """3 to 6 letters with integer halves that are often zero, so that many
+    letter pairs commute and components are paths as well as cliques."""
+    pool = [(i, j) for i in range(-1, 4) for j in range(-1, 4) if i + j >= 0]
+    half = lambda: rng.choice((0, 0, 0, 1, -1, 2, -3))
+    entries = {n: Derivation.from_terms({n: (G(half()), G(half()))}) for n in rng.sample(pool, rng.randint(3, 6))}
+    return Alphabet({n: d for n, d in entries.items() if d})
+
+
+def star_alphabet(rng):
+    """Leaves x^k y d/dy, letters (k, 0) that commute with each other, and
+    one hub y^j d/dx, letter (-1, j), that brackets nonzero with each leaf:
+    a component that is no clique, whose shortest nonzero resonant bracket
+    joins two leaves through the hub."""
+    leaves = rng.sample([1, 2, 3], rng.randint(2, 3))
+    entries = {(k, 0): Derivation.from_terms({(k, 0): (G(0), G(rng.choice((1, -1, 2))))}) for k in leaves}
+    j = rng.choice((1, 2, 3))
+    entries[-1, j] = Derivation.from_terms({(-1, j): (G(rng.choice((1, -2, 3))), G(0))})
+    return Alphabet(entries)
+
+
+def meeting_alphabet(rng):
+    """An x-only and a y-only component, each with weights of both signs,
+    which commute and meet at the multidegree (0, 0) only."""
+    xs = rng.sample([-1, 1, 2, 3], rng.randint(2, 3))
+    ys = rng.sample([-1, 1, 2, 3], rng.randint(2, 3))
+    if min(xs) > 0:
+        xs[0] = -1
+    if min(ys) > 0:
+        ys[0] = -1
+    coefficient = lambda: rng.choice((1, -1, 2, 3))
+    return x_and_y_letters({n: coefficient() for n in xs}, {n: coefficient() for n in ys})
+
+
+def test_resonance_dp_matches_the_slow_route(monkeypatch):
+    # the component DP against the parent DP, which brackets every letter
+    # with every cell: same verdict, same witness length and cell, the same
+    # span, and each witness bracket is its word's nested_bracket.  Every
+    # bracket the DP makes beyond level 2 is of a word of length l <= L
+    # whose weight some word of at most L - l letters of its component
+    # brings back to zero
+    rng = random.Random(25)
+    alphabets = []
+    for k in range(80):
+        a = random_alphabet(rng)
+        alphabets.append(Alphabet({n: a[n] for n in a if weight(n)}) if k % 2 else a)
+    for d in range(2, 7):
+        alphabets += [decompose(random_cr_field(rng, d)), decompose(random_ui_homogeneous(rng, d))]
+        alphabets.append(decompose(random_ui_homogeneous(rng, d, force_middle_zero=True)))
+    alphabets += [meeting_alphabet(rng) for _ in range(50)]
+    alphabets += [sparse_alphabet(rng) for _ in range(60)]
+    alphabets += [star_alphabet(rng) for _ in range(30)]
+    alphabets.append(x_and_y_letters({-1: 1, 1: 1}, {}))
+    made, kept = [], []
+
+    def recorded(d1, d2):
+        br = lie_bracket(d1, d2)
+        made.append((d1.letter, d2, br))
+        kept.append(br)  # alive, so no later result reuses an id
+        return br
+
+    seen, ranks, lengths = Counter(), Counter(), Counter()
+    joined = apart = made_total = 0
+    for a in alphabets:
+        part = components(a)
+        list(iter_bracket_levels(a, 2))  # level 2 is the tree's, not the DP's
+        for max_len in range(1, 7):
+            slow = parent_first_resonant_basis(a, max_len)
+            made.clear()
+            monkeypatch.setattr(lie_analysis, "lie_bracket", recorded)
+            rep = resonant_subset_trivial(a, max_len)
+            monkeypatch.setattr(lie_analysis, "lie_bracket", lie_bracket)
+            length = {}  # a DP bracket's word length: its operand's plus one, level 2's being 2
+            made_total += len(made)
+            for n, d, br in made:
+                length[id(br)] = r = length.get(id(d), 2) + 1
+                g = d.letter
+                assert r <= max_len and g[1] - g[0] - weight(n) in word_weights(part[n], max_len - r)
+            fast = rep.witnesses
+            assert rep.all_brackets_zero == (not slow) == (not fast)
+            seen[rep.all_brackets_zero] += 1
+            if not slow:
+                continue
+            cell = slow[0][1].letter
+            assert cell[0] == cell[1] and all(d.letter == cell for _, d in fast)
+            assert {len(w) for w, _ in fast} == {len(slow[0][0])}
+            for w, d in fast:
+                assert weight(w) == 0 and d == nested_bracket(w, a.entries)
+            assert span_rank([d for _, d in fast + slow], cell) == len(fast) == len(slow)
+            ranks[len(fast)] += 1
+            lengths[len(fast[0][0])] += 1
+            joined += len({part[w[0]] for w, _ in fast}) > 1
+            apart += any(m != n and not lie_bracket(a[m], a[n]) for w, _ in fast for m in w for n in w)
+    # both verdicts, both ranks, witnesses of length 1 to 4, bases joined
+    # over two components, witnesses with two letters that commute, and
+    # the reach check run on hundreds of the DP's brackets
+    assert len(alphabets) >= 200
+    assert min(seen.values()) >= 200 and min(ranks.values()) >= 20, (seen, ranks)
+    assert set(lengths) >= {1, 2, 3, 4} and joined >= 10 and apart >= 10, (lengths, joined, apart)
+    assert made_total >= 300
+
+
 @pytest.mark.parametrize("max_len", [0, -3])
 def test_resonance_rejects_max_len_below_one(max_len):
     for a in (decompose(PlanarField(degree=2, coefficients={})), decompose(quadratic(1, 2, 3))):
@@ -391,6 +593,39 @@ def test_resonance_verdict_bracket_count_is_polynomial(monkeypatch, kind, max_le
     verdict = structural_linearisability(a, max_len)
     assert verdict == ("LinearisableStructural" if kind == "cauchy-riemann" else "Unknown")
     assert calls[0] <= bound
+
+
+def test_commuting_families_make_no_bracket_beyond_level_2(monkeypatch):
+    # CR and UI-homogeneous alphabets of degree 2..8 at L = 6: each family
+    # of a CR alphabet is a component whose weights share one sign, and the
+    # letters of a UI one all commute, so a fresh alphabet's verdict makes
+    # only level 2's k(k-1)/2 brackets (28 on the degree-5 CR alphabet,
+    # where the DP that bracketed every letter with every cell made 242),
+    # and none if it has a weight-zero letter, the witness before any
+    # bracket.  A second verdict, as after analyze's central series, makes none
+    calls = [0]
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    for d in range(2, 9):
+        rng = random.Random(d)
+        fields = [random_cr_field(rng, d), random_ui_homogeneous(rng, d)]
+        fields.append(random_ui_homogeneous(rng, d, force_middle_zero=True))
+        for f in fields:
+            a = decompose(f)
+            k = len(a)
+            calls[0] = 0
+            verdict = structural_linearisability(a, 6)
+            assert calls[0] == (0 if a.resonant_letters() else k * (k - 1) // 2), (d, f)
+            calls[0] = 0
+            assert structural_linearisability(a, 6) == verdict and calls[0] == 0
+            assert verdict == ("Unknown" if a.resonant_letters() else "LinearisableStructural")
+    a = decompose(random_cr_field(random.Random(5), 5))
+    calls[0] = 0
+    assert structural_linearisability(a, 6) == "LinearisableStructural" and (len(a), calls[0]) == (8, 28)
 
 
 FIELDS = Path(__file__).parent / "golden" / "fields"
@@ -546,7 +781,7 @@ def test_cr_structural_predicate_matches_object_route():
     # scalar objects of the terms view, on halves that are zero, real,
     # imaginary or complex
     rng = random.Random(61)
-    letters = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (-1, 2), (2, -1)]
+    letters = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (-1, 2), (2, -1), (-1, 0), (0, -1), (0, 0)]
     halves = [G(0), G(0), G(2, 0), G(0, 3), G(1, -1)]
     outcomes = Counter()
     for _ in range(400):
@@ -557,7 +792,7 @@ def test_cr_structural_predicate_matches_object_route():
             if a or b:
                 entries[n] = Derivation.from_terms({n: (a, b)})
         want = all(
-            (not cy and n2 == 0) or (not cx and n1 == 0)
+            (not cy and n2 == 0 and n1 > 0) or (not cx and n1 == 0 and n2 > 0)
             for op in entries.values()
             for (n1, n2), (cx, cy) in op.terms.items()
         )
