@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .algebra import BiPoly
-from .lie_analysis import central_series, resonant_subset_trivial
+from .lie_analysis import central_series, cr_structural_predicate, resonant_subset_trivial
 from .operators import (
     ZERO_DERIVATION,
     Derivation,
@@ -188,8 +188,9 @@ def lemma_holom(seed: int) -> LemmaResult:
     for d in range(2, max_d + 1):
         for k in range(draws):
             f = random_cr_field(rng, d)
-            report = resonant_subset_trivial(decompose(f), max_len)
-            if not report.all_brackets_zero or not report.structurally_proven:
+            a = decompose(f)  # the CR lemma: the predicate holds, and the certificate agrees
+            report = resonant_subset_trivial(a, max_len)
+            if not (cr_structural_predicate(a) and report.all_brackets_zero and report.structurally_proven):
                 return LemmaResult(
                     "holom", False, f"d={d} draw {k}: witnesses={report.witnesses[:1]}"
                 )

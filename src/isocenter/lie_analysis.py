@@ -1,8 +1,9 @@
 """Structure analysis of the Lie algebra generated by the alphabet operators.
 
 Covers the descending central series (truncated, generating sets only),
-the order-1 nilpotency test, resonant-word enumeration and the bounded
-triviality test of the resonant bracket subset.
+resonant-word enumeration, the bounded triviality test of the resonant
+bracket subset and the all-lengths certificate of the commutation
+components.
 
 Every nested bracket of a word is one letter-map term at the word's
 multidegree, so the brackets of the length-r words of multidegree g span
@@ -17,12 +18,13 @@ inside the components of the non-commutation graph, whose edges are the
 nonzero letter-pair brackets of the tree's level 2: ad_{B_n} is a
 derivation, so [B_n, B_w] = 0 when B_n commutes with every letter of w,
 and the letters of a word with a nonzero bracket all lie in one
-component.  A component whose weights share one sign has no resonant
-word, and each prefix of a resonant word with a nonzero bracket is
-brought back to weight zero by letters of its own component, so the
-verdict brackets no other prefix; the length-2 spans are read off level
-2.  Resonant words are listed by joining half-words through a table
-keyed by weight.
+component.  So with no weight-zero letter and each component's weights
+of one strict sign, no resonant word of any length has a nonzero bracket:
+the all-lengths certificate.  Each prefix of a resonant word with one is
+brought back to weight zero by letters of its own component, the one
+reach rule by which the verdict and the resonant tree prune.  Resonant
+words are listed by joining half-words through a table keyed by weight,
+pruned by the whole alphabet's reach, since they are words, not brackets.
 ``iter_bracket_levels`` is the one traversal of the word prefix tree.
 Swapping the first two letters of a word negates its bracket, so from
 level 2 on each entry stands for a swap-twin class {w, twin(w)}: the
@@ -98,9 +100,9 @@ class ResonanceReport(Record):
     vanishes.  Otherwise it is a basis (one or two vectors) of the first
     nonzero resonant span V_{r,(k,k)}: the shortest length r, then the
     smallest k.  Each entry is a resonant word of length r with its
-    nonzero nested bracket.  ``structurally_proven`` upgrades the bounded
-    verdict when the holomorphic structural predicate holds for the whole
-    alphabet.
+    nonzero nested bracket.  ``structurally_proven`` is the all-lengths
+    certificate of the commutation components (module docstring), which
+    does not depend on the bound.
     """
 
     __slots__ = ("all_brackets_zero", "witnesses", "structurally_proven")
@@ -157,7 +159,8 @@ def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) 
     twin(w) + (n,) is twin(w + (n,)), and is linked to the index of the
     entry it extends.  So each word with a nonzero bracket is stood for
     exactly once.  With ``resonant_only`` an entry is also skipped when no
-    extension within the length bound brings its weight back to zero.
+    extension within the length bound by letters of its own component
+    brings its weight back to zero; its level 2 is read off the full tree's.
 
     The levels are kept on the alphabet (see the module docstring): the
     full tree for every bound, the resonant one per bound.  A level is
@@ -167,29 +170,36 @@ def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) 
         raise InputError(f"max_len must be >= 1, got {max_len}")
     key = max_len if resonant_only else 0
     if key not in a._trees:
-        a._trees[key] = [], _reach({weight(n) for n in a}, max_len) if resonant_only else None
-    levels, reach = a._trees[key]
+        a._trees[key] = [], _component_reach(a, max_len) if resonant_only else None
+    levels, part = a._trees[key]
     for r in range(max_len):
         if r == len(levels):
-            levels.append(_grow(a, levels, None if reach is None else reach[max_len - r - 1]))
+            keep = None if part is None else {n: reach[max_len - r - 1] for n, (_, reach) in part.items()}
+            levels.append(_grow(a, levels, keep))
         yield levels[r]
 
 
-def _grow(a: Alphabet, levels: list[list[tuple]], keep: set[int] | None) -> list[tuple]:
+def _grow(a: Alphabet, levels: list[list[tuple]], keep: dict[Letter, set[int]] | None) -> list[tuple]:
     """The tree's level after ``levels``, its levels so far.
 
-    ``keep`` is None for the full tree; for the resonant one an entry is
-    kept only if the negation of its weight is in ``keep``.
+    ``keep`` is None for the full tree; for the resonant one an extension
+    by the letter n is kept only if the negation of its weight is in
+    ``keep[n]``, the reach of n's component.
     """
     if not levels:
-        return [((n,), weight(n), a[n], None) for n in a if a[n] and (keep is None or -weight(n) in keep)]
+        return [((n,), weight(n), a[n], None) for n in a
+                if a[n] and (keep is None or n in keep and -weight(n) in keep[n])]
     first, level = levels[0], levels[-1]  # no word of the tree has a letter outside level 1
     pairs = len(levels) == 1  # level 2 extends only the letters after n; later levels every entry
+    if pairs and keep is not None:
+        place = {n: i for i, ((n,), *_) in enumerate(first)}
+        _, full = iter_bracket_levels(a, 2)
+        return [((m, n), w, d, (place[m], place[n])) for (m, n), w, d, _ in full if n in keep and -w in keep[n]]
     nxt = []
     for j, ((n,), wn, op, _) in enumerate(first):
         for i in range(j + 1 if pairs else 0, len(level)):
             word, w, d, _ = level[i]
-            if keep is not None and -(w + wn) not in keep:
+            if keep is not None and -(w + wn) not in keep[n]:
                 continue
             br = lie_bracket(op, d)
             if br:
@@ -250,14 +260,15 @@ def _independent(basis: list[tuple[Word, Derivation]], letter: Letter, v: Deriva
             or (pa * sb + pb * sa) * f != (qa * rb + qb * ra) * g)
 
 
-def _components(first: list[tuple], pairs: list[tuple]) -> dict[Letter, list[Letter]]:
-    """Each letter of the tree's level 1 mapped to its component's letters.
+def _component_reach(a: Alphabet, max_len: int) -> dict[Letter, tuple[list[Letter], list[set[int]]]]:
+    """Each letter whose component can make a resonant word, mapped to the
+    component's letters (its key is the first) and their ``_reach`` table.
 
-    The components are those of the non-commutation graph: the letters,
-    joined by an edge for each nonzero pair bracket, that is for each
-    entry of level 2.  A component's letters are listed in letter order,
-    and all its letters map to the one list.
+    The components are those of the non-commutation graph, read off the
+    alphabet's kept levels 1 and 2.  A component whose weights share one
+    strict sign is left out, so the map is empty when all are.
     """
+    first, pairs = iter_bracket_levels(a, 2)
     parent = {n: n for (n,), *_ in first}
 
     def root(n: Letter) -> Letter:
@@ -270,26 +281,30 @@ def _components(first: list[tuple], pairs: list[tuple]) -> dict[Letter, list[Let
     groups: dict[Letter, list[Letter]] = {}
     for n in parent:
         groups.setdefault(root(n), []).append(n)
-    return {n: groups[root(n)] for n in parent}
+    part = {}
+    for letters in groups.values():
+        weights = {weight(n) for n in letters}
+        if min(weights) <= 0 <= max(weights):
+            part.update(dict.fromkeys(letters, (letters, _reach(weights, max_len))))
+    return part
+
+
+def _certified(a: Alphabet) -> bool:
+    """The all-lengths certificate; a weight-zero letter fails it before any bracket."""
+    return not any(a[n] and not weight(n) for n in a) and not _component_reach(a, 1)
 
 
 def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivation]]:
     """Basis of the first nonzero resonant span V_{r,(k,k)}, r <= max_len.
 
     A weight-zero letter is returned at once, before any bracket.  Else
-    the spans are built length by length inside the components of the
-    non-commutation graph, read off the alphabet's level 2: ad_{B_n} is a
-    derivation, so [B_n, B_w] = 0 when B_n commutes with every letter of
-    w, and the letters of a word with a nonzero bracket all lie in one
-    component.  Each cell is a basis of word brackets keyed by component
-    and multidegree.  A cell is kept only if at most max_len - r more
-    letters of its component can bring its weight back to zero, so a
-    component whose weights share one sign makes no cell, and every
-    prefix of a resonant word with a nonzero bracket passes.  The length-2 cells take their brackets
-    from level 2, d for the entry (m, n) and -d for its twin, and each
-    cell is extended by the letters of its own component only.  The
-    spans at the first resonant multidegree are joined over components.
-    Returns [] when every resonant span up to the bound is zero.
+    the spans are built length by length, each cell a basis of word
+    brackets keyed by component and multidegree, extended by its own
+    component's letters and kept only while at most max_len - r more of
+    them can bring its weight back to zero.  The length-2 cells take their
+    brackets from level 2, d for the entry (m, n) and -d for its twin.
+    The spans at the first resonant multidegree are joined over
+    components.  Returns [] when every resonant span up to the bound is zero.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
@@ -298,15 +313,10 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
             return [((n,), a[n])]
     if max_len == 1:
         return []
+    part = _component_reach(a, max_len)
     first, pairs = iter_bracket_levels(a, 2)
-    part = _components(first, pairs)
-    reach = {}  # component key (its first letter) -> _reach, for components of both signs
-    for letters in part.values():
-        weights = {weight(n) for n in letters}
-        if letters[0] not in reach and min(weights) < 0 < max(weights):
-            reach[letters[0]] = _reach(weights, max_len)
-    cells = {(part[n][0], n): [((n,), d)] for (n,), w, d, _ in first
-             if part[n][0] in reach and -w in reach[part[n][0]][max_len - 1]}
+    cells = {(part[n][0][0], n): [((n,), d)] for (n,), w, d, _ in first
+             if n in part and -w in part[n][1][max_len - 1]}
     if not cells:
         return []
     brackets = {}  # every ordered letter pair with a nonzero bracket
@@ -315,8 +325,9 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
     for r in range(1, max_len):
         nxt = {}
         for (c, g), basis in cells.items():
-            keep = reach[c][max_len - r - 1]
-            for n in part[c]:
+            letters, reach = part[c]
+            keep = reach[max_len - r - 1]
+            for n in letters:
                 h = (g[0] + n[0], g[1] + n[1])
                 if h[1] - h[0] not in keep:
                     continue
@@ -346,18 +357,13 @@ def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     For length-1 resonant words the "bracket" is the operator itself
     (always nonzero by alphabet construction, hence always a witness), and
     it is found before any bracket is made.  Longer ones are sought
-    within the components of the non-commutation graph only, as a nonzero
-    nested bracket never joins two of them; the letter-pair brackets are
-    read from the alphabet's level 2, so after a central series over the
-    same alphabet the verdict brackets no letter pair again.
+    within the components of the non-commutation graph only; the
+    letter-pair brackets are read from the alphabet's level 2, so after a
+    central series over the same alphabet no letter pair is bracketed again.
     """
     witnesses = _first_resonant_basis(a, max_len)
-    ok = not witnesses
-    return ResonanceReport(
-        all_brackets_zero=ok,
-        witnesses=witnesses,
-        structurally_proven=ok and cr_structural_predicate(a),
-    )
+    return ResonanceReport(all_brackets_zero=not witnesses, witnesses=witnesses,
+                           structurally_proven=_certified(a))
 
 
 def cr_structural_predicate(a: Alphabet) -> bool:
@@ -368,11 +374,10 @@ def cr_structural_predicate(a: Alphabet) -> bool:
     the y-family commute with each other, so the letters of a word with a
     nonzero nested bracket all lie in one family, and within a family the
     weights all have one sign: +n1 for x, -n2 for y.  So no resonant word
-    of any length has a nonzero nested bracket, and a bounded all-zero
-    verdict extends to all word lengths.  Without n1 >= 1 and n2 >= 1 this
-    fails: the x-only letters (-1, 0) and (1, 0), that is d/dx and
-    x^2 d/dx, make the resonant word ((-1, 0), (1, 0)) with the nonzero
-    bracket -2x d/dx.
+    of any length has a nonzero nested bracket: the paper's CR lemma, a
+    special case of the components' certificate.  Without n1 >= 1 and
+    n2 >= 1 it fails: d/dx and x^2 d/dx, the letters (-1, 0) and (1, 0),
+    make the resonant word ((-1, 0), (1, 0)) with the bracket -2x d/dx.
     """
     return all(
         (not (ya or yb) and n2 == 0 and n1 >= 1) or (not (xa or xb) and n1 == 0 and n2 >= 1)

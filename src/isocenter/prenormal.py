@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .algebra import ONE, GaussianRational, ZERO, _coerce, _reduced
 from .errors import InputError
-from .lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial
+from .lie_analysis import _certified, central_series, iter_bracket_levels
 from .operators import Derivation, Letter, Word, lie_bracket, linear_combination, nested_bracket
 from .prepared import Alphabet, weight
 
@@ -262,21 +262,14 @@ def letter_sum(m: Mould, a: Alphabet) -> Derivation:
 def structural_linearisability(a: Alphabet, max_len: int) -> str:
     """Mould-independent verdict from the bracket structure alone.
 
-    LinearisableStructural when every resonant nested bracket up to
-    max_len vanishes and either the holomorphic structural predicate
-    holds or the alphabet is order-1 nilpotent; otherwise Unknown.  The
-    nilpotent route needs no separate test for weight-zero letters: such
-    a letter is a resonant word of length 1 whose bracket, the operator
-    itself, is nonzero, so it already fails the first condition.
+    LinearisableStructural when the commutation components certify that
+    no resonant nested bracket of any length is nonzero
+    (``ResonanceReport.structurally_proven``), otherwise Unknown, whatever
+    the bound max_len >= 1.
     """
-    report = resonant_subset_trivial(a, max_len)
-    if not report.all_brackets_zero:
-        return UNKNOWN
-    if report.structurally_proven:
-        return LINEARISABLE_STRUCTURAL
-    if central_series(a, 1).nilpotent_order1:
-        return LINEARISABLE_STRUCTURAL
-    return UNKNOWN
+    if max_len < 1:
+        raise InputError(f"max_len must be >= 1, got {max_len}")
+    return LINEARISABLE_STRUCTURAL if _certified(a) else UNKNOWN
 
 
 def verify_fond3(

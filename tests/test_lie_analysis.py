@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from isocenter import algebra, lie_analysis
+from isocenter import algebra, lie_analysis, prenormal
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lie_analysis import (
@@ -202,17 +202,19 @@ def test_bracket_levels_match_brute_force():
     # each level, its entries expanded into their twin classes, against every
     # itertools.product word with its nested_bracket, kept when that is
     # nonzero and, with resonant_only, when some word of at most max_len - r
-    # letters brings its weight back to zero; no word may appear twice, and
-    # each entry links to its parent.  L is capped so that at most 700 words have length L
+    # letters of the word's own component brings its weight back to zero;
+    # no word may appear twice, and each entry links to its parent.  L is
+    # capped so that at most 700 words have length L.  The meeting
+    # alphabets have two components that meet at the multidegree (0, 0)
     rng = random.Random(20)
     cases = [(decompose(quadratic(1, 2, 3)), 4)]
     cases += [(random_alphabet(rng), k % 5 + 1) for k in range(80)]
+    cases += [(meeting_alphabet(rng), 4) for _ in range(10)]
     kinds, cut, twins = set(), 0, 0
     for a, max_len in cases:
-        letters = a.letters()
+        letters, part = a.letters(), components(a)
         max_len = max(L for L in range(1, max_len + 1) if L == 1 or len(a) ** L <= 700)
         kinds |= {"extreme" if -1 in n else "zero" if weight(n) == 0 else "plain" for n in a}
-        back = [{weight(v) for j in range(k + 1) for v in product(letters, repeat=j)} for k in range(max_len)]
         full = list(iter_bracket_levels(a, max_len))
         pruned = list(iter_bracket_levels(a, max_len, resonant_only=True))
         assert len(full) == len(pruned) == max_len
@@ -220,7 +222,7 @@ def test_bracket_levels_match_brute_force():
             words = sorted(product(letters, repeat=r))
             brackets = ((w, nested_bracket(w, a.entries)) for w in words)
             want = [(w, weight(w), d) for w, d in brackets if d]
-            kept = [node for node in want if -node[1] in back[max_len - r]]
+            kept = [node for node in want if -node[1] in word_weights(part[node[0][0]], max_len - r)]
             for level, expected in ((full[r - 1], want), (pruned[r - 1], kept)):
                 got = class_words(level)
                 assert len({w for w, _, _ in got}) == len(got)
@@ -419,6 +421,21 @@ def meeting_alphabet(rng):
     return x_and_y_letters({n: coefficient() for n in xs}, {n: coefficient() for n in ys})
 
 
+def commuting_families(rng):
+    """The letters (2k, k), c x^{2k} y^k (2x d/dx - y d/dy) of weight k, and
+    (k, 2k), c x^k y^{2k} (x d/dx - 2y d/dy) of weight -k, for one to three
+    k in 1..3 each: x^m E_a and x^n E_b bracket to x^{m+n}(<a,n> E_b -
+    <b,m> E_a), which is zero across the families, so each family is a
+    component of one weight sign, although neither is x- or y-only."""
+    coefficient = lambda: G(rng.choice((1, -1, 2, 3)), rng.choice((0, 1, -2)))
+    entries = {}
+    for p, q in ((2, 1), (1, 2)):
+        for k in rng.sample([1, 2, 3], rng.randint(1, 3)):
+            c = coefficient()
+            entries[p * k, q * k] = Derivation.from_terms({(p * k, q * k): (c * G(p), c * G(-q))})
+    return Alphabet(entries)
+
+
 def test_resonance_dp_matches_the_slow_route(monkeypatch):
     # the component DP against the parent DP, which brackets every letter
     # with every cell: same verdict, same witness length and cell, the same
@@ -485,6 +502,43 @@ def test_resonance_dp_matches_the_slow_route(monkeypatch):
     assert min(seen.values()) >= 200 and min(ranks.values()) >= 20, (seen, ranks)
     assert set(lengths) >= {1, 2, 3, 4} and joined >= 10 and apart >= 10, (lengths, joined, apart)
     assert made_total >= 300
+
+
+def test_structural_verdict_does_not_depend_on_max_len(monkeypatch):
+    # the verdict is the components' certificate, run with neither the
+    # central series, the CR predicate nor the span DP: the same at
+    # L = 1..6 and equal to structurally_proven there.  The CR predicate
+    # implies it, and d/dx with x^2 d/dx, x-only letters of weights -1 and
+    # +1 that do not commute, are Unknown at every L
+    def refuse(*args):
+        raise AssertionError("the verdict left the certificate")
+
+    rng = random.Random(26)
+    alphabets = [random_alphabet(rng) for _ in range(60)]
+    for d in range(2, 7):
+        alphabets += [decompose(random_cr_field(rng, d)) for _ in range(3)]
+        alphabets += [decompose(random_ui_homogeneous(rng, d, force_middle_zero=z)) for z in (False, True)]
+    alphabets += [meeting_alphabet(rng) for _ in range(20)] + [sparse_alphabet(rng) for _ in range(40)]
+    alphabets += [star_alphabet(rng) for _ in range(20)] + [commuting_families(rng) for _ in range(20)]
+    alphabets += [x_and_y_letters({-1: 1, 1: 1}, {}), x_and_y_letters({1: 1, 2: 3}, {1: 2})]
+    with monkeypatch.context() as m:
+        for name in ("central_series", "cr_structural_predicate", "_first_resonant_basis"):
+            m.setattr(lie_analysis, name, refuse)
+        m.setattr(prenormal, "central_series", refuse)
+        verdicts = [{structural_linearisability(a, L) for L in range(1, 7)} for a in alphabets]
+        for a in alphabets:
+            for max_len in (0, -3):
+                with pytest.raises(InputError, match=f"^max_len must be >= 1, got {max_len}$"):
+                    structural_linearisability(a, max_len)
+    seen = Counter()
+    for a, verdict in zip(alphabets, verdicts):
+        proven = {resonant_subset_trivial(a, L).structurally_proven for L in range(1, 7)}
+        assert len(verdict) == len(proven) == 1, a
+        assert verdict == {"LinearisableStructural" if True in proven else "Unknown"}
+        assert proven == {True} or not cr_structural_predicate(a), a
+        seen[verdict.pop(), cr_structural_predicate(a)] += 1
+    assert structural_linearisability(alphabets[-2], 1) == "Unknown"
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("max_len", [0, -3])

@@ -4,15 +4,22 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
-from test_lie_analysis import random_alphabet
+from test_lie_analysis import commuting_families, random_alphabet
 from test_numverify import run_fresh
 
 from isocenter import lie_analysis, operators, prenormal
 from isocenter.algebra import ZERO, GaussianRational
 from isocenter.errors import InputError
-from isocenter.lie_analysis import central_series, iter_bracket_levels, resonant_subset_trivial, twin
+from isocenter.lie_analysis import (
+    central_series,
+    cr_structural_predicate,
+    iter_bracket_levels,
+    resonant_subset_trivial,
+    twin,
+)
 from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
@@ -237,9 +244,9 @@ def test_verify_fond3_cases():
 
 
 def test_structural_linearisability_verdicts():
-    # holomorphic quadratic: predicate route
+    # holomorphic quadratic: the x- and y-families are components of one sign
     assert structural_linearisability(decompose(quadratic(1, 0, 0)), 6) == LINEARISABLE_STRUCTURAL
-    # uniform quadratic: nilpotent route
+    # uniform quadratic: every letter is its own component
     assert structural_linearisability(decompose(quadratic(G(1), G(1), 0)), 6) == LINEARISABLE_STRUCTURAL
     # condition iii parameters: structure alone cannot decide
     f = quadratic(G(Fraction(5, 2)), G(1), G(Fraction(-3, 2)))
@@ -435,14 +442,52 @@ def test_projection_sum_reuses_the_alphabets_tree(monkeypatch):
         assert 0 < calls[0] <= len(a)
 
 
+def test_resonant_sum_bracket_budgets_on_the_benchmark_fields(tmp_path, monkeypatch):
+    # projection_sum(random_mould(1, True), a, 6) on fresh seed-1 benchmark
+    # alphabets.  The resonant tree prunes by component reach: on the CR
+    # fields, whose two families each have one weight sign, it keeps no
+    # entry past level 1 and brackets only the full tree's k(k-1)/2 letter
+    # pairs (28 and 45, against 404 and 1,095 by the whole alphabet's
+    # reach).  On the mould_sum fields it makes no more brackets than that
+    # whole-alphabet route did, as its level 2 is read off the full tree's
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import fixtures
+
+    manifest = fixtures.write_all(1, tmp_path)
+    paths = {f"{w}/{e['name']}": e["path"] for w in ("resonance_deep", "mould_sum") for e in manifest[w]}
+    calls = [0]
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    monkeypatch.setattr(prenormal, "lie_bracket", counted)
+
+    def summed(name):
+        a = decompose(PlanarField.load(paths[name]))
+        calls[0] = 0
+        projection_sum(random_mould(1, True), a, 6)
+        return a, calls[0]
+
+    for name, k in (("resonance_deep/cr_5", 8), ("resonance_deep/cr_6", 10)):
+        a, made = summed(name)
+        levels = list(iter_bracket_levels(a, 6, resonant_only=True))
+        assert (len(a), made, sum(map(len, levels[1:]))) == (k, k * (k - 1) // 2, 0), name
+    budgets = {"dense_quadratic": 342, "dense_cubic": 17009, "ui_hom_5": 10, "ui_hom_6": 15}
+    assert {e["name"] for e in manifest["mould_sum"]} == set(budgets)
+    for name, budget in budgets.items():
+        assert 0 < summed(f"mould_sum/{name}")[1] <= budget, name
+
+
 def test_analyze_brackets_each_letter_pair_once(monkeypatch):
     # analyze's calls on a UI-homogeneous alphabet of even degree, which is
     # order-1 nilpotent with no weight-zero letter: central_series(a, 3)
     # brackets each unordered letter pair once and stops at the empty level
     # 2 without building level 3; structural_linearisability(a, 6) reads
-    # level 2 back from the alphabet for its resonance test, whose letters
-    # all commute, and for the nilpotent route, so it makes no bracket.  On
-    # a fresh alphabet the resonance test makes only level 2's brackets
+    # level 2 back from the alphabet for the component certificate (every
+    # letter its own component), so it makes no bracket.  On a fresh
+    # alphabet the resonance test makes only level 2's brackets
     a = decompose(random_ui_homogeneous(random.Random(24), 6))
     k = len(a)
     calls, grown = [0], [0]
@@ -573,34 +618,52 @@ def test_support_is_set_by_finite_moulds_only():
 
 
 def old_structural_linearisability(a, max_len):
-    """The verdict as first written, with its test for weight-zero letters."""
-    report = resonant_subset_trivial(a, max_len)
-    if not report.all_brackets_zero:
+    """The verdict before the component certificate: every resonant bracket
+    up to max_len vanishes (the span DP), and either the CR predicate holds
+    or the alphabet is order-1 nilpotent with no weight-zero letter."""
+    if not resonant_subset_trivial(a, max_len).all_brackets_zero:
         return UNKNOWN
-    if report.structurally_proven:
-        return LINEARISABLE_STRUCTURAL
     nilpotent = not any(lie_bracket(a[m], a[n]) for m, n in combinations(a.letters(), 2))
-    if nilpotent and not a.resonant_letters():
+    if cr_structural_predicate(a) or nilpotent and not a.resonant_letters():
         return LINEARISABLE_STRUCTURAL
     return UNKNOWN
 
 
-def test_structural_linearisability_matches_old_formula():
+def test_structural_certificate_against_the_old_rule():
     # random alphabets, their one-letter sub-alphabets (always nilpotent)
     # and uniform homogeneous fields (nilpotent, weight-zero letter at odd
-    # degree), each with and without its weight-zero letters
+    # degree), each with and without its weight-zero letters, and two
+    # commuting families of opposite weight signs, at L = 1..6: every old
+    # LinearisableStructural stays so, and on each alphabet that only the
+    # certificate accepts, no itertools.product word of length <= 6 is
+    # resonant with a nonzero nested_bracket
     rng = random.Random(19)
-    verdicts = {LINEARISABLE_STRUCTURAL: 0, UNKNOWN: 0}
-    for k in range(120):
+    alphabets = []
+    for k in range(600):
         a = random_alphabet(rng)
-        if k % 3 == 1:
+        if k % 3 == 1 and len(a):
             n = rng.choice(a.letters())
             a = Alphabet({n: a[n]})
         elif k % 3 == 2:
             a = decompose(random_ui_homogeneous(rng, rng.randint(2, 5)))
-        for b in (a, Alphabet({n: a[n] for n in a if weight(n)})):
-            for max_len in range(1, 6):
-                verdict = structural_linearisability(b, max_len)
-                assert verdict == old_structural_linearisability(b, max_len)
-                verdicts[verdict] += 1
-    assert min(verdicts.values()) >= 100
+        alphabets += [a, Alphabet({n: a[n] for n in a if weight(n)})]
+    drawn = len(alphabets)
+    alphabets += [commuting_families(rng) for _ in range(40)]
+    verdicts, only_new = Counter(), []
+    for i, a in enumerate(alphabets):
+        for max_len in range(1, 7):
+            old, new = old_structural_linearisability(a, max_len), structural_linearisability(a, max_len)
+            assert old == UNKNOWN or new == LINEARISABLE_STRUCTURAL, (a, max_len)
+            verdicts[old, new, i < drawn] += 1
+            if old != new and a not in only_new:
+                only_new.append(a)
+    resonant = 0
+    for a in only_new:
+        for w in (w for r in range(1, 7) for w in product(a.letters(), repeat=r) if not weight(w)):
+            assert not nested_bracket(w, a.entries), w
+            resonant += 1
+    # 162 of the 7,200 random verdicts move, on 16 alphabets whose weights
+    # all share one sign, and 216 of the 240 of the families, on 36
+    assert verdicts[UNKNOWN, LINEARISABLE_STRUCTURAL, True] >= 150 and len(only_new) >= 50
+    assert min(verdicts[v, v, True] for v in (UNKNOWN, LINEARISABLE_STRUCTURAL)) >= 2500
+    assert resonant >= 29000
