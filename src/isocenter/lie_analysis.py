@@ -161,6 +161,7 @@ def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) 
     exactly once.  With ``resonant_only`` an entry is also skipped when no
     extension within the length bound by letters of its own component
     brings its weight back to zero; its level 2 is read off the full tree's.
+    At ``max_len`` 1 that is the weight-zero letters, found with no bracket.
 
     The levels are kept on the alphabet (see the module docstring): the
     full tree for every bound, the resonant one per bound.  A level is
@@ -170,7 +171,12 @@ def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) 
         raise InputError(f"max_len must be >= 1, got {max_len}")
     key = max_len if resonant_only else 0
     if key not in a._trees:
-        a._trees[key] = [], _component_reach(a, max_len) if resonant_only else None
+        part = None
+        if resonant_only:
+            # at max_len 1 no letter is extended, so the level is the weight-zero letters
+            # and no component is read: each letter stands alone with the reach row {0}
+            part = _component_reach(a, max_len) if max_len > 1 else {n: ([n], [{0}]) for n in a}
+        a._trees[key] = [], part
     levels, part = a._trees[key]
     for r in range(max_len):
         if r == len(levels):

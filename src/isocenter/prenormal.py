@@ -13,6 +13,14 @@ depends on the alphabet alone: it is built once and kept on the
 alphabet bracket its words once.  The memory retained is that of the
 largest trees asked for; dropping the alphabet frees it.  Each sum takes
 its mould's fold states along the tree's parent links.
+
+The mould side is kept too: a mould given by a ``fold`` keeps the state of
+each tuple word that ``Mould.value`` folds, so a word whose parent word
+was asked before costs one ``step``, and a word asked again none.  That is
+what a mould built on other moulds' values, such as
+``Mould(lambda w: m1.value(w) + m2.value(w))``, asks of them on every word
+of the tree.  The memory retained is one state per distinct word asked;
+dropping the mould frees it.  The word fold keeps nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ LINEARISABLE_STRUCTURAL = "LinearisableStructural"
 UNKNOWN = "Unknown"
 _MASK = (1 << 64) - 1  # random_mould's arithmetic is mod 2^64
 _parts = attrgetter("_a", "_b", "_d")  # the integer triple of a GaussianRational
+_NONE = object()  # no state kept for a word
 
 
 class Mould:
@@ -48,6 +57,18 @@ class Mould:
     fold: the state is the word so far, ``step`` appends a letter and
     ``finish`` is the triple of ``fn``'s value.
 
+    ``value`` keeps the fold state of each word it folds in a dict private
+    to the mould.  So the fold must be a pure function of the word, and
+    ``step`` must never mutate a state: a kept state, like a parent's in
+    ``projection_sum``, is stepped again for every child word.  A word
+    already asked is read back, a word whose parent word (all but its
+    last letter) was asked takes one ``step`` from that state, and any
+    other word is folded from ``start``; only the word's own state is
+    kept, never its prefixes'.  So the memory is one state per distinct
+    word asked, freed with the mould.  A JSON word (letters as lists)
+    cannot be hashed and is folded from ``start`` each time, and the
+    word fold, whose state is the word itself, keeps nothing.
+
     ``support`` is None, or a finite collection of words off which the
     mould is zero.  Only ``indicator_mould`` and ``table_mould`` set it,
     and ``projection_sum`` then sums over those words alone.
@@ -57,13 +78,25 @@ class Mould:
                  support_resonant_only: bool = False, fold: tuple | None = None):
         self.support_resonant_only = support_resonant_only
         self.support = None
+        self._states = None if fold is None else {}  # the word fold's state is the word: none kept
         word_fold = (), lambda w, n: w + (n,), lambda w: _parts(evaluate_fn(w))
         self.start, self.step, self.finish = fold or word_fold
 
     def value(self, word: Word) -> GaussianRational:
         if not word or self.support_resonant_only and weight(word):
             return ZERO
-        return _reduced(*self.finish(reduce(self.step, word, self.start)))
+        states = self._states
+        if states is None:
+            return _reduced(*self.finish(reduce(self.step, word, self.start)))
+        try:
+            state = states.get(word, _NONE)
+        except TypeError:  # a JSON word (letters as lists) cannot be hashed, so no state is kept
+            return _reduced(*self.finish(reduce(self.step, word, self.start)))
+        if state is _NONE:
+            parent = states.get(word[:-1], _NONE)
+            state = reduce(self.step, word, self.start) if parent is _NONE else self.step(parent, word[-1])
+            states[word] = state
+        return _reduced(*self.finish(state))
 
 
 def _mix(z: int, letter: Letter) -> int:

@@ -180,6 +180,88 @@ def test_random_mould_matches_reference_fold(resonant_only):
             assert m.value(w) == want, (seed, w)
 
 
+def tuple_fold():
+    """A user fold whose state is a tuple: (position, a, b) with a and b
+    depending on the letters' order, finished as (a + b i)/7."""
+    start = (0, 1, 0)
+
+    def step(state, letter):
+        k, x, y = state
+        return k + 1, 3 * x + letter[0] * (k + 2), 5 * y - letter[1] + x
+
+    return start, step, lambda state: (state[1], state[2], 7)
+
+
+def folded(m, word):
+    """The value of a fold mould by the slow route: its fold from ``start``."""
+    if not word or m.support_resonant_only and weight(word):
+        return ZERO
+    a, b, d = m.finish(reduce(m.step, word, m.start))
+    return G(Fraction(a, d), Fraction(b, d))
+
+
+def test_kept_states_match_the_refold():
+    # value keeps word states and steps from the parent's: in any order of
+    # asking, and with JSON words mixed in, it equals the fold from start
+    # and, for random_mould, the reference definition
+    rng = random.Random(27)
+    orders = {
+        "forward": MOULD_WORDS,
+        "reversed": MOULD_WORDS[::-1],
+        "shuffled": rng.sample(MOULD_WORDS, len(MOULD_WORDS)),
+        "longest first": sorted(MOULD_WORDS, key=len, reverse=True),
+    }
+    stepped = 0
+    for name, words in orders.items():
+        for resonant_only in (False, True):
+            m = random_mould(13, resonant_only)
+            user = Mould(support_resonant_only=resonant_only, fold=tuple_fold())
+            for k, w in enumerate(words):
+                asked = json.loads(json.dumps(w)) if k % 5 == 0 else w
+                want = ZERO if resonant_only and weight(w) else reference_random_mould_value(13, w)
+                assert m.value(asked) == folded(m, w) == want, (name, w)
+                assert user.value(asked) == folded(user, w), (name, w)
+                assert m.value(w) == want and user.value(w) == folded(user, w)
+                stepped += w[:-1] in user._states
+    assert stepped > 1000
+    # a 2,000-letter word, asked letter by letter and then at once on a fresh mould
+    long_word = tuple(rng.choice(MOULD_LETTERS) for _ in range(2000))
+    m, fresh = random_mould(2, False), random_mould(2, False)
+    for r in range(1, len(long_word) + 1):
+        m.value(long_word[:r])
+    want = reference_random_mould_value(2, long_word)
+    assert m.value(long_word) == fresh.value(long_word) == want
+    assert len(m._states) == 2000 and len(fresh._states) == 1
+    user = Mould(fold=tuple_fold())
+    assert user.value(long_word) == folded(user, long_word)
+
+
+def test_kept_states_one_per_distinct_tuple_word():
+    # one entry per distinct tuple word whose value is folded (the resonant
+    # support's zeros are not), none for JSON words, the word fold or finite
+    # moulds, and no dict shared between two moulds of one seed
+    rng = random.Random(28)
+    asked = [rng.choice(MOULD_WORDS) for _ in range(400)]
+    for resonant_only in (False, True):
+        m, other = random_mould(9, resonant_only), random_mould(9, resonant_only)
+        for w in asked:
+            m.value(w)
+            m.value(json.loads(json.dumps(w)))
+        assert set(m._states) == {w for w in asked if not resonant_only or not weight(w)}
+        assert len(m._states) < len(asked) and m._states
+        assert other._states == {} and other._states is not m._states
+    json_only = random_mould(9, False)
+    for w in asked:
+        json_only.value([list(n) for n in w])
+    assert json_only._states == {}
+    word = MOULD_WORDS[-1]
+    finite = [indicator_mould(word), table_mould({word: G(2), word[:1]: G(3)})]
+    for m in [Mould(lambda w: G(len(w))), Mould(random_mould(9, False).value)] + finite:
+        for w in asked:
+            m.value(w)
+        assert m._states is None
+
+
 def _draws(seed, word):
     """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
     return _split(reduce(_mix, word, seed & _MASK))
@@ -478,6 +560,93 @@ def test_resonant_sum_bracket_budgets_on_the_benchmark_fields(tmp_path, monkeypa
     assert {e["name"] for e in manifest["mould_sum"]} == set(budgets)
     for name, budget in budgets.items():
         assert 0 < summed(f"mould_sum/{name}")[1] <= budget, name
+
+
+def benchmark_fields(tmp_path, monkeypatch):
+    """The seed-1 benchmark field files, by "workload/name", and the manifest."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import fixtures
+
+    manifest = fixtures.write_all(1, tmp_path)
+    paths = {f"{w}/{e['name']}": e["path"] for w in ("resonance_deep", "mould_sum") for e in manifest[w]}
+    return paths, manifest
+
+
+def test_resonant_sum_at_length_one_makes_no_bracket(tmp_path, monkeypatch):
+    # at L = 1 the resonant tree is the weight-zero letters: no letter pair
+    # is bracketed for the components (36 and 105 brackets before)
+    paths, _ = benchmark_fields(tmp_path, monkeypatch)
+    calls = [0]
+
+    def counted(d1, d2):
+        calls[0] += 1
+        return lie_bracket(d1, d2)
+
+    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
+    monkeypatch.setattr(prenormal, "lie_bracket", counted)
+    for name in ("mould_sum/dense_cubic", "resonance_deep/dense_quartic"):
+        a = decompose(PlanarField.load(paths[name]))
+        m = random_mould(1, True)
+        got = projection_sum(m, a, 1)
+        assert calls[0] == 0, name
+        assert got == letter_sum(m, a), name
+        assert [w for w, *_ in next(iter_bracket_levels(a, 1, resonant_only=True))] == [
+            (n,) for n in a.resonant_letters()]
+    assert calls[0] == 0
+
+
+def test_sum_of_fold_moulds_steps_once_per_value(tmp_path, monkeypatch):
+    # the benchmark's sum_ab on mould_sum/dense_quadratic at L = 5: the first
+    # sum takes at most one _mix step per value of its parts (a refold takes
+    # one per letter, about 8,400), and a repeat sum none
+    paths, manifest = benchmark_fields(tmp_path, monkeypatch)
+    entry = next(e for e in manifest["mould_sum"] if e["name"] == "dense_quadratic")
+    specs = entry["moulds"]
+    assert entry["max_len"] == 5 and specs["sum_ab"]["of"] == ["full_a", "full_b"]
+    steps = [0]
+    mix = prenormal._mix
+
+    def counted(z, letter):
+        steps[0] += 1
+        return mix(z, letter)
+
+    monkeypatch.setattr(prenormal, "_mix", counted)
+    m1, m2 = (random_mould(specs[p]["seed"], specs[p]["support"] == "resonant") for p in ("full_a", "full_b"))
+    asked = []
+
+    def summed(w):
+        asked.append(w)
+        return m1.value(w) + m2.value(w)
+
+    a = decompose(PlanarField.load(paths["mould_sum/dense_quadratic"]))
+    first = projection_sum(Mould(summed), a, 5)
+    assert 0 < steps[0] <= 2 * len(asked) and 2 * sum(map(len, asked)) > 8000
+    steps[0] = 0
+    assert projection_sum(Mould(summed), a, 5) == first and steps[0] == 0
+    assert first == projection_sum(random_mould(specs["full_a"]["seed"], False), a, 5) + projection_sum(
+        random_mould(specs["full_b"]["seed"], False), a, 5)
+
+
+def test_sum_of_fold_moulds_fresh_and_reused():
+    # Mould(lambda w: m1.value(w) + m2.value(w)) over random alphabets gives
+    # the sum of the reference values, with fresh moulds and with moulds
+    # kept across L = 1..5 in shuffled order
+    rng = random.Random(29)
+    lengths, nonzero = set(), 0
+    for k in range(30):
+        a = random_alphabet(rng)
+        max_len = max(L for L in range(1, 6) if L == 1 or len(a) ** L <= 700)
+        lengths.add(max_len)
+        seeds = (k, 1000 + k)
+        ref = Mould(lambda w: sum((reference_random_mould_value(s, w) for s in seeds), ZERO))
+        kept = [random_mould(s, False) for s in seeds]
+        for L in rng.sample(range(1, max_len + 1), max_len):
+            want = projection_sum(ref, a, L)
+            nonzero += bool(want)
+            fresh = [random_mould(s, False) for s in seeds]
+            for m1, m2 in (fresh, kept):
+                assert projection_sum(Mould(lambda w, m1=m1, m2=m2: m1.value(w) + m2.value(w)), a, L) == want
+    assert 5 in lengths and nonzero >= 50, nonzero
 
 
 def test_analyze_brackets_each_letter_pair_once(monkeypatch):
