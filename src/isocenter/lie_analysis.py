@@ -38,10 +38,10 @@ alone, never on a mould.  So it is built once, a level at a time as its
 levels are first asked for, and kept on the ``Alphabet`` while the
 alphabet lives: one full tree, shared by every length bound and by the
 central series, and one tree pruned to resonant words per bound, since
-that pruning depends on the bound.  Each entry records the index of its
-parent, along which the projection sum takes a mould's fold states.  The
-memory retained is that of the largest trees asked for; dropping the
-alphabet frees it.
+that pruning depends on the bound.  An entry is a triple (word, weight,
+bracket) with no parent link: a word's parent is the word less its last
+letter, by which a mould keeps its own fold states.  The memory retained
+is that of the largest trees asked for; dropping the alphabet frees it.
 
 ``central_series``, ``enumerate_resonant_words`` and
 ``resonant_subset_trivial`` run with the cyclic garbage collector paused,
@@ -127,12 +127,12 @@ def central_series(a: Alphabet, depth: int) -> SeriesReport:
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     tree = iter_bracket_levels(a, max(depth, 2))
-    levels = [[d for _, _, d, _ in next(tree)]]
+    levels = [[d for _, _, d in next(tree)]]
     pairs = next(tree)
-    witnesses = [((n, m), d) for (m, n), _, d, _ in pairs]
+    witnesses = [((n, m), d) for (m, n), _, d in pairs]
     while len(levels) < depth and levels[-1]:  # so the level after an empty one is never built
         level = pairs if len(levels) == 1 else next(tree)
-        levels.append([e for _, _, d, _ in level for e in (d, -d)])
+        levels.append([e for _, _, d in level for e in (d, -d)])
     return SeriesReport(levels=levels, nilpotent_order1=not witnesses, witnesses=witnesses)
 
 
@@ -149,19 +149,17 @@ def _reach(weights: set[int], max_len: int) -> list[set[int]]:
 def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) -> Iterator[list[tuple]]:
     """Yield the prefix tree level by level, word lengths 1..max_len.
 
-    Level r lists (word, weight, nested bracket, link) entries with a
-    nonzero bracket, so no zero subtree is formed.  Level 1 is the
-    letters, with link None.  From level 2 on an entry (w, weight, d,
-    link) stands for its swap-twin class: w, and ``twin(w)`` with the same
-    weight and bracket -d.  Level 2 is the pairs (m, n) with n before m,
-    linked to (i, j), the indices of m and n in level 1.  Level r+1
-    extends every level-r entry by every letter, letter-major, as
-    twin(w) + (n,) is twin(w + (n,)), and is linked to the index of the
-    entry it extends.  So each word with a nonzero bracket is stood for
-    exactly once.  With ``resonant_only`` an entry is also skipped when no
-    extension within the length bound by letters of its own component
-    brings its weight back to zero; its level 2 is read off the full tree's.
-    At ``max_len`` 1 that is the weight-zero letters, found with no bracket.
+    Level r lists (word, weight, nested bracket) entries with a nonzero
+    bracket, so no zero subtree is formed.  Level 1 is the letters.  From
+    level 2 on an entry (w, weight, d) stands for its swap-twin class: w,
+    and ``twin(w)`` with the same weight and bracket -d.  Level 2 is the
+    pairs (m, n) with n before m.  Level r+1 extends every level-r entry
+    by every letter, letter-major, as twin(w) + (n,) is twin(w + (n,)).
+    So each word with a nonzero bracket is stood for exactly once.  With
+    ``resonant_only`` an entry is also skipped when no extension within
+    the length bound by letters of its own component brings its weight
+    back to zero; its level 2 is a filter of the full tree's.  At
+    ``max_len`` 1 that is the weight-zero letters, found with no bracket.
 
     The levels are kept on the alphabet (see the module docstring): the
     full tree for every bound, the resonant one per bound.  A level is
@@ -186,30 +184,29 @@ def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) 
 
 
 def _grow(a: Alphabet, levels: list[list[tuple]], keep: dict[Letter, set[int]] | None) -> list[tuple]:
-    """The tree's level after ``levels``, its levels so far.
+    """The tree's level after ``levels``, its levels so far, as (word, weight, bracket) triples.
 
     ``keep`` is None for the full tree; for the resonant one an extension
     by the letter n is kept only if the negation of its weight is in
-    ``keep[n]``, the reach of n's component.
+    ``keep[n]``, the reach of n's component.  The resonant level 2 is the
+    full tree's, filtered so, with no bracket made.
     """
     if not levels:
-        return [((n,), weight(n), a[n], None) for n in a
+        return [((n,), weight(n), a[n]) for n in a
                 if a[n] and (keep is None or n in keep and -weight(n) in keep[n])]
     first, level = levels[0], levels[-1]  # no word of the tree has a letter outside level 1
     pairs = len(levels) == 1  # level 2 extends only the letters after n; later levels every entry
     if pairs and keep is not None:
-        place = {n: i for i, ((n,), *_) in enumerate(first)}
         _, full = iter_bracket_levels(a, 2)
-        return [((m, n), w, d, (place[m], place[n])) for (m, n), w, d, _ in full if n in keep and -w in keep[n]]
+        return [(w, wt, d) for w, wt, d in full if w[1] in keep and -wt in keep[w[1]]]
     nxt = []
-    for j, ((n,), wn, op, _) in enumerate(first):
-        for i in range(j + 1 if pairs else 0, len(level)):
-            word, w, d, _ = level[i]
+    for j, ((n,), wn, op) in enumerate(first):
+        for word, w, d in level[j + 1:] if pairs else level:
             if keep is not None and -(w + wn) not in keep[n]:
                 continue
             br = lie_bracket(op, d)
             if br:
-                nxt.append((word + (n,), w + wn, br, (i, j) if pairs else i))
+                nxt.append((word + (n,), w + wn, br))
     return nxt
 
 
@@ -275,14 +272,14 @@ def _component_reach(a: Alphabet, max_len: int) -> dict[Letter, tuple[list[Lette
     strict sign is left out, so the map is empty when all are.
     """
     first, pairs = iter_bracket_levels(a, 2)
-    parent = {n: n for (n,), *_ in first}
+    parent = {n: n for (n,), _, _ in first}
 
     def root(n: Letter) -> Letter:
         while parent[n] != n:
             n = parent[n]
         return n
 
-    for (m, n), *_ in pairs:
+    for (m, n), _, _ in pairs:
         parent[root(m)] = root(n)
     groups: dict[Letter, list[Letter]] = {}
     for n in parent:
@@ -321,12 +318,12 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
         return []
     part = _component_reach(a, max_len)
     first, pairs = iter_bracket_levels(a, 2)
-    cells = {(part[n][0][0], n): [((n,), d)] for (n,), w, d, _ in first
+    cells = {(part[n][0][0], n): [((n,), d)] for (n,), w, d in first
              if n in part and -w in part[n][1][max_len - 1]}
     if not cells:
         return []
     brackets = {}  # every ordered letter pair with a nonzero bracket
-    for (m, n), _, d, _ in pairs:
+    for (m, n), _, d in pairs:
         brackets[m, n], brackets[n, m] = d, -d
     for r in range(1, max_len):
         nxt = {}

@@ -11,16 +11,14 @@ support word, and every other mould by the prefix tree of
 depends on the alphabet alone: it is built once and kept on the
 ``Alphabet`` while the alphabet lives, so the sums of many moulds over one
 alphabet bracket its words once.  The memory retained is that of the
-largest trees asked for; dropping the alphabet frees it.  Each sum takes
-its mould's fold states along the tree's parent links.
+largest trees asked for; dropping the alphabet frees it.
 
-The mould side is kept too: a mould given by a ``fold`` keeps the state of
-each tuple word that ``Mould.value`` folds, so a word whose parent word
-was asked before costs one ``step``, and a word asked again none.  That is
-what a mould built on other moulds' values, such as
-``Mould(lambda w: m1.value(w) + m2.value(w))``, asks of them on every word
-of the tree.  The memory retained is one state per distinct word asked;
-dropping the mould frees it.  The word fold keeps nothing.
+The mould side is kept on the mould: every fold state, in ``value`` and
+the sums alike, comes from ``Mould._state``.  A fold mould keeps the state
+of each tuple word asked, so a word whose parent word (all but its last
+letter) was asked before costs one ``step``, and a word asked again none.
+A sum keeps one state per tree word and twin below its deepest level;
+dropping the mould frees them.  The word fold keeps nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .algebra import ONE, GaussianRational, ZERO, _coerce, _reduced
 from .errors import InputError
-from .lie_analysis import _certified, central_series, iter_bracket_levels
+from .lie_analysis import _certified, central_series, iter_bracket_levels, twin
 from .operators import Derivation, Letter, Word, lie_bracket, linear_combination, nested_bracket
 from .prepared import Alphabet, weight
 
@@ -55,19 +53,22 @@ class Mould:
     (a + b i)/d, d > 0, not necessarily in lowest terms, which the sums
     pass to ``linear_combination`` unreduced.  ``Mould(fn)`` has the word
     fold: the state is the word so far, ``step`` appends a letter and
-    ``finish`` is the triple of ``fn``'s value.
+    ``finish`` is the triple of ``fn``'s value.  Exactly one of ``fn``
+    and ``fold`` must be given.
 
-    ``value`` keeps the fold state of each word it folds in a dict private
-    to the mould.  So the fold must be a pure function of the word, and
-    ``step`` must never mutate a state: a kept state, like a parent's in
-    ``projection_sum``, is stepped again for every child word.  A word
-    already asked is read back, a word whose parent word (all but its
-    last letter) was asked takes one ``step`` from that state, and any
-    other word is folded from ``start``; only the word's own state is
-    kept, never its prefixes'.  So the memory is one state per distinct
-    word asked, freed with the mould.  A JSON word (letters as lists)
-    cannot be hashed and is folded from ``start`` each time, and the
-    word fold, whose state is the word itself, keeps nothing.
+    Every fold state, for ``value`` and for the sums, comes from
+    ``_state``, which keeps the state of each word it folds in a dict
+    private to the mould.  So the fold must be a pure function of the
+    word, and ``step`` must never mutate a state: a kept state, like a
+    parent's in ``projection_sum``, is stepped again for every child
+    word.  A word already asked is read back, a word whose parent word
+    (all but its last letter) was asked takes one ``step`` from that
+    state, and any other word is folded from ``start``; only the word's
+    own state is kept, never its prefixes'.  So the memory is one state
+    per distinct word asked (by a sum, one per tree word and twin below
+    its deepest level), freed with the mould.  A JSON word (letters as
+    lists) cannot be hashed and is folded from ``start`` each time, and
+    the word fold, whose state is the word itself, keeps nothing.
 
     ``support`` is None, or a finite collection of words off which the
     mould is zero.  Only ``indicator_mould`` and ``table_mould`` set it,
@@ -76,6 +77,8 @@ class Mould:
 
     def __init__(self, evaluate_fn: Callable[[Word], GaussianRational] | None = None,
                  support_resonant_only: bool = False, fold: tuple | None = None):
+        if (evaluate_fn is None) == (fold is None):
+            raise TypeError("Mould takes exactly one of evaluate_fn and fold")
         self.support_resonant_only = support_resonant_only
         self.support = None
         self._states = None if fold is None else {}  # the word fold's state is the word: none kept
@@ -85,18 +88,22 @@ class Mould:
     def value(self, word: Word) -> GaussianRational:
         if not word or self.support_resonant_only and weight(word):
             return ZERO
+        return _reduced(*self.finish(self._state(word)))
+
+    def _state(self, word: Word):
+        """The fold state of a nonempty word: read back, one ``step`` from its parent word's, or folded."""
         states = self._states
         if states is None:
-            return _reduced(*self.finish(reduce(self.step, word, self.start)))
+            return tuple(word)
         try:
             state = states.get(word, _NONE)
         except TypeError:  # a JSON word (letters as lists) cannot be hashed, so no state is kept
-            return _reduced(*self.finish(reduce(self.step, word, self.start)))
+            return reduce(self.step, word, self.start)
         if state is _NONE:
             parent = states.get(word[:-1], _NONE)
             state = reduce(self.step, word, self.start) if parent is _NONE else self.step(parent, word[-1])
             states[word] = state
-        return _reduced(*self.finish(state))
+        return state
 
 
 def _mix(z: int, letter: Letter) -> int:
@@ -198,9 +205,10 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     that ``linear_combination`` reduces with one gcd per term.  The tree
     is the alphabet's comould, built on the first sum (or central series)
     that needs it and kept on the alphabet, so a repeat sum brackets no
-    tree word.  The mould's fold states of w and twin(w) are taken level by
-    level, each one ``step`` from those of the entry's parent, which the
-    entry's link names, so a deeper word costs one ``step`` per lineage.
+    tree word.  The mould's fold states of w and twin(w) come from
+    ``Mould._state``, level by level, so each is one ``step`` from its
+    parent word's on a fresh fold mould and read back on a kept one; the
+    mould keeps one state per tree word and twin below level L.
     Below the deepest level L the mould is finished only on nonzero
     brackets, and with resonant support only at weight zero.  Level L uses
     bilinearity in the last letter:
@@ -208,8 +216,9 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
 
     where an entry u of level L-1 of length 2 or more is weighted by
-    M(u n) - M(twin(u) n), a step from each of u's states.  So a length-L
-    word costs one step and one finish, and each letter with nonzero S_n
+    M(u n) - M(twin(u) n), a step from each of u's states, taken once per
+    entry before the loop over n and never kept.  So a length-L word costs
+    one step and one finish, and each letter with nonzero S_n
     one bracket.  The mould is therefore also evaluated on length-L words
     whose own bracket vanishes: it must be a pure function of the word.
 
@@ -221,14 +230,14 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     """
     if m.support is not None:
         return _support_sum(m, a, max_len)
-    resonant, step, finish = m.support_resonant_only, m.step, m.finish
+    resonant, step, finish, state = m.support_resonant_only, m.step, m.finish, m._state
     levels = iter_bracket_levels(a, max_len, resonant)
-    sums, states = [], []
+    sums = []
     # every level but the deepest, entry by entry; at max_len 1 that is the only level
     for r, level in enumerate(islice(levels, max(max_len - 1, 1)), 1):
-        states = _states(level, states, r, m.start, step)
+        states = [(state(w), r > 1 and state(twin(w))) for w, _, _ in level]
         values = ((_class_value(finish, s, t, r > 1), d)
-                  for (_, w, d, _), (s, t) in zip(level, states) if not (resonant and w))
+                  for (_, w, d), (s, t) in zip(level, states) if not (resonant and w))
         sums.append(linear_combination(values))
     if max_len > 1:
         twinned = max_len > 2  # the entries u of level L-1 are twin classes
@@ -236,30 +245,11 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         for n in a.letters():
             wn = weight(n)
             ends = ((_class_value(finish, step(s, n), twinned and step(t, n), twinned), d)
-                    for (_, w, d, _), (s, t) in zip(level, states) if not (resonant and w + wn))
+                    for (_, w, d), (s, t) in zip(level, states) if not (resonant and w + wn))
             by_letter[n] = linear_combination(ends)
         brackets = (((1, 0, 1), lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
     return linear_combination(((1, 0, r), s) for r, s in enumerate(sums, 1))
-
-
-def _states(level: list[tuple], parents: list[tuple], r: int, start, step: Callable) -> list[tuple]:
-    """The fold states (s, t) of each level-r entry's word w and of twin(w).
-
-    Each is one ``step`` from the state of the entry's parent, read off
-    ``parents``, the states of level r-1, at the index its link gives.  At
-    level 1 t is None.  A pair (m, n) steps from the state of m, and its
-    twin (n, m) from that of n; a longer w + (n,) steps from both of w's.
-    """
-    if r == 1:
-        return [(step(start, n), None) for (n,), _, _, _ in level]
-    if r == 2:
-        return [(step(parents[i][0], n), step(parents[j][0], m)) for (m, n), _, _, (i, j) in level]
-    out = []
-    for word, _, _, i in level:
-        s, t = parents[i]
-        out.append((step(s, word[-1]), step(t, word[-1])))
-    return out
 
 
 def _support_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
@@ -272,7 +262,7 @@ def _support_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         # a word with a letter outside the alphabet has no bracket, and so no term
         if not 0 < len(w) <= max_len or any(n not in ops for n in w) or resonant and weight(w):
             continue
-        p, q, d = m.finish(reduce(m.step, w, m.start))
+        p, q, d = m.finish(m._state(w))
         if p or q:
             terms.append(((p, q, d * len(w)), nested_bracket(w, ops)))
     return linear_combination(terms)
@@ -289,7 +279,7 @@ def _class_value(finish: Callable, s, t, twinned: bool) -> tuple[int, int, int]:
 
 def letter_sum(m: Mould, a: Alphabet) -> Derivation:
     """sum over weight-zero letters of M^n B_n, no bracket terms."""
-    return linear_combination((m.finish(m.step(m.start, n)), a[n]) for n in a.resonant_letters())
+    return linear_combination((m.finish(m._state((n,))), a[n]) for n in a.resonant_letters())
 
 
 def structural_linearisability(a: Alphabet, max_len: int) -> str:
@@ -314,6 +304,8 @@ def verify_fond3(
     equal the sum over weight-zero letters alone.  Requires the alphabet
     to be nilpotent of order 1: every letter pair brackets to zero.
     """
+    if trials < 1 or max_len < 1:
+        raise InputError(f"trials and max_len must be >= 1, got {trials} and {max_len}")
     if not central_series(a, 1).nilpotent_order1:
         raise InputError("alphabet is not nilpotent of order 1")
     for t in range(trials):

@@ -191,7 +191,7 @@ def class_words(level):
     """The (word, weight, bracket) of every word a level's entries stand for:
     the entry itself and, from level 2 on, its swap twin with bracket -d."""
     out = []
-    for w, wt, d, _ in level:
+    for w, wt, d in level:
         out.append((w, wt, d))
         if len(w) > 1:
             out.append((twin(w), wt, -d))
@@ -203,7 +203,7 @@ def test_bracket_levels_match_brute_force():
     # itertools.product word with its nested_bracket, kept when that is
     # nonzero and, with resonant_only, when some word of at most max_len - r
     # letters of the word's own component brings its weight back to zero;
-    # no word may appear twice, and each entry links to its parent.  L is
+    # no word may appear twice.  L is
     # capped so that at most 700 words have length L.  The meeting
     # alphabets have two components that meet at the multidegree (0, 0)
     rng = random.Random(20)
@@ -227,14 +227,6 @@ def test_bracket_levels_match_brute_force():
                 got = class_words(level)
                 assert len({w for w, _, _ in got}) == len(got)
                 assert got == expected
-        for levels in (full, pruned):  # each link is the index of the entry's parent
-            assert all(link is None for *_, link in levels[0])
-            for r, level in enumerate(levels[1:], 2):
-                for w, _, _, link in level:
-                    if r == 2:
-                        assert (levels[0][link[0]][0], levels[0][link[1]][0]) == (w[:1], w[1:])
-                    else:
-                        assert levels[r - 2][link][0] == w[:-1]
         cut += pruned != full
         twins += max_len > 1 and bool(full[1])
     assert kinds == {"extreme", "zero", "plain"} and cut >= 10 and twins >= 10

@@ -262,6 +262,61 @@ def test_kept_states_one_per_distinct_tuple_word():
         assert m._states is None
 
 
+def test_mould_takes_exactly_one_of_fn_and_fold():
+    # neither would fail only on the first value, and both would drop fn
+    with pytest.raises(TypeError, match="exactly one"):
+        Mould()
+    with pytest.raises(TypeError, match="exactly one"):
+        Mould(support_resonant_only=True)
+    with pytest.raises(TypeError, match="exactly one"):
+        Mould(lambda w: G(1), fold=tuple_fold())
+
+
+def test_type_error_in_a_users_fold_surfaces():
+    # the TypeError guard for JSON words covers the dict lookup only: a
+    # TypeError from a user's step or finish surfaces from value and from
+    # projection_sum, after a single call, with no refold from start
+    calls = Counter()
+    start, step, finish = tuple_fold()
+
+    def bad_step(state, letter):
+        calls["step"] += 1
+        if letter == (2, -1):
+            raise TypeError("step refused")
+        return step(state, letter)
+
+    def bad_finish(state):
+        calls["finish"] += 1
+        if state[0] == 3:
+            raise TypeError("finish refused")
+        return finish(state)
+
+    m = Mould(fold=(start, bad_step, finish))
+    assert m.value(((1, 0), (0, 1))) == folded(Mould(fold=tuple_fold()), ((1, 0), (0, 1)))
+    calls.clear()
+    with pytest.raises(TypeError, match="step refused"):
+        m.value(((1, 0), (0, 1), (2, -1)))
+    assert calls["step"] == 1 and ((1, 0), (0, 1), (2, -1)) not in m._states
+    calls.clear()
+    with pytest.raises(TypeError, match="step refused"):
+        m.value(((2, -1),))
+    assert calls["step"] == 1
+    m = Mould(fold=(start, step, bad_finish))
+    with pytest.raises(TypeError, match="finish refused"):
+        m.value(((1, 0), (0, 1), (1, 1)))
+    assert calls["finish"] == 1
+    a = decompose(quadratic(1, 2, 3))
+    assert (2, -1) in a.letters()
+    for resonant_only in (False, True):
+        calls.clear()
+        m = Mould(support_resonant_only=resonant_only, fold=(start, bad_step, finish))
+        with pytest.raises(TypeError, match="step refused"):
+            projection_sum(m, a, 3)
+        assert calls["step"] <= len(a) and (((2, -1),) not in m._states)
+    with pytest.raises(TypeError, match="finish refused"):
+        projection_sum(Mould(fold=(start, step, bad_finish)), a, 4)
+
+
 def _draws(seed, word):
     """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
     return _split(reduce(_mix, word, seed & _MASK))
@@ -323,6 +378,18 @@ def test_verify_fond3_cases():
     # precondition: non-nilpotent alphabet rejected
     with pytest.raises(InputError):
         verify_fond3(decompose(quadratic(1, 2, 0)), 5, 4)
+
+
+def test_verify_fond3_rejects_empty_bounds(monkeypatch):
+    # no trial or no length would check nothing and return True
+    def refuse(*args):
+        raise AssertionError("verify_fond3 worked before checking its bounds")
+
+    a4 = decompose(random_ui_homogeneous(random.Random(10), 4))
+    monkeypatch.setattr(prenormal, "central_series", refuse)
+    for trials, max_len in ((0, 6), (-3, 6), (5, 0), (5, -1), (0, 0)):
+        with pytest.raises(InputError):
+            verify_fond3(a4, trials, max_len)
 
 
 def test_structural_linearisability_verdicts():
@@ -414,10 +481,12 @@ def test_random_mould_fold_matches_brute_force_and_word_fold():
 
 
 def test_projection_sum_steps_each_lineage_once(monkeypatch):
-    # the tree entries carry the fold states of w and twin(w), so a word of
-    # length r < L costs at most two steps per entry of level r, and one of
-    # length L at most two per (entry of level L-1, letter); a refold from
-    # the start would cost r steps for each word of length r
+    # every fold state comes from Mould._state: the word fold's state is the
+    # word, so it steps only at level L, at most twice per (entry of level
+    # L-1, letter); a fresh fold mould steps once per tree word and twin
+    # below level L, each from its parent word's kept state (5,837 _mix
+    # calls here, a refold from the start would cost r per word of length
+    # r), and a repeat sum over the same mould steps at level L only
     a = decompose(random_field(random.Random(18), 3, density=1))
     max_len = 4
     sizes = [len(level) for level in iter_bracket_levels(a, max_len - 1)]
@@ -431,11 +500,8 @@ def test_projection_sum_steps_each_lineage_once(monkeypatch):
 
     monkeypatch.setattr(word_fold, "step", appended)
     want = projection_sum(word_fold, a, max_len)
-    for r, size in enumerate(sizes, 1):
-        assert 0 < by_length[r] <= 2 * size, r
+    assert set(by_length) == {max_len}
     assert 0 < by_length[max_len] <= 2 * sizes[-1] * len(a)
-    assert set(by_length) == {1, 2, 3, 4}
-    # random_mould's own step runs on the same schedule
     steps = [0]
     mix = prenormal._mix
 
@@ -444,8 +510,13 @@ def test_projection_sum_steps_each_lineage_once(monkeypatch):
         return mix(z, letter)
 
     monkeypatch.setattr(prenormal, "_mix", counted)
-    assert projection_sum(random_mould(3, support_resonant_only=False), a, max_len) == want
-    assert steps[0] == sum(by_length.values())
+    kept = random_mould(3, support_resonant_only=False)
+    assert projection_sum(kept, a, max_len) == want
+    assert steps[0] == sizes[0] + 2 * sum(sizes[1:]) + by_length[max_len] == 5837
+    steps[0] = 0
+    assert projection_sum(kept, a, max_len) == want
+    assert steps[0] == by_length[max_len]
+    assert len(kept._states) == sizes[0] + 2 * sum(sizes[1:])
     assert len(a) == 9 and want
 
 
@@ -647,6 +718,40 @@ def test_sum_of_fold_moulds_fresh_and_reused():
             for m1, m2 in (fresh, kept):
                 assert projection_sum(Mould(lambda w, m1=m1, m2=m2: m1.value(w) + m2.value(w)), a, L) == want
     assert 5 in lengths and nonzero >= 50, nonzero
+
+
+def test_repeat_sums_over_kept_moulds_match_fresh_and_brute_force():
+    # random_mould sums at L = 1..5 in shuffled order, both supports: a
+    # repeat sum over a kept mould reads its states back, and must equal a
+    # fresh mould's sum and the brute force over the reference values.  A
+    # resonant sum keeps the states of the non-resonant prefixes of its
+    # tree words; the same mould, then summed with full support and asked
+    # for its values, must read those states back right too
+    rng = random.Random(31)
+    lengths, nonzero, prefixes = set(), 0, 0
+    for k in range(60):
+        a = random_alphabet(rng)
+        max_len = max(L for L in range(1, 1 + k % 5 + 1) if L == 1 or len(a) ** L <= 700)
+        lengths.add(max_len)
+        brackets = brute_brackets(a, max_len)
+        reference = cache(lambda w, k=k: reference_random_mould_value(k, w))
+        kept = {resonant: random_mould(k, resonant) for resonant in (False, True)}
+        flipped = random_mould(k, True)
+        for L in rng.sample(range(1, max_len + 1), max_len):
+            shorter = [(w, d) for w, d in brackets if len(w) <= L]
+            want = {resonant: brute_projection_sum(Mould(reference, resonant), shorter)
+                    for resonant in (False, True)}
+            for resonant, m in kept.items():
+                fresh = projection_sum(random_mould(k, resonant), a, L)
+                assert projection_sum(m, a, L) == projection_sum(m, a, L) == fresh == want[resonant], (k, L)
+                nonzero += bool(fresh)
+            flipped.support_resonant_only = True
+            assert projection_sum(flipped, a, L) == want[True], (k, L)
+            prefixes += any(weight(w) for w in flipped._states)
+            flipped.support_resonant_only = False
+            assert projection_sum(flipped, a, L) == want[False], (k, L)
+            assert all(flipped.value(w) == reference(w) for w in list(flipped._states)), (k, L)
+    assert lengths == {1, 2, 3, 4, 5} and nonzero >= 200 and prefixes >= 50, (nonzero, prefixes)
 
 
 def test_analyze_brackets_each_letter_pair_once(monkeypatch):
