@@ -13,12 +13,16 @@ depends on the alphabet alone: it is built once and kept on the
 alphabet bracket its words once.  The memory retained is that of the
 largest trees asked for; dropping the alphabet frees it.
 
-The mould side is kept on the mould: every fold state, in ``value`` and
-the sums alike, comes from ``Mould._state``.  A fold mould keeps the state
-of each tuple word asked, so a word whose parent word (all but its last
-letter) was asked before costs one ``step``, and a word asked again none.
-A sum keeps one state per tree word and twin below its deepest level;
-dropping the mould frees them.  The word fold keeps nothing.
+The mould side is kept on the mould.  A mould keeps the finished triple
+of each tuple word it evaluates, under the word's parent word (all but its
+last letter) and by its last letter, and a fold mould the state of each
+word it folds.  ``Mould._value`` gives one word's value, read back or
+finished from the word's state, and ``Mould._children`` the values of a
+word's children at a sum's deepest level, each missing one a ``step`` from
+the word's state.  So a repeat sum makes no ``step``, ``finish`` or user
+function call, and dropping the mould frees what it keeps.  The word fold
+keeps values only, as its state is the word, and a finite mould keeps
+none, as its table holds them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from .algebra import ONE, GaussianRational, ZERO, _coerce, _reduced
+from .algebra import ONE, GaussianRational, ZERO, _coerce, _operand, _reduced
 from .errors import InputError
 from .lie_analysis import _certified, central_series, iter_bracket_levels, twin
 from .operators import Derivation, Letter, Word, lie_bracket, linear_combination, nested_bracket
@@ -42,6 +46,7 @@ UNKNOWN = "Unknown"
 _MASK = (1 << 64) - 1  # random_mould's arithmetic is mod 2^64
 _parts = attrgetter("_a", "_b", "_d")  # the integer triple of a GaussianRational
 _NONE = object()  # no state kept for a word
+_NO_VALUES: dict = {}  # never written: the kept values of the children of a word with none
 
 
 class Mould:
@@ -54,21 +59,33 @@ class Mould:
     pass to ``linear_combination`` unreduced.  ``Mould(fn)`` has the word
     fold: the state is the word so far, ``step`` appends a letter and
     ``finish`` is the triple of ``fn``'s value.  Exactly one of ``fn``
-    and ``fold`` must be given.
+    and ``fold`` must be given.  ``m1 + m2`` and ``c * m`` (c a scalar,
+    int or ``Fraction``) are fold moulds too.
 
-    Every fold state, for ``value`` and for the sums, comes from
-    ``_state``, which keeps the state of each word it folds in a dict
-    private to the mould.  So the fold must be a pure function of the
-    word, and ``step`` must never mutate a state: a kept state, like a
-    parent's in ``projection_sum``, is stepped again for every child
-    word.  A word already asked is read back, a word whose parent word
-    (all but its last letter) was asked takes one ``step`` from that
-    state, and any other word is folded from ``start``; only the word's
-    own state is kept, never its prefixes'.  So the memory is one state
-    per distinct word asked (by a sum, one per tree word and twin below
-    its deepest level), freed with the mould.  A JSON word (letters as
-    lists) cannot be hashed and is folded from ``start`` each time, and
-    the word fold, whose state is the word itself, keeps nothing.
+    A mould keeps the value of each tuple word it evaluates, in a dict
+    private to the mould from the word's parent word (all but its last
+    letter) to a dict from the last letter to the triple, and a fold mould
+    the state of each word ``_state`` folds, in another.  So the fold, and
+    ``fn``, must be pure functions of the word: a word's value is computed
+    once, and ``fn`` is called at most once per distinct tuple word.
+    ``step`` must never mutate a state: a kept state, like a parent's in
+    ``projection_sum``, is stepped again for every child word.  ``_value``
+    reads a word's value back, or finishes the word's state; ``_state``
+    reads that back, takes one ``step`` from the parent word's kept state,
+    or folds from ``start``, and keeps only the word's own state, never its
+    prefixes'.  ``_children`` gives the values of the children u·n of a
+    word u at a sum's deepest level: a missing one is one ``step`` from u's
+    state, and its own state is not kept.  So the memory is one value per
+    distinct word evaluated and one state per distinct word folded: a sum
+    to length L keeps one state per tree word and twin below L, and one
+    value per tree word and twin up to L, the children u·n and twin(u)·n of
+    level L included.  On the 9-letter golden cubic at L = 5 that is 5,733
+    states and 51,417 values, 7.7 MB by tracemalloc against the alphabet's
+    18.6 MB tree, all freed with the mould.  The word fold keeps no state,
+    as its state is the word, and a finite mould (``indicator_mould``,
+    ``table_mould``) no value, as its table holds them.  A JSON word
+    (letters as lists) cannot be hashed and is folded and finished from
+    ``start`` each time, keeping nothing.
 
     ``support`` is None, or a finite collection of words off which the
     mould is zero.  Only ``indicator_mould`` and ``table_mould`` set it,
@@ -82,28 +99,100 @@ class Mould:
         self.support_resonant_only = support_resonant_only
         self.support = None
         self._states = None if fold is None else {}  # the word fold's state is the word: none kept
+        self._values = {}
         word_fold = (), lambda w, n: w + (n,), lambda w: _parts(evaluate_fn(w))
         self.start, self.step, self.finish = fold or word_fold
 
     def value(self, word: Word) -> GaussianRational:
         if not word or self.support_resonant_only and weight(word):
             return ZERO
-        return _reduced(*self.finish(self._state(word)))
+        return _reduced(*self._value(word))
+
+    def _value(self, word: Word) -> tuple[int, int, int]:
+        """The finished triple of a nonempty word: read back, or finished from its fold state and kept."""
+        parent, n = word[:-1], word[-1]
+        try:
+            kids = self._values.get(parent, _NO_VALUES)
+            value = kids.get(n)
+        except TypeError:  # a JSON word (letters as lists) cannot be hashed, so nothing is kept
+            return self.finish(reduce(self.step, word, self.start))
+        if value is None:
+            value = self.finish(self._state(word))
+            if self.support is None:  # a finite mould's values are its table: none kept
+                if kids is _NO_VALUES:
+                    kids = self._values[parent] = {}
+                kids[n] = value
+        return value
+
+    def _children(self, word: Word, letters) -> dict:
+        """The values of the children word·n, n in letters, kept by letter.
+
+        A missing one is one ``step`` from the word's state and one ``finish``; its own state is not kept.
+        """
+        kids = self._values.get(word)
+        if kids is None:
+            kids = self._values[word] = {}
+        missing = [n for n in letters if n not in kids] if kids else letters
+        if missing:
+            state, step, finish = self._state(word), self.step, self.finish
+            for n in missing:
+                kids[n] = finish(step(state, n))
+        return kids
 
     def _state(self, word: Word):
-        """The fold state of a nonempty word: read back, one ``step`` from its parent word's, or folded."""
+        """The fold state of a nonempty tuple word: read back, one ``step`` from its parent word's, or folded."""
         states = self._states
         if states is None:
-            return tuple(word)
-        try:
-            state = states.get(word, _NONE)
-        except TypeError:  # a JSON word (letters as lists) cannot be hashed, so no state is kept
-            return reduce(self.step, word, self.start)
+            return word
+        state = states.get(word, _NONE)
         if state is _NONE:
             parent = states.get(word[:-1], _NONE)
             state = reduce(self.step, word, self.start) if parent is _NONE else self.step(parent, word[-1])
             states[word] = state
         return state
+
+    def __add__(self, other: Mould) -> Mould:
+        """The sum as a fold: its state is the pair of the parts' states, its triple their unreduced sum."""
+        if not isinstance(other, Mould):
+            return NotImplemented
+        _foldable(self, other)
+        if self.support_resonant_only != other.support_resonant_only:
+            raise InputError("cannot add a resonant-support mould to an all-support mould")
+        step1, finish1, step2, finish2 = self.step, self.finish, other.step, other.finish
+
+        def step(state, letter):
+            return step1(state[0], letter), step2(state[1], letter)
+
+        def finish(state):
+            a, b, d = finish1(state[0])
+            e, f, g = finish2(state[1])
+            return a * g + e * d, b * g + f * d, d * g
+
+        fold = (self.start, other.start), step, finish
+        return Mould(support_resonant_only=self.support_resonant_only, fold=fold)
+
+    def __mul__(self, c) -> Mould:
+        """c times the mould as a fold: the mould's own states, its triples multiplied by c's."""
+        c = _operand(c)
+        if c is None:
+            return NotImplemented
+        _foldable(self)
+        ca, cb, cd = _parts(c)
+        finish1 = self.finish
+
+        def finish(state):
+            a, b, d = finish1(state)
+            return ca * a - cb * b, ca * b + cb * a, cd * d
+
+        return Mould(support_resonant_only=self.support_resonant_only, fold=(self.start, self.step, finish))
+
+    __rmul__ = __mul__
+
+
+def _foldable(*parts: Mould) -> None:
+    """Refuse a part with a finite support: a sum or multiple is a fold, which sums over the whole tree."""
+    if any(m.support is not None for m in parts):
+        raise InputError("cannot add or scale a mould with a finite support (indicator_mould, table_mould)")
 
 
 def _mix(z: int, letter: Letter) -> int:
@@ -205,22 +294,26 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     that ``linear_combination`` reduces with one gcd per term.  The tree
     is the alphabet's comould, built on the first sum (or central series)
     that needs it and kept on the alphabet, so a repeat sum brackets no
-    tree word.  The mould's fold states of w and twin(w) come from
-    ``Mould._state``, level by level, so each is one ``step`` from its
-    parent word's on a fresh fold mould and read back on a kept one; the
-    mould keeps one state per tree word and twin below level L.
-    Below the deepest level L the mould is finished only on nonzero
-    brackets, and with resonant support only at weight zero.  Level L uses
-    bilinearity in the last letter:
+    tree word.  The values of w and twin(w) come from ``Mould._value``,
+    level by level: on a fresh fold mould each is one ``step`` from its
+    parent word's kept state and one ``finish``, and on a kept mould each
+    is read back.  Below the deepest level L the mould is evaluated only on
+    nonzero brackets, and with resonant support only at weight zero; the
+    states of the other entries are still kept, as their children step
+    from them.  Level L uses bilinearity in the last letter:
 
         sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
 
     where an entry u of level L-1 of length 2 or more is weighted by
-    M(u n) - M(twin(u) n), a step from each of u's states, taken once per
-    entry before the loop over n and never kept.  So a length-L word costs
-    one step and one finish, and each letter with nonzero S_n
-    one bracket.  The mould is therefore also evaluated on length-L words
-    whose own bracket vanishes: it must be a pure function of the word.
+    M(u n) - M(twin(u) n).  They come from ``Mould._children``, once per
+    u and twin(u) for all the letters n, with resonant support only those
+    of weight zero: their values are kept too, their states are not, so
+    on a first sum a length-L word costs one step from u's state and one
+    finish, and on a repeat sum nothing.  Each letter
+    with nonzero S_n costs one bracket.  The mould is therefore also
+    evaluated on length-L words whose own bracket vanishes: it must be a
+    pure function of the word.  The mould keeps one state per tree word
+    and twin below level L, and one value per tree word and twin up to L.
 
     A mould with a known ``support`` (``indicator_mould``, ``table_mould``)
     skips the tree: the sum is taken over its support words w with
@@ -230,23 +323,37 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     """
     if m.support is not None:
         return _support_sum(m, a, max_len)
-    resonant, step, finish, state = m.support_resonant_only, m.step, m.finish, m._state
+    resonant, value, state = m.support_resonant_only, m._value, m._state
     levels = iter_bracket_levels(a, max_len, resonant)
     sums = []
     # every level but the deepest, entry by entry; at max_len 1 that is the only level
     for r, level in enumerate(islice(levels, max(max_len - 1, 1)), 1):
-        states = [(state(w), r > 1 and state(twin(w))) for w, _, _ in level]
-        values = ((_class_value(finish, s, t, r > 1), d)
-                  for (_, w, d), (s, t) in zip(level, states) if not (resonant and w))
-        sums.append(linear_combination(values))
+        words = [(w, r > 1 and twin(w)) for w, _, _ in level]
+        terms = []
+        for (w, t), (_, wt, d) in zip(words, level):
+            if resonant and wt:  # not finished, but its children step from its state
+                state(w)
+                r > 1 and state(t)
+            else:
+                terms.append((_difference(value(w), r > 1 and value(t)), d))
+        sums.append(linear_combination(terms))
     if max_len > 1:
         twinned = max_len > 2  # the entries u of level L-1 are twin classes
-        by_letter = {}  # n -> S_n of the docstring, from the entries u of level L-1
-        for n in a.letters():
+        letters = a.letters()
+        if resonant:  # only the children of weight zero are evaluated: by u's weight, the letters they end in
+            ending = {}
+            for n in letters:
+                ending.setdefault(-weight(n), []).append(n)
+        ends = []  # (the kept children of u, of twin(u), u's weight, [B_u]) for each u with a child to evaluate
+        for (u, t), (_, wt, d) in zip(words, level):
+            ns = ending.get(wt) if resonant else letters
+            if ns:
+                ends.append((m._children(u, ns), twinned and m._children(t, ns), wt, d))
+        by_letter = {}  # n -> S_n of the docstring
+        for n in letters:
             wn = weight(n)
-            ends = ((_class_value(finish, step(s, n), twinned and step(t, n), twinned), d)
-                    for (_, w, d), (s, t) in zip(level, states) if not (resonant and w + wn))
-            by_letter[n] = linear_combination(ends)
+            terms = ((_difference(ku[n], kt and kt[n]), d) for ku, kt, wt, d in ends if not (resonant and wt + wn))
+            by_letter[n] = linear_combination(terms)
         brackets = (((1, 0, 1), lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
         sums.append(linear_combination(brackets))
     return linear_combination(((1, 0, r), s) for r, s in enumerate(sums, 1))
@@ -262,24 +369,24 @@ def _support_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         # a word with a letter outside the alphabet has no bracket, and so no term
         if not 0 < len(w) <= max_len or any(n not in ops for n in w) or resonant and weight(w):
             continue
-        p, q, d = m.finish(m._state(w))
+        p, q, d = m._value(w)
         if p or q:
             terms.append(((p, q, d * len(w)), nested_bracket(w, ops)))
     return linear_combination(terms)
 
 
-def _class_value(finish: Callable, s, t, twinned: bool) -> tuple[int, int, int]:
-    """M at fold state s, less M at state t for a twin class, as an unreduced triple."""
-    a, b, d = finish(s)
-    if twinned:
-        e, f, g = finish(t)
+def _difference(v: tuple[int, int, int], t) -> tuple[int, int, int]:
+    """The triple v, less the triple t for a twin class (t false otherwise), unreduced."""
+    if t:
+        a, b, d = v
+        e, f, g = t
         return a * g - e * d, b * g - f * d, d * g
-    return a, b, d
+    return v
 
 
 def letter_sum(m: Mould, a: Alphabet) -> Derivation:
     """sum over weight-zero letters of M^n B_n, no bracket terms."""
-    return linear_combination((m.finish(m._state((n,))), a[n]) for n in a.resonant_letters())
+    return linear_combination((m._value((n,)), a[n]) for n in a.resonant_letters())
 
 
 def structural_linearisability(a: Alphabet, max_len: int) -> str:

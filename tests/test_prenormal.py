@@ -200,6 +200,11 @@ def folded(m, word):
     return G(Fraction(a, d), Fraction(b, d))
 
 
+def kept_values(m):
+    """The values a mould keeps, by word: they are kept under the word's parent word, by last letter."""
+    return {parent + (n,): v for parent, kids in m._values.items() for n, v in kids.items()}
+
+
 def test_kept_states_match_the_refold():
     # value keeps word states and steps from the parent's: in any order of
     # asking, and with JSON words mixed in, it equals the fold from start
@@ -274,8 +279,9 @@ def test_mould_takes_exactly_one_of_fn_and_fold():
 
 def test_type_error_in_a_users_fold_surfaces():
     # the TypeError guard for JSON words covers the dict lookup only: a
-    # TypeError from a user's step or finish surfaces from value and from
-    # projection_sum, after a single call, with no refold from start
+    # TypeError from a user's step or finish, or from a word fold's fn,
+    # surfaces from value and from projection_sum, after a single call,
+    # with no refold from start, and no value is kept for the word
     calls = Counter()
     start, step, finish = tuple_fold()
 
@@ -297,14 +303,15 @@ def test_type_error_in_a_users_fold_surfaces():
     with pytest.raises(TypeError, match="step refused"):
         m.value(((1, 0), (0, 1), (2, -1)))
     assert calls["step"] == 1 and ((1, 0), (0, 1), (2, -1)) not in m._states
+    assert ((1, 0), (0, 1), (2, -1)) not in kept_values(m) and ((1, 0), (0, 1)) in kept_values(m)
     calls.clear()
     with pytest.raises(TypeError, match="step refused"):
         m.value(((2, -1),))
-    assert calls["step"] == 1
+    assert calls["step"] == 1 and not kept_values(m).keys() - {((1, 0), (0, 1))}
     m = Mould(fold=(start, step, bad_finish))
     with pytest.raises(TypeError, match="finish refused"):
         m.value(((1, 0), (0, 1), (1, 1)))
-    assert calls["finish"] == 1
+    assert calls["finish"] == 1 and kept_values(m) == {} and len(m._states) == 1
     a = decompose(quadratic(1, 2, 3))
     assert (2, -1) in a.letters()
     for resonant_only in (False, True):
@@ -313,8 +320,36 @@ def test_type_error_in_a_users_fold_surfaces():
         with pytest.raises(TypeError, match="step refused"):
             projection_sum(m, a, 3)
         assert calls["step"] <= len(a) and (((2, -1),) not in m._states)
+        assert ((2, -1),) not in kept_values(m)
+    m = Mould(fold=(start, step, bad_finish))
     with pytest.raises(TypeError, match="finish refused"):
-        projection_sum(Mould(fold=(start, step, bad_finish)), a, 4)
+        projection_sum(m, a, 4)
+    assert kept_values(m) and all(len(w) < 3 for w in kept_values(m))
+
+    def refuses(w):
+        return len(w) > 1 and tuple(w[-1]) == (2, -1)
+
+    def bad_fn(w):
+        calls["fn"] += 1
+        if refuses(w):
+            raise TypeError("fn refused")
+        return G(len(w), w[0][0])
+
+    refused = ((1, 0), (0, 1), (2, -1))
+    m = Mould(bad_fn)
+    for asked in (refused, json.loads(json.dumps(refused)), refused):
+        calls.clear()
+        with pytest.raises(TypeError, match="fn refused"):
+            m.value(asked)
+        assert calls["fn"] == 1 and refused not in kept_values(m)
+    assert m.value(refused[:2]) == G(2, 1) and list(kept_values(m)) == [refused[:2]]
+    for resonant_only in (False, True):
+        m = Mould(bad_fn, support_resonant_only=resonant_only)
+        with pytest.raises(TypeError, match="fn refused"):
+            projection_sum(m, a, 3)
+        assert not any(map(refuses, kept_values(m)))
+        with pytest.raises(TypeError, match="fn refused"):
+            projection_sum(m, a, 3)
 
 
 def _draws(seed, word):
@@ -481,42 +516,49 @@ def test_random_mould_fold_matches_brute_force_and_word_fold():
 
 
 def test_projection_sum_steps_each_lineage_once(monkeypatch):
-    # every fold state comes from Mould._state: the word fold's state is the
-    # word, so it steps only at level L, at most twice per (entry of level
-    # L-1, letter); a fresh fold mould steps once per tree word and twin
-    # below level L, each from its parent word's kept state (5,837 _mix
-    # calls here, a refold from the start would cost r per word of length
-    # r), and a repeat sum over the same mould steps at level L only
+    # a fresh fold mould steps once per tree word and twin below level L,
+    # each from its parent word's kept state, and once per child u n and
+    # twin(u) n of level L from u's (5,837 _mix calls here; a refold from
+    # the start would cost r per word of length r), finishing each word
+    # once; a repeat sum reads every value back, with no _mix and no
+    # finish.  A word fold calls fn once per distinct word on its first sum
+    # and never on a repeat
     a = decompose(random_field(random.Random(18), 3, density=1))
     max_len = 4
     sizes = [len(level) for level in iter_bracket_levels(a, max_len - 1)]
-    m = random_mould(3, support_resonant_only=False)
-    word_fold = Mould(m.value)
-    by_length = Counter()
-
-    def appended(word, letter):
-        by_length[len(word) + 1] += 1
-        return word + (letter,)
-
-    monkeypatch.setattr(word_fold, "step", appended)
-    want = projection_sum(word_fold, a, max_len)
-    assert set(by_length) == {max_len}
-    assert 0 < by_length[max_len] <= 2 * sizes[-1] * len(a)
-    steps = [0]
+    words = sizes[0] + 2 * sum(sizes[1:]) + 2 * sizes[-1] * len(a)
+    calls = Counter()
     mix = prenormal._mix
 
     def counted(z, letter):
-        steps[0] += 1
+        calls["mix"] += 1
         return mix(z, letter)
 
     monkeypatch.setattr(prenormal, "_mix", counted)
     kept = random_mould(3, support_resonant_only=False)
+    finish = kept.finish
+
+    def finished(z):
+        calls["finish"] += 1
+        return finish(z)
+
+    kept.finish = finished
+    want = projection_sum(kept, a, max_len)
+    assert calls["mix"] == calls["finish"] == words == 5837
+    calls.clear()
     assert projection_sum(kept, a, max_len) == want
-    assert steps[0] == sizes[0] + 2 * sum(sizes[1:]) + by_length[max_len] == 5837
-    steps[0] = 0
-    assert projection_sum(kept, a, max_len) == want
-    assert steps[0] == by_length[max_len]
-    assert len(kept._states) == sizes[0] + 2 * sum(sizes[1:])
+    assert calls["mix"] == calls["finish"] == 0
+    asked = Counter()
+
+    def fn(w):
+        asked[w] += 1
+        return kept.value(w)  # read back: no _mix and no finish
+
+    word_fold = Mould(fn)
+    assert projection_sum(word_fold, a, max_len) == want
+    assert len(asked) == words and set(asked.values()) == {1}
+    assert projection_sum(word_fold, a, max_len) == want
+    assert sum(asked.values()) == words and calls["mix"] == calls["finish"] == 0
     assert len(a) == 9 and want
 
 
@@ -752,6 +794,189 @@ def test_repeat_sums_over_kept_moulds_match_fresh_and_brute_force():
             assert projection_sum(flipped, a, L) == want[False], (k, L)
             assert all(flipped.value(w) == reference(w) for w in list(flipped._states)), (k, L)
     assert lengths == {1, 2, 3, 4, 5} and nonzero >= 200 and prefixes >= 50, (nonzero, prefixes)
+
+
+def test_kept_values_match_fresh_moulds_and_brute_force():
+    # fold moulds (random_mould) and word folds over the reference values,
+    # with both supports, kept across sums at L = 1..5 in shuffled order and
+    # asked for values in between, JSON words mixed in: every repeat sum
+    # reads the kept values back and must equal a fresh mould's sum and the
+    # itertools.product brute force over the reference values
+    rng = random.Random(37)
+    lengths, nonzero, read_back = set(), 0, 0
+    for k in range(40):
+        a = random_alphabet(rng)
+        max_len = max(L for L in range(1, 1 + k % 5 + 1) if L == 1 or len(a) ** L <= 700)
+        lengths.add(max_len)
+        brackets = brute_brackets(a, max_len)
+        cached = cache(lambda w, k=k: reference_random_mould_value(k, w))
+
+        def reference(w, cached=cached):  # a JSON word too
+            return cached(tuple(map(tuple, w)))
+
+        kept = {(kind, resonant): random_mould(k, resonant) if kind == "fold" else Mould(reference, resonant)
+                for kind in ("fold", "word fold") for resonant in (False, True)}
+        words = [w for w, _ in brackets] + [w + (n,) for w, _ in brackets if len(w) == max_len - 1
+                                            for n in a.letters()]
+        for L in rng.sample(range(1, max_len + 1), max_len):
+            shorter = [(w, d) for w, d in brackets if len(w) <= L]
+            for (kind, resonant), m in kept.items():
+                want = brute_projection_sum(Mould(reference, resonant), shorter)
+                fresh = random_mould(k, resonant) if kind == "fold" else Mould(reference, resonant)
+                assert projection_sum(m, a, L) == projection_sum(fresh, a, L) == want, (k, L, kind)
+                values = kept_values(m)
+                read_back += sum(w in values for w, _ in shorter)
+                for w in rng.sample(words, min(len(words), 20)):
+                    asked = json.loads(json.dumps(w)) if rng.random() < 0.3 else w
+                    value = ZERO if resonant and weight(w) else reference(w)
+                    assert m.value(asked) == value, (k, w, kind)
+                assert projection_sum(m, a, L) == want, (k, L, kind)
+                nonzero += bool(want)
+    assert lengths == {1, 2, 3, 4, 5} and nonzero >= 300 and read_back > 5000, (nonzero, read_back)
+
+
+def test_sums_in_any_order_step_within_the_kept_words(monkeypatch):
+    # sums at L = 1..5 in shuffled order on one fold mould: each kept value
+    # was stepped once, and each kept state cost at most one step per letter
+    # of its word.  A word kept as the deepest level of a shorter sum has a
+    # value and no state, so a longer sum may fold its state, or a child's,
+    # from start
+    calls = [0]
+    mix = prenormal._mix
+
+    def counted(z, letter):
+        calls[0] += 1
+        return mix(z, letter)
+
+    rng = random.Random(39)
+    schedules, deep = set(), 0
+    for k in range(20):
+        a = random_alphabet(rng)
+        for resonant in (False, True):
+            order = rng.sample(range(1, 6), 5)
+            schedules.add(tuple(order))
+            want = [projection_sum(random_mould(k, resonant), a, L) for L in order]
+            with monkeypatch.context() as patch:
+                patch.setattr(prenormal, "_mix", counted)
+                m = random_mould(k, resonant)
+                calls[0] = 0
+                assert [projection_sum(m, a, L) for L in order] == want
+            values = len(kept_values(m))
+            assert values <= calls[0] <= values + sum(map(len, m._states)), (k, order)
+        # one sum on a fresh mould: every tree word of length 3 or more, and
+        # its twin, steps from its parent word's kept state, weight nonzero
+        # or not
+        for resonant in (False, True):
+            m = random_mould(k, resonant)
+            projection_sum(m, a, 5)
+            assert all(w[:-1] in m._states for w in m._states if len(w) > 2), k
+            deep += resonant and sum(len(w) > 2 and weight(w[:-1]) != 0 for w in m._states)
+    assert len(schedules) > 30 and deep > 100, deep
+
+
+def test_word_fold_calls_fn_once_per_distinct_word():
+    # a word fold over two alphabets that share letters, asked for values
+    # and summed at L = 1..5 in shuffled order, with both supports: fn is
+    # called once per distinct tuple word it is asked for, and each sum
+    # equals a fresh word fold's
+    rng = random.Random(41)
+    shared = 0
+    for k in range(6):
+        fields = [decompose(random_field(rng, 3, density=1)) for _ in range(2)]
+        alphabets = [Alphabet({n: f[n] for n in rng.sample(f.letters(), 4)}) for f in fields]
+        shared += len(set(alphabets[0].letters()) & set(alphabets[1].letters()))
+        letters = sorted({n for a in alphabets for n in a.letters()})
+        for resonant in (False, True):
+            asked = Counter()
+
+            def fn(w, k=k):
+                asked[w] += 1
+                return reference_random_mould_value(k, w)
+
+            m = Mould(fn, resonant)
+            schedule = [(a, L) for a in alphabets for L in range(1, 6)]
+            for a, L in rng.sample(schedule, len(schedule)):
+                want = projection_sum(Mould(lambda w, k=k: reference_random_mould_value(k, w), resonant), a, L)
+                assert projection_sum(m, a, L) == want, (k, L)
+                for r in (1, 2, 3):
+                    w = tuple(rng.choice(letters) for _ in range(r))
+                    assert m.value(w) == (ZERO if resonant and weight(w) else reference_random_mould_value(k, w))
+            assert asked and set(asked.values()) == {1} and set(asked) == set(kept_values(m))
+    assert shared >= 6
+
+
+def test_one_sum_keeps_a_state_per_word_below_l_and_a_value_per_word():
+    # one full-support sum at L = 4 on the 9-letter cubic keeps one state per
+    # tree word and twin of levels 1..3, and one value per such word and per
+    # child u n and twin(u) n of level 4; the word fold keeps the same
+    # values and no state
+    a = decompose(random_field(random.Random(18), 3, density=1))
+    levels = list(iter_bracket_levels(a, 3))
+    sizes = [len(level) for level in levels]
+    below = {v for level in levels for w, _, _ in level for v in (w, twin(w))}
+    children = {v + (n,) for w, _, _ in levels[-1] for v in (w, twin(w)) for n in a.letters()}
+    m = random_mould(3, support_resonant_only=False)
+    projection_sum(m, a, 4)
+    assert len(m._states) == sizes[0] + 2 * sum(sizes[1:]) == len(below)
+    values = kept_values(m)
+    assert len(values) == len(m._states) + 2 * sizes[-1] * len(a) == len(below | children)
+    assert set(m._states) == below and set(values) == below | children
+    word_fold = Mould(m.value)
+    projection_sum(word_fold, a, 4)
+    assert word_fold._states is None and kept_values(word_fold).keys() == values.keys()
+
+
+def test_finite_moulds_keep_no_values():
+    # a finite mould's values are its table: value and the sums keep none
+    a = decompose(random_field(random.Random(18), 3, density=1))
+    word = next(w for w, _, _ in list(iter_bracket_levels(a, 2))[-1])
+    for m, want in ((indicator_mould(word), G(1)), (table_mould({word: G(2), word[:1]: G(3)}), G(2))):
+        for w in MOULD_WORDS:
+            m.value(w)
+            m.value(json.loads(json.dumps(w)))
+        assert m.value(word) == want and projection_sum(m, a, 3)
+        letter_sum(m, a)
+        assert m._values == {}
+
+
+def test_sum_and_multiple_of_moulds_are_folds():
+    # m1 + m2 and c * m are fold moulds: on every word of length <= 5 over
+    # the test letters their values are the parts' values added and
+    # multiplied as scalars, and their projection sums, with both supports
+    # and L = 1..5, are the parts' sums added and scaled
+    c = G(Fraction(-3, 4), Fraction(2, 5))
+    words = [w for r in range(1, 6) for w in product(MOULD_LETTERS, repeat=r)]
+    alphabets = [random_alphabet(random.Random(43 + k)) for k in range(4)]
+    for resonant in (False, True):
+        m1 = random_mould(43, resonant)
+        m2 = Mould(support_resonant_only=resonant, fold=tuple_fold())
+        m3 = Mould(lambda w: G(len(w), w[0][0] - w[-1][1]), resonant)
+        total, scaled, mixed = m1 + m2, c * m1, m3 * 3 + Fraction(1, 7) * (m1 + m2)
+        assert all(m._states == {} for m in (total, scaled, mixed))
+        for k, w in enumerate(words):
+            asked = json.loads(json.dumps(w)) if k % 7 == 0 else w
+            assert total.value(asked) == m1.value(w) + m2.value(w), w
+            assert scaled.value(asked) == c * m1.value(w), w
+            assert mixed.value(w) == 3 * m3.value(w) + (m1.value(w) + m2.value(w)) * G(Fraction(1, 7)), w
+        for a in alphabets:
+            for L in random.Random(len(a)).sample(range(1, 6), 5):
+                sums = [projection_sum(m, a, L) for m in (m1, m2, m3)]
+                assert projection_sum(total, a, L) == sums[0] + sums[1]
+                assert projection_sum(total, a, L) == projection_sum(
+                    Mould(lambda w: m1.value(w) + m2.value(w), resonant), a, L)
+                assert projection_sum(scaled, a, L) == sums[0].scale(c)
+                assert projection_sum(mixed, a, L) == sums[2].scale(3) + (sums[0] + sums[1]).scale(Fraction(1, 7))
+    with pytest.raises(InputError, match="resonant"):
+        random_mould(1, True) + random_mould(2, False)
+    for finite in (indicator_mould(((1, 0),)), table_mould({((1, 0),): 2})):
+        for made in (lambda: finite + random_mould(1, False), lambda: random_mould(1, False) + finite,
+                     lambda: 2 * finite):
+            with pytest.raises(InputError, match="finite support"):
+                made()
+    with pytest.raises(TypeError):
+        random_mould(1) + 1
+    with pytest.raises(TypeError):
+        random_mould(1) * random_mould(2)
 
 
 def test_analyze_brackets_each_letter_pair_once(monkeypatch):
