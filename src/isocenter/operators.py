@@ -14,8 +14,11 @@ bracket of two one-letter operators has the closed form
 extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints
 over one common denominator per letter pair, with one gcd per output
 half, and skips a pair whose s and t both vanish; ``linear_combination``
-takes its coefficients as integer triples (a, b, d) meaning (a + b i)/d
-and makes one gcd per half and added term, and negation flips signs.
+takes its coefficients as integer triples (a, b, d) meaning (a + b i)/d,
+d > 0, keeps each letter's halves unreduced over a running denominator,
+widened to the lcm with one gcd only by a term whose denominator does not
+divide it, and brings each output half to lowest terms with one gcd at
+the end; negation flips signs.
 None of them builds a scalar object: ``GaussianRational`` appears only
 in ``terms``, ``to_dict``, ``str``, ``from_terms`` and ``scale``'s
 argument.  The (dx, dy) views hand each half's triple straight to
@@ -164,12 +167,25 @@ def linear_combination(terms: Iterable[tuple[tuple[int, int, int], Derivation]])
     """Sum of c * d over the (c, d) pairs, zero c skipped.
 
     Each c is an integer triple (a, b, d) meaning (a + b i)/d, d > 0, not
-    necessarily in lowest terms.  Each letter's running pair is kept as six
-    ints, and each added term c * (a, b) brings a half to lowest terms with
-    one gcd, so the result is canonical.  All-zero letters are dropped.
+    necessarily in lowest terms; a c with d <= 0 raises InputError.  Each
+    letter's running halves are unreduced numerators over a running
+    denominator (``_accumulate``), and each half is brought to lowest terms
+    with one gcd at the end (``_canonical``), so the result is canonical.
+    All-zero letters are dropped.
     """
-    acc: dict[Letter, list[int]] = {}  # n -> [pa, pb, pd, qa, qb, qd]
+    return _canonical(_accumulate({}, terms))
+
+
+def _accumulate(acc: dict[Letter, list[int]], terms) -> dict[Letter, list[int]]:
+    """Add each c * d into acc, the map n -> [pa, pb, pd, qa, qb, qd] of unreduced halves.
+
+    A term whose denominator divides a half's running one is scaled up to
+    it with no gcd; any other widens the running denominator to the lcm,
+    with one gcd, or with none while the running one is 1.
+    """
     for (ca, cb, cd), d in terms:
+        if cd <= 0:
+            raise InputError(f"coefficient denominator must be positive, got {cd}")
         if not (ca or cb):
             continue
         for n, z in d._t.items():
@@ -180,19 +196,29 @@ def linear_combination(terms: Iterable[tuple[tuple[int, int, int], Derivation]])
                 za, zb = z[k], z[k + 1]
                 if not (za or zb):
                     continue
-                # running + c * z over one denominator, then one gcd
                 f, e = cd * z[k + 2], r[k + 2]
                 u, v = ca * za - cb * zb, ca * zb + cb * za
-                if e != f:
-                    u, v, f = r[k] * f + u * e, r[k + 1] * f + v * e, e * f
+                if e % f:  # widen the running denominator e to lcm(e, f) = e h = f m
+                    g = gcd(e, f) if e != 1 else 1
+                    h, m = f // g, e // g
+                    r[k], r[k + 1], r[k + 2] = r[k] * h + u * m, r[k + 1] * h + v * m, e * h
                 else:
-                    u, v = r[k] + u, r[k + 1] + v
-                if f != 1:
-                    g = gcd(u, v, f)
-                    if g != 1:
-                        u, v, f = u // g, v // g, f // g
-                r[k], r[k + 1], r[k + 2] = u, v, f
-    return Derivation._of({n: tuple(r) for n, r in acc.items() if r[0] or r[1] or r[3] or r[4]})
+                    if e != f:
+                        m = e // f
+                        u, v = u * m, v * m
+                    r[k] += u
+                    r[k + 1] += v
+    return acc
+
+
+def _canonical(acc: dict[Letter, list[int]]) -> Derivation:
+    """The derivation of ``_accumulate``'s map, each half in lowest terms with one gcd."""
+    out: dict[Letter, Sextuple] = {}
+    for n, (pa, pb, pd, qa, qb, qd) in acc.items():
+        if pa or pb or qa or qb:
+            g, h = gcd(pa, pb, pd), gcd(qa, qb, qd)
+            out[n] = pa // g, pb // g, pd // g, qa // h, qb // h, qd // h
+    return Derivation._of(out)
 
 
 def hom_op(letter: Letter, dx: BiPoly, dy: BiPoly) -> Derivation:

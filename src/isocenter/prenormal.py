@@ -10,7 +10,9 @@ support word, and every other mould by the prefix tree of
 ``iter_bracket_levels``.  That tree, the brackets [B_w] of the comould,
 depends on the alphabet alone: it is built once and kept on the
 ``Alphabet`` while the alphabet lives, so the sums of many moulds over one
-alphabet bracket its words once.  The memory retained is that of the
+alphabet bracket its words once.  A tree sum adds every level into one
+unreduced accumulator of ``operators`` and brings it to lowest terms
+once, at the end.  The memory retained is that of the
 largest trees asked for; dropping the alphabet frees it.
 
 The mould side is kept on the mould.  A mould keeps the finished triple
@@ -35,7 +37,8 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from .algebra import ONE, GaussianRational, ZERO, _coerce, _operand, _reduced
 from .errors import InputError
 from .lie_analysis import _certified, central_series, iter_bracket_levels, twin
-from .operators import Derivation, Letter, Word, lie_bracket, linear_combination, nested_bracket
+from .operators import (Derivation, Letter, Word, _accumulate, _canonical, lie_bracket, linear_combination,
+                        nested_bracket, word_str)
 from .prepared import Alphabet, weight
 
 if TYPE_CHECKING:
@@ -56,7 +59,8 @@ class Mould:
     is ``start`` taken through ``step(state, letter)`` letter by letter, and
     ``finish(state)`` is the value as an integer triple (a, b, d) meaning
     (a + b i)/d, d > 0, not necessarily in lowest terms, which the sums
-    pass to ``linear_combination`` unreduced.  ``Mould(fn)`` has the word
+    add in unreduced; a ``finish`` with d <= 0 raises InputError naming
+    the word, and no value is kept for it.  ``Mould(fn)`` has the word
     fold: the state is the word so far, ``step`` appends a letter and
     ``finish`` is the triple of ``fn``'s value.  Exactly one of ``fn``
     and ``fold`` must be given.  ``m1 + m2`` and ``c * m`` (c a scalar,
@@ -115,9 +119,14 @@ class Mould:
             kids = self._values.get(parent, _NO_VALUES)
             value = kids.get(n)
         except TypeError:  # a JSON word (letters as lists) cannot be hashed, so nothing is kept
-            return self.finish(reduce(self.step, word, self.start))
+            value = self.finish(reduce(self.step, word, self.start))
+            if value[2] <= 0:
+                _refuse(word, value)
+            return value
         if value is None:
             value = self.finish(self._state(word))
+            if value[2] <= 0:
+                _refuse(word, value)
             if self.support is None:  # a finite mould's values are its table: none kept
                 if kids is _NO_VALUES:
                     kids = self._values[parent] = {}
@@ -136,7 +145,10 @@ class Mould:
         if missing:
             state, step, finish = self._state(word), self.step, self.finish
             for n in missing:
-                kids[n] = finish(step(state, n))
+                value = finish(step(state, n))
+                if value[2] <= 0:
+                    _refuse(word + (n,), value)
+                kids[n] = value
         return kids
 
     def _state(self, word: Word):
@@ -187,6 +199,11 @@ class Mould:
         return Mould(support_resonant_only=self.support_resonant_only, fold=(self.start, self.step, finish))
 
     __rmul__ = __mul__
+
+
+def _refuse(word: Word, value: tuple[int, int, int]) -> None:
+    """Refuse a finished triple whose denominator is not positive."""
+    raise InputError(f"mould value {value} on word {word_str(word)} has denominator {value[2]}, not > 0")
 
 
 def _foldable(*parts: Mould) -> None:
@@ -290,8 +307,12 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     whose bracket is nonzero, and from level 2 on an entry (w, d) stands
     for w and twin(w), whose bracket is -d, so it is weighted by
     M(w) - M(twin w), the unreduced difference of the two finished
-    triples.  Every weight, 1/r factor included, is an integer triple
-    that ``linear_combination`` reduces with one gcd per term.  The tree
+    triples.  Every weight is an integer triple with the level's 1/r
+    folded in as (a, b, d r), and every level below L is added into one
+    accumulator (``operators._accumulate``), unreduced; so is each
+    bracket [B_n, S_n] of level L below, with the weight (1, 0, L), and
+    the accumulator is brought to lowest terms once, at the end
+    (``operators._canonical``).  The tree
     is the alphabet's comould, built on the first sum (or central series)
     that needs it and kept on the alphabet, so a repeat sum brackets no
     tree word.  The values of w and twin(w) come from ``Mould._value``,
@@ -309,8 +330,9 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     u and twin(u) for all the letters n, with resonant support only those
     of weight zero: their values are kept too, their states are not, so
     on a first sum a length-L word costs one step from u's state and one
-    finish, and on a repeat sum nothing.  Each letter
-    with nonzero S_n costs one bracket.  The mould is therefore also
+    finish, and on a repeat sum nothing.  Each S_n is brought to lowest
+    terms before its bracket, and each letter with nonzero S_n costs one
+    bracket.  The mould is therefore also
     evaluated on length-L words whose own bracket vanishes: it must be a
     pure function of the word.  The mould keeps one state per tree word
     and twin below level L, and one value per tree word and twin up to L.
@@ -325,7 +347,7 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
         return _support_sum(m, a, max_len)
     resonant, value, state = m.support_resonant_only, m._value, m._state
     levels = iter_bracket_levels(a, max_len, resonant)
-    sums = []
+    acc = {}  # the whole sum, unreduced, in one accumulator
     # every level but the deepest, entry by entry; at max_len 1 that is the only level
     for r, level in enumerate(islice(levels, max(max_len - 1, 1)), 1):
         words = [(w, r > 1 and twin(w)) for w, _, _ in level]
@@ -335,8 +357,9 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
                 state(w)
                 r > 1 and state(t)
             else:
-                terms.append((_difference(value(w), r > 1 and value(t)), d))
-        sums.append(linear_combination(terms))
+                p, q, e = _difference(value(w), r > 1 and value(t))
+                terms.append(((p, q, e * r), d))
+        _accumulate(acc, terms)
     if max_len > 1:
         twinned = max_len > 2  # the entries u of level L-1 are twin classes
         letters = a.letters()
@@ -349,14 +372,14 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
             ns = ending.get(wt) if resonant else letters
             if ns:
                 ends.append((m._children(u, ns), twinned and m._children(t, ns), wt, d))
-        by_letter = {}  # n -> S_n of the docstring
-        for n in letters:
+        top = (1, 0, max_len)
+        for n in letters:  # S_n of the docstring, canonical, then its bracket
             wn = weight(n)
             terms = ((_difference(ku[n], kt and kt[n]), d) for ku, kt, wt, d in ends if not (resonant and wt + wn))
-            by_letter[n] = linear_combination(terms)
-        brackets = (((1, 0, 1), lie_bracket(a[n], s)) for n, s in by_letter.items() if s)
-        sums.append(linear_combination(brackets))
-    return linear_combination(((1, 0, r), s) for r, s in enumerate(sums, 1))
+            s = linear_combination(terms)
+            if s:
+                _accumulate(acc, ((top, lie_bracket(a[n], s)),))
+    return _canonical(acc)
 
 
 def _support_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:

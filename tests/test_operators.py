@@ -449,6 +449,109 @@ def test_linear_combination_cancels_to_zero():
         assert linear_combination(terms).letter is None
 
 
+def test_linear_combination_refuses_denominators_not_positive():
+    d = Derivation.from_terms({(1, 0): (G(1), G(0, 2))})
+    for c in ((1, 0, 0), (1, 0, -1), (-2, 5, -7), (0, 0, 0), (0, 0, -3)):
+        with pytest.raises(InputError, match="denominator must be positive"):
+            linear_combination([((1, 0, 1), d), (c, d)])
+
+
+def primes(count):
+    out, n = [], 2
+    while len(out) < count:
+        if all(n % p for p in out if p * p <= n):
+            out.append(n)
+        n += 1
+    return out
+
+
+def object_combination(terms):
+    """The sum of c * d over GaussianRational pairs, letter by letter, as a Derivation."""
+    total = {}
+    for c, d in terms:
+        total = object_sum(total, object_scale(d.terms, c))
+    return Derivation.from_terms(total)
+
+
+def test_deferred_reduction_over_distinct_prime_denominators():
+    # every coefficient over its own prime, so each term widens the running
+    # denominators it meets; a run of terms and their negations, shuffled,
+    # cancels exactly part way (letters it alone touched must vanish), and
+    # the negation of the rest cancels everything at the end
+    rng = random.Random(47)
+    ps = primes(300)
+    cancelled = 0
+    for _ in range(80):
+        k = rng.randint(3, 20)
+        chosen = rng.sample(ps, 2 * k)
+        pool = [wide_derivation(rng) for _ in range(rng.randint(1, 4))]
+        a, b = ([(G(Fraction(rng.randint(-60, 60), p), Fraction(rng.randint(-60, 60), p)), rng.choice(pool))
+                 for p in part] for part in (chosen[:k], chosen[k:]))
+        own = wide_derivation(rng)  # a letter of its own, which only the cancelling run touches
+        a[0] = a[0][0] or G(1), own
+        head = a + [(-c, d) for c, d in a]
+        rng.shuffle(head)
+        terms = head + b
+        got = linear_combination([(triple(c), d) for c, d in terms])
+        fold = sum((d.scale(c) for c, d in terms), ZERO_DERIVATION)
+        assert canonical(got) and got == fold == object_combination(b)
+        cancelled += bool(set(own.raw) - {n for _, d in b for n in d.raw})
+        tail = terms + [(-c, d) for c, d in reversed(b)]
+        assert linear_combination([(triple(c), d) for c, d in tail]) == ZERO_DERIVATION
+    assert cancelled >= 40, cancelled
+
+
+def test_deferred_reduction_of_unreduced_triples_with_large_common_factors():
+    # coefficients (k a, k b, k d) whose common factor k is a large prime, a
+    # power of ten or the product of the other terms' denominators: the
+    # running denominators carry k until the one gcd per half at the end
+    rng = random.Random(53)
+    for _ in range(150):
+        terms = [(wide_scalar(rng), wide_derivation(rng)) for _ in range(rng.randint(1, 6))]
+        product_of_denominators = 1
+        for c, _ in terms:
+            product_of_denominators *= triple(c)[2]
+        unreduced = []
+        for c, d in terms:
+            k = rng.choice([2**61 - 1, 2**89 - 1, 10**40, product_of_denominators, rng.getrandbits(100) | 1])
+            a, b, e = triple(c)
+            unreduced.append(((k * a, k * b, k * e), d))
+        got = linear_combination(unreduced)
+        fold = sum((d.scale(c) for c, d in terms), ZERO_DERIVATION)
+        assert canonical(got) and got == fold == object_combination(terms)
+
+
+def test_linear_combination_gcd_budget(monkeypatch):
+    # a budget on the count of gcds, which no host speed changes: k terms at
+    # one letter over one shared denominator cost one gcd per output half,
+    # whatever k is; a term whose denominator does not divide the running
+    # one costs one more per half, and one whose denominator divides it none
+    calls = Counter()
+    real = operators.gcd
+
+    def counting(*args):
+        calls["gcd"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(operators, "gcd", counting)
+    rng = random.Random(59)
+    d = Derivation._of({(1, 1): (3, -2, 5, 1, 4, 7)})
+    for k in (1, 2, 5, 40, 300):
+        terms = [((rng.randint(1, 99), 0, 11), d) for _ in range(k)]
+        calls.clear()
+        got = linear_combination(terms)
+        r = got.raw[(1, 1)]
+        assert (r[0] or r[1]) and (r[3] or r[4]) and calls["gcd"] == 2, (k, calls)
+        assert got == sum((d.scale(G(Fraction(c[0], 11))) for c, _ in terms), ZERO_DERIVATION)
+    # 13 opens each half; 17, 19 and 23 widen it; 13 * 17, 17, 13 * 17 * 19 and 1 divide it
+    denominators = [13, 17, 13 * 17, 19, 17, 13 * 17 * 19, 23, 1]
+    terms = [((rng.randint(1, 99), 0, e), d) for e in denominators]
+    calls.clear()
+    got = linear_combination(terms)
+    assert calls["gcd"] == 2 + 2 * 3, calls
+    assert got == sum((d.scale(G(Fraction(c[0], c[2]))) for c, _ in terms), ZERO_DERIVATION)
+
+
 # --- the integer letter maps against an object route -----------------------
 
 

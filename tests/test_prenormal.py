@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import combinations, product
 from pathlib import Path
 
@@ -11,7 +11,7 @@ from test_lie_analysis import commuting_families, random_alphabet
 from test_numverify import run_fresh
 
 from isocenter import lie_analysis, operators, prenormal
-from isocenter.algebra import ZERO, GaussianRational
+from isocenter.algebra import ONE, ZERO, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lie_analysis import (
     central_series,
@@ -20,7 +20,7 @@ from isocenter.lie_analysis import (
     resonant_subset_trivial,
     twin,
 )
-from isocenter.operators import ZERO_DERIVATION, lie_bracket, nested_bracket
+from isocenter.operators import ZERO_DERIVATION, lie_bracket, linear_combination, nested_bracket
 from isocenter.prenormal import (
     LINEARISABLE_STRUCTURAL,
     UNKNOWN,
@@ -350,6 +350,100 @@ def test_type_error_in_a_users_fold_surfaces():
         assert not any(map(refuses, kept_values(m)))
         with pytest.raises(TypeError, match="fn refused"):
             projection_sum(m, a, 3)
+
+
+def test_finish_with_denominator_not_positive_is_refused():
+    # a finish that gives d <= 0 raises InputError naming the word, from
+    # value (tuple and JSON words), letter_sum and projection_sum, whether
+    # the word is a tree word below L or a child at level L, and no value is
+    # kept for it.  Unrefused, (1, 0, -1) became a value unequal to the -1
+    # of the equal fold (-1, 0, 1), and the two moulds' sums differed
+    start, step, finish = tuple_fold()
+    a = decompose(quadratic(1, 2, 3))
+    cubic = decompose(random_field(random.Random(1), 3, density=1))
+    assert cubic.resonant_letters()
+    w = ((1, 0), (0, 1))
+    for bad in (0, -1, -7):
+        def bad_finish(state, bad=bad, at=2):
+            x, y, d = finish(state)
+            return (x, y, bad) if state[0] == at else (x, y, d)
+
+        m = Mould(fold=(start, step, bad_finish))
+        for asked in (w, json.loads(json.dumps(w)), w):
+            with pytest.raises(InputError, match=rf"\(1,0\)·\(0,1\) has denominator {bad}"):
+                m.value(asked)
+        assert m.value(w[:1]) == folded(Mould(fold=tuple_fold()), w[:1]) and list(kept_values(m)) == [w[:1]]
+        for resonant in (False, True):
+            for L in (2, 3):  # the length-2 words are level L's children, then tree words below L
+                m = Mould(support_resonant_only=resonant, fold=(start, step, bad_finish))
+                with pytest.raises(InputError, match="denominator"):
+                    projection_sum(m, a, L)
+                assert all(len(v) == 1 for v in kept_values(m)) and (resonant or kept_values(m)), L
+            m = Mould(support_resonant_only=resonant, fold=(start, step, partial(bad_finish, at=1)))
+            with pytest.raises(InputError, match="denominator"):
+                letter_sum(m, cubic)
+            assert kept_values(m) == {}
+        with pytest.raises(InputError, match="denominator"):
+            (random_mould(1, False) + Mould(fold=(start, step, lambda state: (1, 0, 0)))).value(w)
+    negative, positive = (Mould(fold=(start, step, lambda state, d=d: (d, 0, -d))) for d in (1, -1))
+    with pytest.raises(InputError, match="denominator -1"):
+        projection_sum(negative, a, 3)
+    assert projection_sum(positive, a, 3) == -projection_sum(Mould(lambda w: ONE), a, 3)
+
+
+def old_route_projection_sum(m, a, max_len):
+    """The projection sum by the route before its one accumulator: one
+    ``linear_combination`` per level of the tree, the deepest by its last
+    letters, over the values of ``m.value``, then the levels combined
+    with their 1/r factors."""
+    def weighted(w, twinned):
+        c = m.value(w) - (m.value(twin(w)) if twinned else ZERO)
+        return c._a, c._b, c._d
+
+    levels = list(iter_bracket_levels(a, max_len, m.support_resonant_only))
+    sums = [linear_combination((weighted(w, r > 1), d) for w, _, d in level)
+            for r, level in enumerate(levels[:max(max_len - 1, 1)], 1)]
+    if max_len > 1:
+        below = levels[max_len - 2]
+        sums.append(linear_combination(
+            ((1, 0, 1), lie_bracket(a[n], linear_combination((weighted(u + (n,), max_len > 2), d)
+                                                             for u, _, d in below)))
+            for n in a.letters()))
+    return linear_combination(((1, 0, r), s) for r, s in enumerate(sums, 1))
+
+
+def test_projection_sum_matches_the_level_by_level_route():
+    # the one-accumulator sum against the route it replaced and against the
+    # brute force, on random alphabets at L = 1..5 with both supports, for
+    # fold moulds, word folds and m1 + m2, fresh and kept across sums in
+    # shuffled order; one alphabet in four has a single letter, so no
+    # letter pair brackets and level L - 1 is empty from L = 3 on
+    rng = random.Random(61)
+    lengths, empty, nonzero = set(), 0, 0
+    for k in range(32):
+        a = random_alphabet(rng)
+        if k % 4 == 0:
+            n = rng.choice(a.letters())
+            a = Alphabet({n: a[n]})
+        max_len = max(L for L in range(1, 6) if L == 1 or len(a) ** L <= 300)
+        brackets = brute_brackets(a, max_len)
+        for resonant in (False, True):
+            makers = {
+                "fold": lambda: random_mould(k, resonant),
+                "word fold": lambda: Mould(cache(random_mould(k + 100, resonant).value), resonant),
+                "pair": lambda: random_mould(k, resonant) + Mould(support_resonant_only=resonant, fold=tuple_fold()),
+            }
+            kept = {kind: make() for kind, make in makers.items()}
+            for L in rng.sample(range(1, max_len + 1), max_len):
+                lengths.add(L)
+                empty += L > 2 and not list(iter_bracket_levels(a, L, resonant))[L - 2]
+                shorter = [(w, d) for w, d in brackets if len(w) <= L]
+                for kind, make in makers.items():
+                    got = projection_sum(make(), a, L)
+                    assert got == projection_sum(kept[kind], a, L) == old_route_projection_sum(make(), a, L), kind
+                    assert got == brute_projection_sum(make(), shorter), (k, L, kind)
+                    nonzero += bool(got)
+    assert lengths == {1, 2, 3, 4, 5} and empty >= 40 and nonzero >= 400, (empty, nonzero)
 
 
 def _draws(seed, word):
