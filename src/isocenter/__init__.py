@@ -30,7 +30,6 @@ _MODULE_OF = {  # exported name -> the submodule that defines it
     "check_cauchy_riemann": "conditions",
     "check_uniform": "conditions",
     "classify_quadratic": "conditions",
-    "cr_structural_predicate": "lie_analysis",
     "decompose": "prepared",
     "enumerate_resonant_words": "lie_analysis",
     "geometric_complexity": "conditions",

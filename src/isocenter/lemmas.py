@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .algebra import BiPoly
-from .lie_analysis import central_series, cr_structural_predicate, resonant_subset_trivial
+from .lie_analysis import central_series, resonant_subset_trivial
 from .operators import (
     ZERO_DERIVATION,
     Derivation,
@@ -20,7 +20,7 @@ from .operators import (
     lie_bracket,
 )
 from .prenormal import projection_sum, random_mould, verify_fond3
-from .prepared import decompose
+from .prepared import Alphabet, decompose
 from .records import Record
 from .samples import (
     quadratic,
@@ -182,6 +182,26 @@ def lemma_structure1(seed: int) -> LemmaResult:
     return LemmaResult("structure1", True, f"d=2..{max_d}, {draws} draws each")
 
 
+def _cr_structural_predicate(a: Alphabet) -> bool:
+    """Every operator is a monomial multiple of x^{n+1} d/dx or y^{n+1} d/dy, n >= 1.
+
+    That is, each letter (n1, n2) has an x-part only, with n2 = 0 and
+    n1 >= 1, or a y-part only, with n1 = 0 and n2 >= 1.  The x-family and
+    the y-family commute with each other, so the letters of a word with a
+    nonzero nested bracket all lie in one family, and within a family the
+    weights all have one sign: +n1 for x, -n2 for y.  So no resonant word
+    of any length has a nonzero nested bracket: the paper's CR lemma, a
+    special case of the components' certificate.  Without n1 >= 1 and
+    n2 >= 1 it fails: d/dx and x^2 d/dx, the letters (-1, 0) and (1, 0),
+    make the resonant word ((-1, 0), (1, 0)) with the bracket -2x d/dx.
+    """
+    return all(
+        (not (ya or yb) and n2 == 0 and n1 >= 1) or (not (xa or xb) and n1 == 0 and n2 >= 1)
+        for op in a.entries.values()
+        for (n1, n2), (xa, xb, _, ya, yb, _) in op.raw.items()
+    )
+
+
 def lemma_holom(seed: int) -> LemmaResult:
     draws, max_d, max_len = 50, 5, 6
     rng = random.Random(seed)
@@ -190,7 +210,7 @@ def lemma_holom(seed: int) -> LemmaResult:
             f = random_cr_field(rng, d)
             a = decompose(f)  # the CR lemma: the predicate holds, and the certificate agrees
             report = resonant_subset_trivial(a, max_len)
-            if not (cr_structural_predicate(a) and report.all_brackets_zero and report.structurally_proven):
+            if not (_cr_structural_predicate(a) and report.all_brackets_zero and report.structurally_proven):
                 return LemmaResult(
                     "holom", False, f"d={d} draw {k}: witnesses={report.witnesses[:1]}"
                 )

@@ -368,22 +368,3 @@ def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     return ResonanceReport(all_brackets_zero=not witnesses, witnesses=witnesses,
                            structurally_proven=_certified(a))
 
-
-def cr_structural_predicate(a: Alphabet) -> bool:
-    """Every operator is a monomial multiple of x^{n+1} d/dx or y^{n+1} d/dy, n >= 1.
-
-    That is, each letter (n1, n2) has an x-part only, with n2 = 0 and
-    n1 >= 1, or a y-part only, with n1 = 0 and n2 >= 1.  The x-family and
-    the y-family commute with each other, so the letters of a word with a
-    nonzero nested bracket all lie in one family, and within a family the
-    weights all have one sign: +n1 for x, -n2 for y.  So no resonant word
-    of any length has a nonzero nested bracket: the paper's CR lemma, a
-    special case of the components' certificate.  Without n1 >= 1 and
-    n2 >= 1 it fails: d/dx and x^2 d/dx, the letters (-1, 0) and (1, 0),
-    make the resonant word ((-1, 0), (1, 0)) with the bracket -2x d/dx.
-    """
-    return all(
-        (not (ya or yb) and n2 == 0 and n1 >= 1) or (not (xa or xb) and n1 == 0 and n2 >= 1)
-        for op in a.entries.values()
-        for (n1, n2), (xa, xb, _, ya, yb, _) in op.raw.items()
-    )

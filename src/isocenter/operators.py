@@ -26,8 +26,8 @@ argument.  The (dx, dy) views hand each half's triple straight to
 reads them back.  After a partial sum cancels, a result may store its
 letters in another order than a letter-by-letter sum would; no output
 reads that order, since the (dx, dy) views sort by grlex.  The (dx, dy)
-polynomial views and ``apply`` serve the independent double-application
-route only: ``bracket_oracle`` returns the whole bracket as a
+polynomial views serve the independent double-application route only:
+``bracket_oracle`` returns the whole bracket as a
 ``Derivation``, from each operator's two views built once and applied on
 ``BiPoly``'s arithmetic, so one call checks one operator pair against
 ``lie_bracket`` with ``==``.  The nested bracket of a word n1...nr is
@@ -113,9 +113,6 @@ class Derivation:
     def split(self) -> dict[Letter, "Derivation"]:
         """The one-letter operators whose sum is this derivation."""
         return {n: Derivation._of({n: r}) for n, r in self._t.items()}
-
-    def apply(self, p: BiPoly) -> BiPoly:
-        return _apply(self.dx, self.dy, p)
 
     def __bool__(self) -> bool:
         return bool(self._t)

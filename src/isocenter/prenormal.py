@@ -15,10 +15,12 @@ unreduced accumulator of ``operators`` and brings it to lowest terms
 once, at the end.  The memory retained is that of the
 largest trees asked for; dropping the alphabet frees it.
 
-The mould side is kept on the mould.  A mould keeps the finished triple
-of each tuple word it evaluates, under the word's parent word (all but its
-last letter) and by its last letter, and a fold mould the state of each
-word it folds.  ``Mould._value`` gives one word's value, read back or
+The mould side is kept on the mould.  ``Mould.value`` makes its word a
+tuple of tuples, so past it every word is a tuple word, and a JSON word
+(letters as lists) is its tuple word.  A mould keeps the finished
+triple of each word it evaluates, under the word's parent word (all but
+its last letter) and by its last letter, and a fold mould the state of
+each word it folds.  ``Mould._value`` gives one word's value, read back or
 finished from the word's state, and ``Mould._children`` the values of a
 word's children at a sum's deepest level, each missing one a ``step`` from
 the word's state.  So a repeat sum makes no ``step``, ``finish`` or user
@@ -34,7 +36,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from .algebra import ONE, GaussianRational, ZERO, _coerce, _operand, _reduced
+from .algebra import ONE, GaussianRational, ZERO, _coerce, _reduced
 from .errors import InputError
 from .lie_analysis import _certified, central_series, iter_bracket_levels, twin
 from .operators import (Derivation, Letter, Word, _accumulate, _canonical, lie_bracket, linear_combination,
@@ -63,15 +65,17 @@ class Mould:
     the word, and no value is kept for it.  ``Mould(fn)`` has the word
     fold: the state is the word so far, ``step`` appends a letter and
     ``finish`` is the triple of ``fn``'s value.  Exactly one of ``fn``
-    and ``fold`` must be given.  ``m1 + m2`` and ``c * m`` (c a scalar,
-    int or ``Fraction``) are fold moulds too.
+    and ``fold`` must be given.  ``value`` takes a JSON word (letters as
+    lists) too: it makes every word a tuple of tuples first, so the
+    fold and ``fn`` see tuple words only, and a JSON word shares its tuple
+    word's kept state and value.
 
-    A mould keeps the value of each tuple word it evaluates, in a dict
+    A mould keeps the value of each word it evaluates, in a dict
     private to the mould from the word's parent word (all but its last
     letter) to a dict from the last letter to the triple, and a fold mould
     the state of each word ``_state`` folds, in another.  So the fold, and
     ``fn``, must be pure functions of the word: a word's value is computed
-    once, and ``fn`` is called at most once per distinct tuple word.
+    once, and ``fn`` is called at most once per distinct word.
     ``step`` must never mutate a state: a kept state, like a parent's in
     ``projection_sum``, is stepped again for every child word.  ``_value``
     reads a word's value back, or finishes the word's state; ``_state``
@@ -87,9 +91,7 @@ class Mould:
     states and 51,417 values, 7.7 MB by tracemalloc against the alphabet's
     18.6 MB tree, all freed with the mould.  The word fold keeps no state,
     as its state is the word, and a finite mould (``indicator_mould``,
-    ``table_mould``) no value, as its table holds them.  A JSON word
-    (letters as lists) cannot be hashed and is folded and finished from
-    ``start`` each time, keeping nothing.
+    ``table_mould``) no value, as its table holds them.
 
     ``support`` is None, or a finite collection of words off which the
     mould is zero.  Only ``indicator_mould`` and ``table_mould`` set it,
@@ -108,21 +110,16 @@ class Mould:
         self.start, self.step, self.finish = fold or word_fold
 
     def value(self, word: Word) -> GaussianRational:
+        word = tuple([tuple(n) for n in word])  # a JSON word's letters are lists; a tuple letter is kept as it is
         if not word or self.support_resonant_only and weight(word):
             return ZERO
         return _reduced(*self._value(word))
 
     def _value(self, word: Word) -> tuple[int, int, int]:
-        """The finished triple of a nonempty word: read back, or finished from its fold state and kept."""
+        """The finished triple of a nonempty tuple word: read back, or finished from its fold state and kept."""
         parent, n = word[:-1], word[-1]
-        try:
-            kids = self._values.get(parent, _NO_VALUES)
-            value = kids.get(n)
-        except TypeError:  # a JSON word (letters as lists) cannot be hashed, so nothing is kept
-            value = self.finish(reduce(self.step, word, self.start))
-            if value[2] <= 0:
-                _refuse(word, value)
-            return value
+        kids = self._values.get(parent, _NO_VALUES)
+        value = kids.get(n)
         if value is None:
             value = self.finish(self._state(word))
             if value[2] <= 0:
@@ -163,53 +160,10 @@ class Mould:
             states[word] = state
         return state
 
-    def __add__(self, other: Mould) -> Mould:
-        """The sum as a fold: its state is the pair of the parts' states, its triple their unreduced sum."""
-        if not isinstance(other, Mould):
-            return NotImplemented
-        _foldable(self, other)
-        if self.support_resonant_only != other.support_resonant_only:
-            raise InputError("cannot add a resonant-support mould to an all-support mould")
-        step1, finish1, step2, finish2 = self.step, self.finish, other.step, other.finish
-
-        def step(state, letter):
-            return step1(state[0], letter), step2(state[1], letter)
-
-        def finish(state):
-            a, b, d = finish1(state[0])
-            e, f, g = finish2(state[1])
-            return a * g + e * d, b * g + f * d, d * g
-
-        fold = (self.start, other.start), step, finish
-        return Mould(support_resonant_only=self.support_resonant_only, fold=fold)
-
-    def __mul__(self, c) -> Mould:
-        """c times the mould as a fold: the mould's own states, its triples multiplied by c's."""
-        c = _operand(c)
-        if c is None:
-            return NotImplemented
-        _foldable(self)
-        ca, cb, cd = _parts(c)
-        finish1 = self.finish
-
-        def finish(state):
-            a, b, d = finish1(state)
-            return ca * a - cb * b, ca * b + cb * a, cd * d
-
-        return Mould(support_resonant_only=self.support_resonant_only, fold=(self.start, self.step, finish))
-
-    __rmul__ = __mul__
-
 
 def _refuse(word: Word, value: tuple[int, int, int]) -> None:
     """Refuse a finished triple whose denominator is not positive."""
     raise InputError(f"mould value {value} on word {word_str(word)} has denominator {value[2]}, not > 0")
-
-
-def _foldable(*parts: Mould) -> None:
-    """Refuse a part with a finite support: a sum or multiple is a fold, which sums over the whole tree."""
-    if any(m.support is not None for m in parts):
-        raise InputError("cannot add or scale a mould with a finite support (indicator_mould, table_mould)")
 
 
 def _mix(z: int, letter: Letter) -> int:
@@ -280,20 +234,8 @@ def table_mould(entries: Mapping[Word, GaussianRational | int | Fraction]) -> Mo
 
 
 def _finite(table: dict[Word, GaussianRational]) -> Mould:
-    """The word-fold mould with the table's values, zero off its words, which are its support.
-
-    ``value`` takes a JSON word (letters as lists) too: such a word cannot
-    be hashed, so it is looked up again with tuple letters.  The support
-    route folds only the table's own words and never meets one.
-    """
-
-    def evaluate(w: Word) -> GaussianRational:
-        try:
-            return table.get(w, ZERO)
-        except TypeError:
-            return table.get(tuple(map(tuple, w)), ZERO)
-
-    m = Mould(evaluate)
+    """The word-fold mould with the table's values, zero off its words, which are its support."""
+    m = Mould(lambda w: table.get(w, ZERO))
     m.support = tuple(table)
     return m
 
@@ -330,7 +272,9 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     u and twin(u) for all the letters n, with resonant support only those
     of weight zero: their values are kept too, their states are not, so
     on a first sum a length-L word costs one step from u's state and one
-    finish, and on a repeat sum nothing.  Each S_n is brought to lowest
+    finish, and on a repeat sum nothing.  Under resonant support the
+    entries u are grouped by weight once, and S_n reads the group of
+    weight -weight(n) alone.  Each S_n is brought to lowest
     terms before its bracket, and each letter with nonzero S_n costs one
     bracket.  The mould is therefore also
     evaluated on length-L words whose own bracket vanishes: it must be a
@@ -357,7 +301,7 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
                 state(w)
                 r > 1 and state(t)
             else:
-                p, q, e = _difference(value(w), r > 1 and value(t))
+                p, q, e = _difference(value(w), value(t)) if r > 1 else value(w)
                 terms.append(((p, q, e * r), d))
         _accumulate(acc, terms)
     if max_len > 1:
@@ -367,18 +311,19 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
             ending = {}
             for n in letters:
                 ending.setdefault(-weight(n), []).append(n)
-        ends = []  # (the kept children of u, of twin(u), u's weight, [B_u]) for each u with a child to evaluate
+        ends = {}  # by u's weight (one group, 0, under full support): (kept children of u, of twin(u), [B_u])
         for (u, t), (_, wt, d) in zip(words, level):
             ns = ending.get(wt) if resonant else letters
             if ns:
-                ends.append((m._children(u, ns), twinned and m._children(t, ns), wt, d))
+                ends.setdefault(wt if resonant else 0, []).append(
+                    (m._children(u, ns), twinned and m._children(t, ns), d))
         top = (1, 0, max_len)
         for n in letters:  # S_n of the docstring, canonical, then its bracket
-            wn = weight(n)
-            terms = ((_difference(ku[n], kt and kt[n]), d) for ku, kt, wt, d in ends if not (resonant and wt + wn))
-            s = linear_combination(terms)
-            if s:
-                _accumulate(acc, ((top, lie_bracket(a[n], s)),))
+            group = ends.get(-weight(n) if resonant else 0)
+            if group:
+                s = linear_combination(((_difference(ku[n], kt[n]) if kt else ku[n], d) for ku, kt, d in group))
+                if s:
+                    _accumulate(acc, ((top, lie_bracket(a[n], s)),))
     return _canonical(acc)
 
 
@@ -398,13 +343,11 @@ def _support_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     return linear_combination(terms)
 
 
-def _difference(v: tuple[int, int, int], t) -> tuple[int, int, int]:
-    """The triple v, less the triple t for a twin class (t false otherwise), unreduced."""
-    if t:
-        a, b, d = v
-        e, f, g = t
-        return a * g - e * d, b * g - f * d, d * g
-    return v
+def _difference(v: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The triple v less the triple t, unreduced: a twin class's weight M(w) - M(twin w)."""
+    a, b, d = v
+    e, f, g = t
+    return a * g - e * d, b * g - f * d, d * g
 
 
 def letter_sum(m: Mould, a: Alphabet) -> Derivation:

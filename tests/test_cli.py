@@ -6,7 +6,7 @@ from cli_runner import CliRunner
 
 from isocenter.cli import dumps_report, main
 from isocenter.errors import InternalInconsistencyError
-from isocenter.operators import Derivation
+from isocenter.operators import Derivation, _apply
 
 FIELDS = Path(__file__).parent / "golden" / "fields"
 CUBIC = str(FIELDS / "cubic.json")
@@ -143,7 +143,8 @@ def test_verify_lemmas_seed_stability(runner):
 def test_verify_lemmas_mutation_fails(runner, monkeypatch):
     # the anticommutator in place of the commutator: the suites must fail
     def anticommutator(d1, d2):
-        return Derivation(d1.apply(d2.dx) + d2.apply(d1.dx), d1.apply(d2.dy) + d2.apply(d1.dy))
+        x1, y1, x2, y2 = d1.dx, d1.dy, d2.dx, d2.dy
+        return Derivation(_apply(x1, y1, x2) + _apply(x2, y2, x1), _apply(x1, y1, y2) + _apply(x2, y2, y1))
 
     monkeypatch.setattr("isocenter.lemmas.lie_bracket", anticommutator)
     result = runner.invoke(main, ["verify-lemmas"])

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from isocenter import algebra, lie_analysis, prenormal
+from isocenter import algebra, lemmas, lie_analysis, prenormal
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
+from isocenter.lemmas import _cr_structural_predicate
 from isocenter.lie_analysis import (
     central_series,
-    cr_structural_predicate,
     enumerate_resonant_words,
     iter_bracket_levels,
     resonant_subset_trivial,
@@ -125,21 +125,21 @@ def test_resonant_length1_witness():
 
 def test_cr_structural_predicate():
     rng = random.Random(1)
-    assert cr_structural_predicate(decompose(random_cr_field(rng, 4)))
-    assert not cr_structural_predicate(decompose(quadratic(1, 2, 0)))
+    assert _cr_structural_predicate(decompose(random_cr_field(rng, 4)))
+    assert not _cr_structural_predicate(decompose(quadratic(1, 2, 0)))
     # d/dx and x^2 d/dx are x-only, but their weights -1 and +1 cancel: the
     # resonant word ((-1,0),(1,0)) has the bracket -2x d/dx, so no bound
     # certifies all lengths
     a = x_and_y_letters({-1: 1, 1: 1}, {})
     word = ((-1, 0), (1, 0))
     assert weight(word) == 0 and nested_bracket(word, a.entries) == Derivation.from_terms({(0, 0): (G(-2), G(0))})
-    assert not cr_structural_predicate(a) and not resonant_subset_trivial(a, 1).structurally_proven
+    assert not _cr_structural_predicate(a) and not resonant_subset_trivial(a, 1).structurally_proven
     assert structural_linearisability(a, 1) == structural_linearisability(a, 2) == "Unknown"
-    assert not cr_structural_predicate(x_and_y_letters({}, {-1: 1, 1: 2}))
-    assert not cr_structural_predicate(x_and_y_letters({0: 1}, {}))
-    assert cr_structural_predicate(x_and_y_letters({1: 1, 2: 3}, {1: 2}))
+    assert not _cr_structural_predicate(x_and_y_letters({}, {-1: 1, 1: 2}))
+    assert not _cr_structural_predicate(x_and_y_letters({0: 1}, {}))
+    assert _cr_structural_predicate(x_and_y_letters({1: 1, 2: 3}, {1: 2}))
     for d in range(2, 7):  # no decomposed CR field has such a letter
-        assert cr_structural_predicate(decompose(random_cr_field(rng, d)))
+        assert _cr_structural_predicate(decompose(random_cr_field(rng, d)))
 
 
 def x_and_y_letters(x, y):
@@ -514,8 +514,9 @@ def test_structural_verdict_does_not_depend_on_max_len(monkeypatch):
     alphabets += [star_alphabet(rng) for _ in range(20)] + [commuting_families(rng) for _ in range(20)]
     alphabets += [x_and_y_letters({-1: 1, 1: 1}, {}), x_and_y_letters({1: 1, 2: 3}, {1: 2})]
     with monkeypatch.context() as m:
-        for name in ("central_series", "cr_structural_predicate", "_first_resonant_basis"):
+        for name in ("central_series", "_first_resonant_basis"):
             m.setattr(lie_analysis, name, refuse)
+        m.setattr(lemmas, "_cr_structural_predicate", refuse)
         m.setattr(prenormal, "central_series", refuse)
         verdicts = [{structural_linearisability(a, L) for L in range(1, 7)} for a in alphabets]
         for a in alphabets:
@@ -527,8 +528,8 @@ def test_structural_verdict_does_not_depend_on_max_len(monkeypatch):
         proven = {resonant_subset_trivial(a, L).structurally_proven for L in range(1, 7)}
         assert len(verdict) == len(proven) == 1, a
         assert verdict == {"LinearisableStructural" if True in proven else "Unknown"}
-        assert proven == {True} or not cr_structural_predicate(a), a
-        seen[verdict.pop(), cr_structural_predicate(a)] += 1
+        assert proven == {True} or not _cr_structural_predicate(a), a
+        seen[verdict.pop(), _cr_structural_predicate(a)] += 1
     assert structural_linearisability(alphabets[-2], 1) == "Unknown"
     assert min(seen.values()) >= 10, seen
 
@@ -842,7 +843,7 @@ def test_cr_structural_predicate_matches_object_route():
             for op in entries.values()
             for (n1, n2), (cx, cy) in op.terms.items()
         )
-        got = cr_structural_predicate(Alphabet(entries))
+        got = _cr_structural_predicate(Alphabet(entries))
         assert got == want, entries
         outcomes[got] += 1
     assert outcomes[True] >= 50 and outcomes[False] >= 50, outcomes

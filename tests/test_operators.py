@@ -36,22 +36,27 @@ def G(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
 
 
+def applied(d, p):
+    """d applied to the polynomial p, dx dp/dx + dy dp/dy, on BiPoly arithmetic."""
+    return operators._apply(d.dx, d.dy, p)
+
+
 def test_apply_to_coordinate():
     d = Derivation(BiPoly.monomial(2, 0), BiPoly())
-    assert d.apply(X) == BiPoly.monomial(2, 0)
+    assert applied(d, X) == BiPoly.monomial(2, 0)
 
 
 def test_apply_quadratic_family():
     # x(p_{2,0} x d/dx + conj(p_{1,1}) y d/dy) applied to x
     op = hom_op((1, 0), BiPoly.monomial(2, 0), BiPoly.monomial(1, 1, G(2)))
-    assert op.apply(X) == BiPoly.monomial(2, 0)
-    assert op.apply(Y) == BiPoly.monomial(1, 1, G(2))
+    assert applied(op, X) == BiPoly.monomial(2, 0)
+    assert applied(op, Y) == BiPoly.monomial(1, 1, G(2))
 
 
 def test_apply_extreme_family():
     op = hom_op((-1, 2), BiPoly.monomial(0, 2, G(3)), BiPoly())
     # 3 y^2 d/dx applied to x^2 gives 6 x y^2
-    assert op.apply(BiPoly.monomial(2, 0)) == BiPoly.monomial(1, 2, G(6))
+    assert applied(op, BiPoly.monomial(2, 0)) == BiPoly.monomial(1, 2, G(6))
 
 
 def test_bracket_antisymmetry_and_self():
@@ -93,7 +98,7 @@ def test_homogeneity_of_action():
     for _ in range(40):
         op = random_hom_op(rng)
         m = (rng.randint(0, 4), rng.randint(0, 4))
-        image = op.apply(BiPoly.monomial(*m))
+        image = applied(op, BiPoly.monomial(*m))
         if image:
             n1, n2 = op.letter
             assert set(image.terms) == {(m[0] + n1, m[1] + n2)}
@@ -101,7 +106,7 @@ def test_homogeneity_of_action():
 
 def double_application(d1, d2, p):
     """d1(d2(p)) - d2(d1(p)), the bracket's action on p by its definition."""
-    return d1.apply(d2.apply(p)) - d2.apply(d1.apply(p))
+    return applied(d1, applied(d2, p)) - applied(d2, applied(d1, p))
 
 
 def count_view_builds(monkeypatch):
@@ -126,7 +131,7 @@ def test_bracket_oracle_equivalence_small(monkeypatch):
         assert built == Counter({(id(d), view): 1 for d in (d1, d2) for view in ("dx", "dy")})
         br = lie_bracket(d1, d2)
         assert br == got
-        assert br.apply(p) == double_application(d1, d2, p)
+        assert applied(br, p) == double_application(d1, d2, p)
 
 
 def test_bracket_oracle_does_not_call_lie_bracket(monkeypatch):
@@ -188,7 +193,7 @@ def test_multi_letter_bracket_matches_oracle():
         br = lie_bracket(d1, d2)
         assert br == bracket_oracle(d1, d2)
         for p in (X, Y, BiPoly.monomial(rng.randint(0, 4), rng.randint(0, 4))):
-            assert br.apply(p) == double_application(d1, d2, p)
+            assert applied(br, p) == double_application(d1, d2, p)
     assert multi >= 20
 
 
