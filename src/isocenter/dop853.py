@@ -14,6 +14,10 @@ code written at import from the tables, each sum in table order, as in
 Hairer's code.  Complex sums and products by a float act on each part
 apart: each part gets the floats of ``du += a * ku[j]``, up to a zero's sign.
 
+The integration is one step loop, `first_return`: it tests each accepted
+step for a crossing of the section v = 0 and stops at the first return,
+handing back that step, whose interpolant the caller builds.
+
 The tables below are copied from scipy's
 ``scipy/integrate/_ivp/dop853_coefficients.py``, "Copyright (c) 2001-2002
 Enthought, Inc. 2003, SciPy Developers", used under scipy's BSD 3-Clause
@@ -29,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import Callable, Iterator
+from typing import Callable
 
 A = (
     {},
@@ -321,22 +325,27 @@ def interpolant(rhs: Rhs, t_old, t, z_old, z, k) -> Callable[[float], complex]:
 
 
 def nested(f: tuple, x: float) -> complex:
-    """x (F0 + (1-x) (F1 + x (F2 + ... (F5 + x F6))))."""
-    y = 0.0
-    for i, c in enumerate(reversed(f)):
-        y = (y + c) * (x if i % 2 == 0 else 1 - x)
-    return y
+    """x (F0 + (1-x) (F1 + x (F2 + ... (F5 + x F6)))), by Horner's rule from
+    (0 + F6) x inward."""
+    f0, f1, f2, f3, f4, f5, f6 = f
+    y = 1 - x
+    return (((((((0.0 + f6) * x + f5) * y + f4) * x + f3) * y + f2) * x + f1) * y + f0) * x
 
 
-def steps(rhs: Rhs, z: complex, t_bound: float, rtol: float, atol: float) -> Iterator[tuple]:
-    """Yield the accepted steps of z' = rhs(z) from t = 0 until t_bound, each
-    as (t_old, t, z_old, z, k) with its 13 stage derivatives k, the last the
-    rhs at z.
+def first_return(
+    rhs: Rhs, z: complex, f: complex, direction: float, t_bound: float, rtol: float, atol: float
+) -> tuple | None:
+    """Integrate z' = rhs(z) from t = 0, where f = rhs(z), to the first
+    return to the section v = 0 through z, crossed as v goes from <= 0 to
+    >= 0 times direction.  The start lies on the section, so the first step
+    must cross it too.  Returns the step that ends the search as
+    (t_old, t, z_old, z, k), with its 13 stage derivatives k, the last the
+    rhs at z: the first step if it does not cross, else the first later step
+    that does.  Returns None when t reaches t_bound first.
 
     Raises StepFailure when the step size falls below ten spacings of t or a
     step lands on a non-finite state.
     """
-    f = rhs(z)
     h_abs = initial_step(rhs, z, f, t_bound, rtol, atol)
     t = 0.0
     while t < t_bound:
@@ -351,9 +360,11 @@ def steps(rhs: Rhs, z: complex, t_bound: float, rtol: float, atol: float) -> Ite
             h = t_new - t
             h_abs = abs(h)
             k, z_new, e5, e3 = trial_step(rhs, z, f, h)
+            # the squared scaled norms of the two error estimates
             su = atol + max(abs(z.real), abs(z_new.real)) * rtol
             sv = atol + max(abs(z.imag), abs(z_new.imag)) * rtol
-            err5, err3 = sq(e5, su, sv), sq(e3, su, sv)
+            x5, y5, x3, y3 = e5.real / su, e5.imag / sv, e3.real / su, e3.imag / sv
+            err5, err3 = x5 * x5 + y5 * y5, x3 * x3 + y3 * y3
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
@@ -372,8 +383,15 @@ def steps(rhs: Rhs, z: complex, t_bound: float, rtol: float, atol: float) -> Ite
             rejected = True
         if not cmath.isfinite(z_new):
             raise StepFailure(f"non-finite state at t = {t_new:.6g}")
-        yield t, t_new, z, z_new, k
+        # v goes from <= 0 to >= 0 in the section's direction; the first
+        # step must cross at the start, and the next step to cross returns
+        crossed = direction * z.imag <= 0.0 <= direction * z_new.imag
+        if crossed != (t == 0.0):
+            return t, t_new, z, z_new, k
         t, z, f = t_new, z_new, k[12]
+    return None
+
+
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of f in [a, b], where f(a) and f(b) differ in sign, to 4 eps
     absolute and relative: scipy's C ``brentq`` (Brent's method), as

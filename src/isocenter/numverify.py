@@ -7,8 +7,11 @@ z = u + iv, is integrated as one Python complex by DOP853, the adaptive
 needed.  The rhs of each field is straight-line source written from its
 exponents and compiled once per exponent shape: each power of z and z̄ it
 needs is computed once per call, by the products CPython's complex ``**``
-makes, so its floats are those of ``ξz + Σ c * z**i * z̄**j`` up to the
-sign of a zero part.  Results are evidence, never proofs.
+makes, and a zero exponent leaves its factor out instead of multiplying by
+1+0j, so its floats are those of ``ξz + Σ c * z**i * z̄**j`` up to the sign
+of a zero part.  `measure_period` evaluates the rhs at the start point once,
+for the overflow check, the section's direction and the first step.
+Results are evidence, never proofs.
 """
 
 from __future__ import annotations
@@ -55,14 +58,20 @@ def _power(x: str, n: int, lines: list[str]) -> str:
 
 def _rhs_source(exponents) -> str:
     """Source of rhs(z) = ξz + Σ c_k z^i w^j with w = conj(z), the terms in
-    the order of exponents, summed left to right; a zero exponent multiplies
-    by 1+0j, as z**0 is.  Only the integer exponents enter the text."""
-    lines = ["def rhs(z):", "    w = z.conjugate()"]
+    the order of exponents, summed left to right; a zero exponent drops its
+    factor, and w is made only when some term uses it.  Only the integer
+    exponents enter the text."""
+    lines = ["def rhs(z):"]
+    if any(j for _, j in exponents):
+        lines.append("    w = z.conjugate()")
     terms = ["xi * z"]
     for k, (i, j) in enumerate(exponents):
-        zi = _power("z", i, lines) if i else "(1+0j)"
-        wj = _power("w", j, lines) if j else "(1+0j)"
-        terms.append(f"c{k} * {zi} * {wj}")
+        term = f"c{k}"
+        if i:
+            term += " * " + _power("z", i, lines)
+        if j:
+            term += " * " + _power("w", j, lines)
+        terms.append(term)
     lines.append("    return " + " + ".join(terms))
     return "\n".join(lines)
 
@@ -82,9 +91,10 @@ def to_real_system(f: PlanarField) -> RealSystem:
     as ``c{k}``: no value enters the source text, so fields of one shape
     share the rhs's code object and differ only in its globals.  Its floats
     are those of ``dz = ξz; dz += c * z**i * conj(z)**j`` term by term, up to
-    the sign of a zero part (``**`` starts each power from 1+0j), except that
-    products overflow to inf where ``**`` raises.  Raises InputError on a
-    coefficient beyond the range of a double."""
+    the sign of a zero part (``**`` starts each power from 1+0j, where the
+    source has no unit factor), except that products overflow to inf where
+    ``**`` raises.  Raises InputError on a coefficient beyond the range of a
+    double."""
     namespace = {"xi": f.xi.to_complex()}
     for k, ((i, j), c) in enumerate(f.coefficients.items()):
         try:
@@ -104,12 +114,15 @@ def measure_period(
     """First return time to the section {v = 0, u > 0} from (r0, 0).
 
     Integrates with DOP853, the adaptive 8th-order explicit pair of
-    `isocenter.dop853`.  A crossing counts in the direction the orbit leaves
-    (r0, 0), the sign of v' there (up for ξ = +i).  The start point lies on
-    the section, so the first step records a crossing at t = 0; the second
-    crossing, the first return, is found on the step's 7th-order interpolant
-    by Brent's method, and integration stops there: the time budget bounds
-    only orbits that never return.  The relative tolerance is
+    `isocenter.dop853`, whose step loop (`first_return`) tests each accepted
+    step for the crossing and stops at the first return.  The rhs at (r0, 0)
+    is evaluated once, for the overflow check, the direction and the first
+    step.  A crossing counts in the direction the orbit leaves (r0, 0), the
+    sign of v' there (up for ξ = +i).  The start point lies on the section,
+    so the first step must cross it at t = 0; the second crossing, the first
+    return, is found on its step's 7th-order interpolant by Brent's method,
+    and integration stops there: the time budget bounds only orbits that
+    never return.  The relative tolerance is
     max(tol, 1e-13) and the absolute one max(tol, 1e-13) * r0 * 1e-3;
     raises InputError when the latter underflows to 0.  Raises NonPeriodicError
     when the rhs overflows at the start point, when the integration fails
@@ -124,7 +137,7 @@ def measure_period(
     if not (math.isfinite(time_budget) and time_budget > 0):
         raise InputError(f"time budget must be positive and finite, got {time_budget}")
     # imported here so that the exact commands never load the tables
-    from .dop853 import StepFailure, brentq, interpolant, steps
+    from .dop853 import StepFailure, brentq, first_return, interpolant
 
     rtol = max(tol, 1e-13)
     atol = rtol * r0 * 1e-3
@@ -136,29 +149,23 @@ def measure_period(
         raise NonPeriodicError(f"integration overflowed from r0={r0}")
     direction = math.copysign(1.0, f0.imag)
     try:
-        for t_old, t, z_old, z, k in steps(s.rhs, z0, time_budget, rtol, atol):
-            # v goes from <= 0 to >= 0 in the section's direction
-            crossed = direction * z_old.imag <= 0.0 <= direction * z.imag
-            if t_old == 0.0:
-                # the start point is on the section: the crossing at t = 0
-                if not crossed:
-                    raise NonPeriodicError(
-                        f"no start crossing of the section at t = 0 from r0={r0}"
-                    )
-                continue
-            if not crossed:
-                continue
-            y = interpolant(s.rhs, t_old, t, z_old, z, k)
-            t_return = brentq(lambda x: y(x).imag, t_old, t)
-            u_return = y(t_return).real
-            if u_return <= 0:
-                raise NonPeriodicError(
-                    f"first return from r0={r0} crosses the section at u = {u_return:.3g} <= 0"
-                )
-            return t_return
+        step = first_return(s.rhs, z0, f0, direction, time_budget, rtol, atol)
     except StepFailure as exc:
         raise NonPeriodicError(f"integration failed from r0={r0}: {exc}") from exc
-    raise NonPeriodicError(f"no return to the section from r0={r0} within budget")
+    if step is None:
+        raise NonPeriodicError(f"no return to the section from r0={r0} within budget")
+    t_old, t, z_old, z, k = step
+    if t_old == 0.0:
+        # the first step leaves the start point without crossing the section
+        raise NonPeriodicError(f"no start crossing of the section at t = 0 from r0={r0}")
+    y = interpolant(s.rhs, t_old, t, z_old, z, k)
+    t_return = brentq(lambda x: y(x).imag, t_old, t)
+    u_return = y(t_return).real
+    if u_return <= 0:
+        raise NonPeriodicError(
+            f"first return from r0={r0} crosses the section at u = {u_return:.3g} <= 0"
+        )
+    return t_return
 
 
 @dataclass(frozen=True)

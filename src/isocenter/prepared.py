@@ -11,12 +11,14 @@ additivity are unchanged).
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .algebra import BiPoly, GaussianRational, ZERO, grlex_key
 from .errors import InputError, InternalInconsistencyError
-from .operators import Derivation, Letter, Word, linear_combination
 from .records import Record
+
+if TYPE_CHECKING:
+    from .operators import Derivation, Letter, Word
 
 _FIELD_KEYS = {"xi_sign", "degree", "coefficients"}
 _COEFF_KEYS = {"i", "j", "value"}
@@ -168,6 +170,9 @@ def decompose(f: PlanarField) -> Alphabet:
         B_{(k,-1)}    = conj(p_{0,k}) x^k d/dy
     Letters with identically zero operators are omitted.
     """
+    # imported here so that loading a field does not load the operators
+    from .operators import Derivation
+
     p = f.perturbation()
     return Alphabet(Derivation(p, p.swap_conj()).split())
 
@@ -178,6 +183,8 @@ def reconstruct(f: PlanarField) -> tuple[BiPoly, BiPoly]:
     The result must equal (ξx + P, -ξy + swap_conj(P)) exactly; any
     mismatch is an invariant breach of the decomposition.
     """
+    from .operators import Derivation, linear_combination
+
     linear = Derivation(BiPoly.monomial(1, 0, f.xi), BiPoly.monomial(0, 1, -f.xi))
     total = linear_combination(((1, 0, 1), d) for d in (linear, *decompose(f).entries.values()))
     dx, dy = total.dx, total.dy

@@ -60,11 +60,13 @@ def loaded_modules(args) -> tuple[set, set]:
     [
         (["complexity", "--condition", "UI", "--degree", "5"],
          EXACT_WORDS | NUMERICAL | {"lemmas", "algebra", "prepared", "operators"}, WATCHED),
-        (["classify", "--input", str(FIELDS / "uniform.json")], EXACT_WORDS | NUMERICAL | {"lemmas"}, WATCHED),
-        (["classify", "--input", os.devnull], EXACT_WORDS | NUMERICAL | {"lemmas", "conditions"}, WATCHED),
+        (["classify", "--input", str(FIELDS / "uniform.json")],
+         EXACT_WORDS | NUMERICAL | {"lemmas", "operators"}, WATCHED),
+        (["classify", "--input", os.devnull],
+         EXACT_WORDS | NUMERICAL | {"lemmas", "conditions", "operators"}, WATCHED),
         # numverify keeps its dataclasses
-        (["scan-periods", "--input", str(FIELDS / "uniform.json")], EXACT_WORDS | {"lemmas", "conditions"},
-         {"fractions"}),
+        (["scan-periods", "--input", str(FIELDS / "uniform.json")],
+         EXACT_WORDS | {"lemmas", "conditions", "operators"}, {"fractions"}),
         (["analyze", "--input", str(FIELDS / "cubic.json"), "--max-word-length", "3"], NUMERICAL, WATCHED),
         (["verify-lemmas"], NUMERICAL, WATCHED),
     ],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -17,6 +18,7 @@ from isocenter.numverify import (
     TWO_PI,
     RealSystem,
     isochrony_scan,
+    _rhs_source,
     measure_period,
     to_real_system,
 )
@@ -387,13 +389,14 @@ def test_tiny_radii_return_two_pi():
 
 
 # rhs calls of measure_period at each of DEFAULT_RADII, summed per field,
-# recorded with the rhs that took each power by ``**``; witness's count
-# includes its failing run at 0.2
+# recorded with the rhs that took each power by ``**`` and less the repeated
+# rhs at the start point, one per radius; witness's count includes its
+# failing run at 0.2
 RHS_CALLS = {
-    "cubic": 1608, "linear": 1128, "mirror": 1296, "uniform": 1524, "witness": 7377,
-    "cauchy_riemann": 1344, "cauchy_riemann_mirror": 1344,
-    "Q_ii_complex": 1296, "Q_ii_complex_mirror": 1296,
-    "Q_i": 1524, "Q_ii": 1524, "Q_iii": 1908, "Q_iv": 1584,
+    "cubic": 1604, "linear": 1124, "mirror": 1292, "uniform": 1520, "witness": 7373,
+    "cauchy_riemann": 1340, "cauchy_riemann_mirror": 1340,
+    "Q_ii_complex": 1292, "Q_ii_complex_mirror": 1292,
+    "Q_i": 1520, "Q_ii": 1520, "Q_iii": 1904, "Q_iv": 1580,
 }
 
 
@@ -534,6 +537,33 @@ def component_step(rhs, u, v, h):
     return out_k, (u_new, v_new), e5, e3, dense
 
 
+def looped_nested(f, x):
+    """x (F0 + (1-x) (F1 + x (F2 + ... (F5 + x F6)))) as the loop that the
+    unrolled `dop853.nested` replaced."""
+    y = 0.0
+    for i, c in enumerate(reversed(f)):
+        y = (y + c) * (x if i % 2 == 0 else 1 - x)
+    return y
+
+
+def test_nested_matches_the_loop_bit_for_bit():
+    rng = random.Random(7)
+
+    def part():
+        return rng.choice((0.0, -0.0, rng.uniform(-1e3, 1e3), rng.uniform(-1e-9, 1e-9)))
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    fs = [tuple(complex(part(), part()) for _ in range(7)) for _ in range(500)]
+    # equal coefficients keep a zero part's sign through every step, so the
+    # start from 0 + F6 shows in the result
+    fs += [(complex(re, im),) * 7 for re in (1.5, -1.5, 0.0, -0.0) for im in (2.5, -2.5, 0.0, -0.0)]
+    for f in fs:
+        for x in (0.0, 1.0, rng.random(), rng.uniform(-0.5, 1.5)):
+            assert bits(dop853.nested(f, x)) == bits(looped_nested(f, x)), (f, x)
+
+
 def test_trial_step_matches_component_route():
     rng = random.Random(853)
     for name in ("mirror", "witness", "cubic"):
@@ -570,6 +600,14 @@ def power_loop_rhs(f):
     return rhs
 
 
+def test_rhs_source_has_no_unit_factor():
+    assert "(1+0j)" not in _rhs_source(((2, 0), (1, 1), (0, 2)))
+    assert "(1+0j)" not in _rhs_source(((4, 0), (0, 3), (2, 5)))
+    cr = _rhs_source(((2, 0), (3, 0), (5, 0)))
+    assert "conjugate" not in cr and " w" not in cr
+    assert "conjugate" in _rhs_source(((2, 0), (0, 2)))
+
+
 def sparse_field(rng, degree):
     """A field of the degree with a few random exponents and generic
     coefficients, of either orientation."""
@@ -600,3 +638,22 @@ def test_generated_rhs_matches_power_loop():
             for z in (complex(r, rng.uniform(-0.6, 0.6)), complex(r, 0.0), complex(0.0, r)):
                 got, want = rhs(z), reference(z)
                 assert got == want and bits(got) == bits(want), (f.coefficients, z)
+
+
+# --- the benchmark's own inputs ---------------------------------------------
+
+# SHA-256 of the periods, as hex floats, of every seed-1 period_scan field
+PERIOD_SCAN_SEED1_SHA256 = "512d87c5c158fd0959cc2245569a5726a72464bef1b441df32aeb31a5d328716"
+
+
+def test_period_scan_fixture_periods_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import fixtures
+
+    entries = fixtures.write_all(1, tmp_path)["period_scan"]
+    assert len(entries) == 20
+    periods = repr([
+        (e["name"], [t.hex() for t in isochrony_scan(PlanarField.load(e["path"])).periods])
+        for e in entries
+    ])
+    assert hashlib.sha256(periods.encode()).hexdigest() == PERIOD_SCAN_SEED1_SHA256
