@@ -198,7 +198,7 @@ def _cr_structural_predicate(a: Alphabet) -> bool:
     return all(
         (not (ya or yb) and n2 == 0 and n1 >= 1) or (not (xa or xb) and n1 == 0 and n2 >= 1)
         for op in a.entries.values()
-        for (n1, n2), (xa, xb, _, ya, yb, _) in op.raw.items()
+        for (n1, n2), (xa, xb, ya, yb, _) in op.raw.items()
     )
 
 

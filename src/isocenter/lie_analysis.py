@@ -252,15 +252,15 @@ def _independent(basis: list[tuple[Word, Derivation]], letter: Letter, v: Deriva
     """Whether the nonzero one-letter v lies outside the span of the basis.
 
     The span has at most two dimensions, the pair (a, b) at the letter, so
-    the test is one exact 2x2 determinant against a single basis vector.
+    the test is one exact 2x2 determinant a*e - b*c, v = (c, e), against a
+    single basis vector.  It reads the numerators of ``Derivation.raw``
+    alone: dropping a pair's positive denominator scales it, not its span.
     """
     if not basis:
         return True
-    pa, pb, pd, qa, qb, qd = basis[0][1].raw[letter]
-    ra, rb, rd, sa, sb, sd = v.raw[letter]
-    f, g = qd * rd, pd * sd  # a*e - b*c for v = (c, e), times the four denominators
-    return ((pa * sa - pb * sb) * f != (qa * ra - qb * rb) * g
-            or (pa * sb + pb * sa) * f != (qa * rb + qb * ra) * g)
+    pa, pb, qa, qb, _ = basis[0][1].raw[letter]
+    ra, rb, sa, sb, _ = v.raw[letter]
+    return pa * sa - pb * sb != qa * ra - qb * rb or pa * sb + pb * sa != qa * rb + qb * ra
 
 
 def _component_reach(a: Alphabet, max_len: int) -> dict[Letter, tuple[list[Letter], list[set[int]]]]:

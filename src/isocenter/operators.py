@@ -2,31 +2,25 @@
 
 Every polynomial derivation is uniquely a sum over letters n = (n1, n2)
 of x^n1 y^n2 (a_n x d/dx + b_n y d/dy), and a derivation is stored as the
-sparse map n -> (a_n, b_n) with no all-zero pairs, each pair held as the
-six ints (a_re, a_im, a_den, b_re, b_im, b_den) with each half in lowest
-terms, so a zero half is (0, 0, 1).  A d/dx monomial x^i y^j belongs to
-letter (i-1, j) and a d/dy monomial x^i y^j to letter (i, j-1).  The
-bracket of two one-letter operators has the closed form
+sparse map n -> (a_n, b_n) with no all-zero pairs, each pair held as five
+ints over one denominator (``Derivation.raw``).  A d/dx monomial x^i y^j
+belongs to letter (i-1, j) and a d/dy monomial x^i y^j to letter (i, j-1).
+The bracket of two one-letter operators has the closed form
 
     [(n, a, b), (m, c, e)] = (n+m, s*c - t*a, s*e - t*b),
     s = a*m1 + b*m2,  t = c*n1 + e*n2,
 
-extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints
-over one common denominator per letter pair, with one gcd per output
-half, and skips a pair whose s and t both vanish; ``linear_combination``
-takes its coefficients as integer triples (a, b, d) meaning (a + b i)/d,
-d > 0, keeps each letter's halves unreduced over a running denominator,
-widened to the lcm with one gcd only by a term whose denominator does not
-divide it, and brings each output half to lowest terms with one gcd at
-the end; negation flips signs.
+extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints;
+``linear_combination`` takes its coefficients as integer triples (a, b, d)
+meaning (a + b i)/d, d > 0; negation flips signs.
 None of them builds a scalar object: ``GaussianRational`` appears only
 in ``terms``, ``to_dict``, ``str``, ``from_terms`` and ``scale``'s
-argument.  The (dx, dy) views hand each half's triple straight to
-``BiPoly``, which stores the same triples, and ``Derivation(dx, dy)``
-reads them back.  After a partial sum cancels, a result may store its
-letters in another order than a letter-by-letter sum would; no output
-reads that order, since the (dx, dy) views sort by grlex.  The (dx, dy)
-polynomial views serve the independent double-application route only:
+argument.  The (dx, dy) views bring each half to lowest terms as a
+``BiPoly`` triple, and ``Derivation(dx, dy)`` joins them back.  After a
+partial sum cancels, a result may store its letters in another order
+than a letter-by-letter sum would; no output reads that order, since the
+(dx, dy) views sort by grlex.  The (dx, dy) polynomial views serve the
+independent double-application route only:
 ``bracket_oracle`` returns the whole bracket as a
 ``Derivation``, from each operator's two views built once and applied on
 ``BiPoly``'s arithmetic, so one call checks one operator pair against
@@ -41,17 +35,17 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import BiPoly, GaussianRational, _coerce, _triple
+from .algebra import BiPoly, GaussianRational, _coerce, _lowest, _reduced
 from .errors import InputError
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 Scalars = tuple[GaussianRational, GaussianRational]
-Sextuple = tuple[int, int, int, int, int, int]
+Quintuple = tuple[int, int, int, int, int]
 
 
 class Derivation:
-    """First-order operator, stored as the map letter -> (a, b) of int sextuples.
+    """First-order operator, stored as the map letter -> (a, b) of ``raw``'s int quintuples.
 
     ``letter`` is the only letter of a nonzero one-letter operator and
     None otherwise.  Instances are treated as immutable.
@@ -60,39 +54,42 @@ class Derivation:
     __slots__ = ("_t",)
 
     def __init__(self, dx: BiPoly, dy: BiPoly):
-        t = {(i - 1, j): c + (0, 0, 1) for (i, j), c in dx._t.items()}
-        for (i, j), c in dy._t.items():
-            n = (i, j - 1)
-            t[n] = t.get(n, (0, 0, 1))[:3] + c
+        t = {(i - 1, j): (p, q, 0, 0, r) for (i, j), (p, q, r) in dx._t.items()}
+        for (i, j), (s, u, v) in dy._t.items():
+            p, q, _, _, r = t.get((i, j - 1), (0, 0, 0, 0, v))  # no d/dx part: a zero half over v
+            t[(i, j - 1)] = _join(p, q, r, s, u, v)
         self._t = t
 
     @staticmethod
     def from_terms(terms: Mapping[Letter, Scalars]) -> "Derivation":
         """The operator with the scalar pair (a, b) at each letter, all-zero pairs dropped.
 
-        Any integer letters are taken, as the closed forms hold for all of
-        them, but only a polynomial field's letters have polynomial views:
-        ``dx`` and ``dy`` raise InputError on a part that has no monomial.
+        Each half is a ``GaussianRational``, an int or a Fraction-like
+        value.  Any integer letters are taken, as the closed forms hold for
+        all of them, but only a polynomial field's letters have polynomial
+        views: ``dx`` and ``dy`` raise InputError on a part that has no
+        monomial.
         """
-        return Derivation._of({
-            n: (a._a, a._b, a._d, b._a, b._b, b._d) for n, (a, b) in terms.items() if a or b
-        })
+        pairs = ((n, _coerce(a), _coerce(b)) for n, (a, b) in terms.items())
+        return Derivation._of({n: _join(a._a, a._b, a._d, b._a, b._b, b._d) for n, a, b in pairs if a or b})
 
     @staticmethod
-    def _of(t: dict[Letter, Sextuple]) -> "Derivation":
+    def _of(t: dict[Letter, Quintuple]) -> "Derivation":
         out = Derivation.__new__(Derivation)
         out._t = t
         return out
 
     @property
-    def raw(self) -> Mapping[Letter, Sextuple]:
-        """The stored map letter -> (a_re, a_im, a_den, b_re, b_im, b_den)."""
+    def raw(self) -> Mapping[Letter, Quintuple]:
+        """The stored map letter -> (a_re, a_im, b_re, b_im, d): the pair
+        ((a_re + a_im i)/d, (b_re + b_im i)/d) over one denominator d > 0,
+        gcd 1 over all five ints, numerators not all zero.  The form is
+        canonical, so equal derivations store equal maps."""
         return self._t
 
     @property
     def terms(self) -> dict[Letter, Scalars]:
-        return {n: (_triple(p, q, r), _triple(s, u, v))
-                for n, (p, q, r, s, u, v) in self._t.items()}
+        return {n: (_reduced(p, q, d), _reduced(s, u, d)) for n, (p, q, s, u, d) in self._t.items()}
 
     @property
     def letter(self) -> Letter | None:
@@ -100,14 +97,14 @@ class Derivation:
 
     @property
     def dx(self) -> BiPoly:
-        return BiPoly._of({(n1 + 1, n2): (p, q, r)
-                           for (n1, n2), (p, q, r, _, _, _) in self._t.items()
+        return BiPoly._of({(n1 + 1, n2): _lowest(p, q, d)
+                           for (n1, n2), (p, q, _, _, d) in self._t.items()
                            if (p or q) and (n1 >= -1 and n2 >= 0 or _no_monomial(n1, n2, "dx"))})
 
     @property
     def dy(self) -> BiPoly:
-        return BiPoly._of({(n1, n2 + 1): (s, u, v)
-                           for (n1, n2), (_, _, _, s, u, v) in self._t.items()
+        return BiPoly._of({(n1, n2 + 1): _lowest(s, u, d)
+                           for (n1, n2), (_, _, s, u, d) in self._t.items()
                            if (s or u) and (n1 >= 0 and n2 >= -1 or _no_monomial(n1, n2, "dy"))})
 
     def split(self) -> dict[Letter, "Derivation"]:
@@ -126,8 +123,7 @@ class Derivation:
         return hash(frozenset(self._t.items()))
 
     def __neg__(self) -> "Derivation":
-        return Derivation._of({n: (-p, -q, r, -s, -u, v)
-                               for n, (p, q, r, s, u, v) in self._t.items()})
+        return Derivation._of({n: (-p, -q, -s, -u, d) for n, (p, q, s, u, d) in self._t.items()})
 
     def __add__(self, other: "Derivation") -> "Derivation":
         return linear_combination((((1, 0, 1), self), ((1, 0, 1), other)))
@@ -155,6 +151,17 @@ class Derivation:
 ZERO_DERIVATION = Derivation._of({})
 
 
+def _join(p: int, q: int, r: int, s: int, u: int, v: int) -> Quintuple:
+    """The ``raw`` form of ((p + q i)/r, (s + u i)/v), two lowest-terms halves, over
+    L = lcm(r, v), with one gcd (none when r == v).  No prime divides all five: one
+    dividing L as often as it divides r, say, divides neither L/r nor both p and q."""
+    if r != v:
+        g = gcd(r, v)
+        h, k = v // g, r // g
+        p, q, s, u, r = p * h, q * h, s * k, u * k, r * h
+    return p, q, s, u, r
+
+
 def _no_monomial(n1: int, n2: int, part: str):
     """Refuse a view of letter (n1, n2), whose d/dx or d/dy part has no monomial."""
     raise InputError(f"letter ({n1},{n2}) has no d/{part} monomial")
@@ -164,57 +171,53 @@ def linear_combination(terms: Iterable[tuple[tuple[int, int, int], Derivation]])
     """Sum of c * d over the (c, d) pairs, zero c skipped.
 
     Each c is an integer triple (a, b, d) meaning (a + b i)/d, d > 0, not
-    necessarily in lowest terms; a c with d <= 0 raises InputError.  Each
-    letter's running halves are unreduced numerators over a running
-    denominator (``_accumulate``), and each half is brought to lowest terms
-    with one gcd at the end (``_canonical``), so the result is canonical.
-    All-zero letters are dropped.
+    necessarily in lowest terms; a c with d <= 0 raises InputError.  The
+    sum is accumulated unreduced (``_accumulate``) and brought to the
+    canonical form at the end (``_canonical``).  All-zero letters are
+    dropped.
     """
     return _canonical(_accumulate({}, terms))
 
 
 def _accumulate(acc: dict[Letter, list[int]], terms) -> dict[Letter, list[int]]:
-    """Add each c * d into acc, the map n -> [pa, pb, pd, qa, qb, qd] of unreduced halves.
+    """Add each c * d into acc, the map n -> [a_re, a_im, b_re, b_im, d] of unreduced letters.
 
-    A term whose denominator divides a half's running one is scaled up to
-    it with no gcd; any other widens the running denominator to the lcm,
-    with one gcd, or with none while the running one is 1.
+    A row is ``raw``'s form, not yet reduced.  A term whose denominator
+    divides a row's running one is scaled up to it with no gcd; any other
+    widens the running denominator to the lcm, with one gcd.
     """
     for (ca, cb, cd), d in terms:
         if cd <= 0:
             raise InputError(f"coefficient denominator must be positive, got {cd}")
         if not (ca or cb):
             continue
-        for n, z in d._t.items():
+        for n, (pa, pb, qa, qb, zd) in d._t.items():
+            xa, xb, ya, yb, f = ca * pa - cb * pb, ca * pb + cb * pa, ca * qa - cb * qb, ca * qb + cb * qa, cd * zd
             r = acc.get(n)
             if r is None:
-                r = acc[n] = [0, 0, 1, 0, 0, 1]
-            for k in (0, 3):
-                za, zb = z[k], z[k + 1]
-                if not (za or zb):
-                    continue
-                f, e = cd * z[k + 2], r[k + 2]
-                u, v = ca * za - cb * zb, ca * zb + cb * za
-                if e % f:  # widen the running denominator e to lcm(e, f) = e h = f m
-                    g = gcd(e, f) if e != 1 else 1
-                    h, m = f // g, e // g
-                    r[k], r[k + 1], r[k + 2] = r[k] * h + u * m, r[k + 1] * h + v * m, e * h
-                else:
-                    if e != f:
-                        m = e // f
-                        u, v = u * m, v * m
-                    r[k] += u
-                    r[k + 1] += v
+                acc[n] = [xa, xb, ya, yb, f]
+                continue
+            e = r[4]
+            if e % f:  # widen the running denominator e to lcm(e, f) = e h = f m
+                g = gcd(e, f)
+                h, m = f // g, e // g
+                r[:] = r[0] * h + xa * m, r[1] * h + xb * m, r[2] * h + ya * m, r[3] * h + yb * m, e * h
+            else:
+                m = e // f
+                r[0] += xa * m
+                r[1] += xb * m
+                r[2] += ya * m
+                r[3] += yb * m
     return acc
 
 
 def _canonical(acc: dict[Letter, list[int]]) -> Derivation:
-    """The derivation of ``_accumulate``'s map, each half in lowest terms with one gcd."""
-    out: dict[Letter, Sextuple] = {}
-    for n, (pa, pb, pd, qa, qb, qd) in acc.items():
+    """The derivation of an unreduced row map, each letter in ``raw``'s form with one gcd."""
+    out: dict[Letter, Quintuple] = {}
+    for n, (pa, pb, qa, qb, e) in acc.items():
         if pa or pb or qa or qb:
-            g, h = gcd(pa, pb, pd), gcd(qa, qb, qd)
-            out[n] = pa // g, pb // g, pd // g, qa // h, qb // h, qd // h
+            g = gcd(pa, pb, qa, qb, e)
+            out[n] = pa // g, pb // g, qa // g, qb // g, e // g
     return Derivation._of(out)
 
 
@@ -229,40 +232,36 @@ def hom_op(letter: Letter, dx: BiPoly, dy: BiPoly) -> Derivation:
 def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """[d1, d2] = d1∘d2 - d2∘d1, by the closed form on each letter pair.
 
-    The closed form is evaluated on the stored ints, over the one common
-    denominator of the pair's four scalars, and each output half is
-    brought to lowest terms with one gcd; a pair whose s and t both
-    vanish brackets to zero and is skipped.  If both
-    arguments are homogeneous with letters n and m, a nonzero result is
-    homogeneous with letter n + m.
+    With a pair's scalars over d1's denominator D and d2's E, s is over
+    D, t over E and the output letter's halves over D E, so the closed
+    form runs on the numerators alone; a pair whose s and t both vanish,
+    or whose bracket is zero, is skipped.  Each output letter is reduced
+    with one gcd, and once more per later pair that gives it, which needs
+    operands of several letters each.  If both arguments are homogeneous
+    with letters n and m, a nonzero result is homogeneous with letter n + m.
     """
-    out: dict[Letter, Sextuple] = {}
-    for (n1, n2), (aa, ab, ad, ba, bb, bd) in d1._t.items():
-        for (m1, m2), (ca, cb, cd, ea, eb, ed) in d2._t.items():
-            # s = a*m1 + b*m2 over ad*bd, t = c*n1 + e*n2 over cd*ed
-            u, v = m1 * bd, m2 * ad
-            sa, sb = aa * u + ba * v, ab * u + bb * v
-            u, v = n1 * ed, n2 * cd
-            ta, tb = ca * u + ea * v, cb * u + eb * v
+    out: dict[Letter, Quintuple] = {}
+    for (n1, n2), (aa, ab, ba, bb, dd) in d1._t.items():
+        for (m1, m2), (ca, cb, ea, eb, ed) in d2._t.items():
+            sa, sb = aa * m1 + ba * m2, ab * m1 + bb * m2
+            ta, tb = ca * n1 + ea * n2, cb * n1 + eb * n2
             if not (sa or sb or ta or tb):  # s = t = 0: this pair's bracket is zero
                 continue
-            # x = s*c - t*a and y = s*e - t*b over D = ad*bd*cd*ed
-            xa = (sa * ca - sb * cb) * ed - (ta * aa - tb * ab) * bd
-            xb = (sa * cb + sb * ca) * ed - (ta * ab + tb * aa) * bd
-            ya = (sa * ea - sb * eb) * cd - (ta * ba - tb * bb) * ad
-            yb = (sa * eb + sb * ea) * cd - (ta * bb + tb * ba) * ad
+            xa = sa * ca - sb * cb - ta * aa + tb * ab
+            xb = sa * cb + sb * ca - ta * ab - tb * aa
+            ya = sa * ea - sb * eb - ta * ba + tb * bb
+            yb = sa * eb + sb * ea - ta * bb - tb * ba
             if not (xa or xb or ya or yb):
                 continue
-            xd = yd = ad * bd * cd * ed
+            f = dd * ed
             k = (n1 + m1, n2 + m2)
-            if k in out:  # another pair gave letter k: add each half over the product denominator
-                pa, pb, pd, qa, qb, qd = out.pop(k)
-                xa, xb, xd = pa * xd + xa * pd, pb * xd + xb * pd, pd * xd
-                ya, yb, yd = qa * yd + ya * qd, qb * yd + yb * qd, qd * yd
+            if k in out:  # another pair gave letter k: add over the product denominator
+                pa, pb, qa, qb, e = out.pop(k)
+                xa, xb, ya, yb, f = pa * f + xa * e, pb * f + xb * e, qa * f + ya * e, qb * f + yb * e, e * f
                 if not (xa or xb or ya or yb):
                     continue
-            g, h = gcd(xa, xb, xd), gcd(ya, yb, yd)
-            out[k] = xa // g, xb // g, xd // g, ya // h, yb // h, yd // h
+            g = gcd(xa, xb, ya, yb, f)
+            out[k] = xa // g, xb // g, ya // g, yb // g, f // g
     return Derivation._of(out)
 
 

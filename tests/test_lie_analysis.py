@@ -801,11 +801,12 @@ def test_exact_hot_path_builds_no_scalar_object():
         m = random_mould(7, resonant)
         total, built, entered = scalar_work(lambda: projection_sum(m, a, 4))
         assert total and (built, entered) == (0, Counter())
-    # the views hand each half's stored triple to BiPoly, and the
-    # constructor reads them back; only .terms makes scalars
+    # the views bring each half to a lowest-terms triple for BiPoly, and
+    # the constructor joins them back; only .terms makes scalars
     d = next(d for d in series.levels[2] if d.dx and d.dy)
     (dx, dy), built, entered = scalar_work(lambda: (d.dx, d.dy))
-    assert dx and dy and (built, entered) == (0, Counter({"BiPoly._of": 2}))
+    assert dx and dy and built == 0 and entered["BiPoly._of"] == 2
+    assert set(entered) <= {"BiPoly._of", "_lowest"}, entered
     back, built, entered = scalar_work(lambda: Derivation(dx, dy))
     assert back == d and (built, entered) == (0, Counter())
     _, built, entered = scalar_work(lambda: d.terms)

@@ -528,9 +528,9 @@ def test_deferred_reduction_of_unreduced_triples_with_large_common_factors():
 
 def test_linear_combination_gcd_budget(monkeypatch):
     # a budget on the count of gcds, which no host speed changes: k terms at
-    # one letter over one shared denominator cost one gcd per output half,
+    # one letter over one shared denominator cost one gcd per output letter,
     # whatever k is; a term whose denominator does not divide the running
-    # one costs one more per half, and one whose denominator divides it none
+    # one costs one more, and one whose denominator divides it none
     calls = Counter()
     real = operators.gcd
 
@@ -540,20 +540,20 @@ def test_linear_combination_gcd_budget(monkeypatch):
 
     monkeypatch.setattr(operators, "gcd", counting)
     rng = random.Random(59)
-    d = Derivation._of({(1, 1): (3, -2, 5, 1, 4, 7)})
+    d = Derivation.from_terms({(1, 1): (G(Fraction(3, 5), Fraction(-2, 5)), G(Fraction(1, 7), Fraction(4, 7)))})
     for k in (1, 2, 5, 40, 300):
         terms = [((rng.randint(1, 99), 0, 11), d) for _ in range(k)]
         calls.clear()
         got = linear_combination(terms)
         r = got.raw[(1, 1)]
-        assert (r[0] or r[1]) and (r[3] or r[4]) and calls["gcd"] == 2, (k, calls)
+        assert (r[0] or r[1]) and (r[2] or r[3]) and calls["gcd"] == 1, (k, calls)
         assert got == sum((d.scale(G(Fraction(c[0], 11))) for c, _ in terms), ZERO_DERIVATION)
-    # 13 opens each half; 17, 19 and 23 widen it; 13 * 17, 17, 13 * 17 * 19 and 1 divide it
+    # 13 opens the letter; 17, 19 and 23 widen it; 13 * 17, 17, 13 * 17 * 19 and 1 divide it
     denominators = [13, 17, 13 * 17, 19, 17, 13 * 17 * 19, 23, 1]
     terms = [((rng.randint(1, 99), 0, e), d) for e in denominators]
     calls.clear()
     got = linear_combination(terms)
-    assert calls["gcd"] == 2 + 2 * 3, calls
+    assert calls["gcd"] == 1 + 3, calls
     assert got == sum((d.scale(G(Fraction(c[0], c[2]))) for c, _ in terms), ZERO_DERIVATION)
 
 
@@ -561,12 +561,12 @@ def test_linear_combination_gcd_budget(monkeypatch):
 
 
 def canonical(d):
-    """Every half of every letter is in lowest terms over a positive
-    denominator, so a zero half is (0, 0, 1), and no letter is all zero."""
+    """Every letter is five ints (a_re, a_im, b_re, b_im, d) over a positive
+    denominator, gcd 1 over all five, and no letter is all zero."""
     for r in d.raw.values():
-        assert all(type(x) is int for x in r)
-        assert r[2] > 0 and r[5] > 0 and gcd(*r[:3]) == 1 and gcd(*r[3:]) == 1
-        assert r[0] or r[1] or r[3] or r[4]
+        assert len(r) == 5 and all(type(x) is int for x in r)
+        assert r[4] > 0 and gcd(*r) == 1
+        assert r[0] or r[1] or r[2] or r[3]
     return True
 
 
@@ -660,6 +660,63 @@ def test_views_match_object_route():
         assert d.dx.to_dict() == dx.to_dict() and d.dy.to_dict() == dy.to_dict()
 
 
+def shared_factor_scalar(rng):
+    """A scalar, zero one time in four, whose parts' denominators are
+    products of 2, 3, 5 and 7, so two of them often share prime factors."""
+    if rng.random() < 0.25:
+        return ZERO
+
+    def part():
+        d = 1
+        for q in (2, 3, 5, 7):
+            d *= q ** rng.choice((0, 0, 1, 2, 3))
+        return Fraction(rng.randint(-30, 30) * rng.choice((1, 2, 6, 35)), d)
+
+    return GaussianRational(part(), part())
+
+
+def test_join_over_one_denominator_is_lowest_terms():
+    # a letter's two lowest-terms halves go over lcm(r, v): the five ints
+    # equal the explicit reduction of that form by the gcd of all five
+    rng = random.Random(61)
+    shared = 0
+    for _ in range(2000):
+        a, b = shared_factor_scalar(rng), shared_factor_scalar(rng)
+        if not (a or b):
+            continue
+        (p, q, r), (s, u, v) = ((z._a, z._b, z._d) for z in (a, b))
+        shared += r != v and gcd(r, v) > 1
+        e = lcm(r, v)
+        whole = (p * (e // r), q * (e // r), s * (e // v), u * (e // v), e)
+        g = gcd(*whole)
+        want = tuple(x // g for x in whole)
+        assert Derivation.from_terms({(1, 0): (a, b)}).raw[(1, 0)] == want
+        dx = BiPoly({(2, 0): a}) if a else BiPoly()
+        dy = BiPoly({(1, 1): b}) if b else BiPoly()
+        assert Derivation(dx, dy).raw[(1, 0)] == want
+    assert shared >= 400, shared
+    # multi-letter derivations: the views and the terms join back to d
+    for _ in range(300):
+        t = {}
+        for _ in range(rng.randint(1, 5)):
+            n = (rng.randint(-1, 3), rng.randint(-1, 3))
+            a = shared_factor_scalar(rng) if n[0] >= -1 and n[1] >= 0 else ZERO
+            b = shared_factor_scalar(rng) if n[0] >= 0 and n[1] >= -1 else ZERO
+            if a or b:
+                t[n] = (a, b)
+        d = Derivation.from_terms(t)
+        assert canonical(d) and Derivation(d.dx, d.dy) == d == Derivation.from_terms(d.terms)
+
+
+def test_from_terms_takes_ints_and_fraction_like_halves():
+    # halves are coerced as scale(2), BiPoly and table_mould coerce them
+    want = Derivation.from_terms({(1, 0): (G(1), ZERO), (0, 1): (G(Fraction(2, 3)), G(Fraction(-1, 6)))})
+    got = Derivation.from_terms({(1, 0): (1, 0), (0, 1): (Fraction(2, 3), Fraction(-1, 6)), (2, 2): (0, Fraction(0))})
+    assert got == want and canonical(got) and got.raw[(0, 1)] == (4, 0, -1, 0, 6)
+    with pytest.raises(TypeError, match="cannot coerce str"):
+        Derivation.from_terms({(1, 0): ("1", 0)})
+
+
 def test_views_refuse_letters_without_a_monomial():
     # any integer letter is stored and bracketed, but x^-1 y^-1 x d/dx and
     # x^-2 y (y d/dy) have no polynomial view
@@ -685,14 +742,14 @@ def test_equality_and_hash_are_value_equality():
         inverse = c.conj() * GaussianRational(1 / c.norm_sq().re)
         same = [d, -(-d), d.scale(c).scale(inverse), d + d - d, linear_combination([((1, 0, 1), d)])]
         assert all(x == d and hash(x) == hash(d) for x in same)
-        # a half that cancels is stored as the canonical zero (0, 0, 1)
+        # a half that cancels stores zero numerators
         n = next(iter(t))
         a, b = t[n]
         e = wide_scalar(rng) or G(1)
         s = Derivation.from_terms({n: (a, b)}) + Derivation.from_terms({n: (-a, e)})
         want = Derivation.from_terms({n: (G(0), b + e)})
         assert s == want and hash(s) == hash(want)
-        assert s.raw[n][:3] == (0, 0, 1) or not (b + e)
+        assert not (b + e) or s.raw[n][:2] == (0, 0)
         assert want == Derivation.from_terms({n: (G(Fraction(0, 7)), b + e)})
         # all-zero pairs are dropped, so they leave no letter behind
         padded = Derivation.from_terms({**t, (5, 5): (ZERO, G(Fraction(0, 3)))})

@@ -850,6 +850,32 @@ def test_warm_mould_sum_round_difference_budget(tmp_path, monkeypatch):
     assert calls[0] == 1396
 
 
+def test_benchmark_round_gcd_budgets(tmp_path, monkeypatch):
+    # counts of the exact kernels' gcds, which no host speed changes: a
+    # warmed seed-1 mould_sum round (1,740 with each half of a letter
+    # reduced on its own), and one seed-1 resonance_deep round (4,322 so)
+    _, manifest = benchmark_fields(tmp_path, monkeypatch)
+    import workloads
+
+    root = Path(__file__).resolve().parents[1]
+    wl = workloads.WORKLOADS["mould_sum"](manifest, root, tmp_path)
+    first = [fn()[1] for _, fn in wl.ops]
+    calls = [0]
+    real = operators.gcd
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(operators, "gcd", counted)
+    assert [fn()[1] for _, fn in wl.ops] == first
+    assert calls[0] == 919
+    wl = workloads.WORKLOADS["resonance_deep"](manifest, root, tmp_path)
+    calls[0] = 0
+    assert all(fn()[0] for _, fn in wl.ops)
+    assert calls[0] == 2185
+
+
 def test_sum_of_fold_moulds_steps_once_per_value(tmp_path, monkeypatch):
     # the benchmark's sum_ab on mould_sum/dense_quadratic at L = 5: the first
     # sum takes at most one _mix step per value of its parts (a refold takes
