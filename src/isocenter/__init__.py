@@ -33,7 +33,6 @@ _MODULE_OF = {  # exported name -> the submodule that defines it
     "decompose": "prepared",
     "enumerate_resonant_words": "lie_analysis",
     "geometric_complexity": "conditions",
-    "hom_op": "operators",
     "homogeneous_uniform_verdict": "conditions",
     "indicator_mould": "prenormal",
     "isochrony_scan": "numverify",

@@ -3,22 +3,17 @@
 The closed forms are the stated expected values; every suite checks them
 against both ``lie_bracket`` and brute-force double application
 (``bracket_oracle``), or checks a structural statement on seeded random
-instances.  All checks are exact.
+instances.  All checks are exact.  The closed forms and the operator
+pairs they are checked on are letter maps (``Derivation.from_terms``), so
+``BiPoly`` enters only through ``decompose`` and the oracle.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algebra import BiPoly
 from .lie_analysis import central_series, resonant_subset_trivial
-from .operators import (
-    ZERO_DERIVATION,
-    Derivation,
-    bracket_oracle,
-    hom_op,
-    lie_bracket,
-)
+from .operators import ZERO_DERIVATION, Derivation, bracket_oracle, lie_bracket
 from .prenormal import projection_sum, random_mould, verify_fond3
 from .prepared import Alphabet, decompose
 from .records import Record
@@ -46,19 +41,18 @@ class LemmaResult(Record):
 def quadratic_display_bracket(p20, p11) -> Derivation:
     """Expected [B_{(1,0)}, B_{(0,1)}] for a quadratic field.
 
-    Scalars follow the quadratic bracket identity; the monomial carried
-    by the d/dy part is x y^2 (forced by the grading: the bracket has
-    letter (1,1)).
+    Scalars follow the quadratic bracket identity; the grading forces the
+    bracket's letter (1,1).
     """
     cx = p11 * (p11.conj() - p20)
     cy = p11.conj() * (p20.conj() - p11)
-    return Derivation(BiPoly.monomial(2, 1, cx), BiPoly.monomial(1, 2, cy))
+    return Derivation.from_terms({(1, 1): (cx, cy)})
 
 
 def extreme_pair_bracket(n: int, p0n) -> Derivation:
     """Expected [B_{(n,-1)}, B_{(-1,n)}] = n|p_{0,n}|^2 (xy)^{n-1}(x d/dx - y d/dy)."""
     c = p0n.norm_sq() * n
-    return Derivation(BiPoly.monomial(n, n - 1, c), BiPoly.monomial(n - 1, n, -c))
+    return Derivation.from_terms({(n - 1, n - 1): (c, -c)})
 
 
 def transpose_pair_bracket(n: int, i: int, a, c) -> Derivation:
@@ -73,30 +67,19 @@ def transpose_pair_bracket(n: int, i: int, a, c) -> Derivation:
     u = c - a.conj()
     cx = (n - i) * a * u + (i - 1) * c * u.conj()
     cy = -((n - i) * a.conj() * u.conj() + (i - 1) * c.conj() * u)
-    return Derivation(BiPoly.monomial(n, n - 1, cx), BiPoly.monomial(n - 1, n, cy))
+    return Derivation.from_terms({(n - 1, n - 1): (cx, cy)})
 
 
 def transpose_pair_ops(n: int, i: int, a, c) -> tuple[Derivation, Derivation]:
     """The operator pair B_{(i-1,n-i)}, B_{(n-i,i-1)} from the two
     homogeneous coefficients a = p_{i,n-i}, c = p_{n-i+1,i-1}."""
-    first = hom_op(
-        (i - 1, n - i),
-        BiPoly.monomial(i, n - i, a),
-        BiPoly.monomial(i - 1, n - i + 1, c.conj()),
-    )
-    second = hom_op(
-        (n - i, i - 1),
-        BiPoly.monomial(n - i + 1, i - 1, c),
-        BiPoly.monomial(n - i, i, a.conj()),
-    )
-    return first, second
+    return (Derivation.from_terms({(i - 1, n - i): (a, c.conj())}),
+            Derivation.from_terms({(n - i, i - 1): (c, a.conj())}))
 
 
 def extreme_pair_ops(n: int, p0n) -> tuple[Derivation, Derivation]:
     """B_{(n,-1)} = conj(p_{0,n}) x^n d/dy and B_{(-1,n)} = p_{0,n} y^n d/dx."""
-    first = hom_op((n, -1), BiPoly(), BiPoly.monomial(n, 0, p0n.conj()))
-    second = hom_op((-1, n), BiPoly.monomial(0, n, p0n), BiPoly())
-    return first, second
+    return Derivation.from_terms({(n, -1): (0, p0n.conj())}), Derivation.from_terms({(-1, n): (p0n, 0)})
 
 
 def _bracket_mismatch(d1: Derivation, d2: Derivation, want: Derivation) -> str:

@@ -43,14 +43,15 @@ bracket) with no parent link: a word's parent is the word less its last
 letter, by which a mould keeps its own fold states.  The memory retained
 is that of the largest trees asked for; dropping the alphabet frees it.
 
-``central_series``, ``enumerate_resonant_words`` and
-``resonant_subset_trivial`` run with the cyclic garbage collector paused,
-and restore its state on return or raise.  What they build is tuples,
-lists, dicts and ``Derivation``, none of which refers back to itself, so
-reference counting frees all of it and a collection would find nothing;
-left running, the collector rescans the growing word and bracket lists
-over and over.  ``iter_bracket_levels`` is a generator and is not paused,
-since a pause held across a ``yield`` would reach into its caller.
+``central_series`` and ``enumerate_resonant_words`` run with the cyclic
+garbage collector paused, and restore its state on return or raise.
+What they build is tuples, lists, dicts and ``Derivation``, none of which
+refers back to itself, so reference counting frees all of it and a
+collection would find nothing; left running, the collector rescans the
+growing word and bracket lists over and over.  ``resonant_subset_trivial``
+is not paused, since its span DP keeps at most two vectors per cell, and
+``iter_bracket_levels`` is a generator, so a pause held across a
+``yield`` would reach into its caller.
 """
 
 from __future__ import annotations
@@ -353,7 +354,6 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
     return []
 
 
-@_gc_paused
 def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     """Test whether every resonant nested bracket up to the length bound vanishes.
 

@@ -10,22 +10,23 @@ The bracket of two one-letter operators has the closed form
     [(n, a, b), (m, c, e)] = (n+m, s*c - t*a, s*e - t*b),
     s = a*m1 + b*m2,  t = c*n1 + e*n2,
 
-extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints;
-``linear_combination`` takes its coefficients as integer triples (a, b, d)
-meaning (a + b i)/d, d > 0; negation flips signs.
-None of them builds a scalar object: ``GaussianRational`` appears only
-in ``terms``, ``to_dict``, ``str``, ``from_terms`` and ``scale``'s
-argument.  The (dx, dy) views bring each half to lowest terms as a
-``BiPoly`` triple, and ``Derivation(dx, dy)`` joins them back.  After a
-partial sum cancels, a result may store its letters in another order
-than a letter-by-letter sum would; no output reads that order, since the
-(dx, dy) views sort by grlex.  The (dx, dy) polynomial views serve the
-independent double-application route only:
-``bracket_oracle`` returns the whole bracket as a
-``Derivation``, from each operator's two views built once and applied on
-``BiPoly``'s arithmetic, so one call checks one operator pair against
-``lie_bracket`` with ``==``.  The nested bracket of a word n1...nr is
-left-nested with the last letter outermost:
+extended bilinearly.  ``lie_bracket`` evaluates it on the stored ints,
+one letter of its left operand at a time; ``linear_combination``, with
+coefficients as integer triples (a, b, d) meaning (a + b i)/d, d > 0,
+is the one place that adds letter maps; negation flips signs.  None of
+them builds a scalar object.  ``GaussianRational`` enters only through
+``from_terms``, which builds an operator as a letter map, and ``scale``'s
+argument, and leaves through ``terms``, ``to_dict`` and ``str``.
+``Derivation(dx, dy)`` builds one from a field's polynomials, and the
+(dx, dy) views bring each half to lowest terms as a ``BiPoly`` triple.
+After a partial sum cancels, a result may store its letters in another
+order than a letter-by-letter sum would; no output reads that order,
+since the views sort by grlex.  The views serve the independent
+double-application route only: ``bracket_oracle`` returns the whole
+bracket as a ``Derivation``, from each operator's two views built once
+and applied on ``BiPoly``'s arithmetic, so one call checks one operator
+pair against ``lie_bracket`` with ``==``.  The nested bracket of a word
+n1...nr is left-nested with the last letter outermost:
 [B_{nr}, [B_{n_{r-1}}, ..., [B_{n2}, B_{n1}]...]].  This nesting order is
 fixed project-wide.
 """
@@ -221,47 +222,36 @@ def _canonical(acc: dict[Letter, list[int]]) -> Derivation:
     return Derivation._of(out)
 
 
-def hom_op(letter: Letter, dx: BiPoly, dy: BiPoly) -> Derivation:
-    """The operator dx d/dx + dy d/dy, checked to be zero or of this one letter."""
-    d = Derivation(dx, dy)
-    if d and d.letter != letter:
-        raise InputError(f"operator {d} is not homogeneous of letter {letter}")
-    return d
-
-
 def lie_bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """[d1, d2] = d1∘d2 - d2∘d1, by the closed form on each letter pair.
+    """[d1, d2] = d1∘d2 - d2∘d1, by the closed form on letters.
 
-    With a pair's scalars over d1's denominator D and d2's E, s is over
-    D, t over E and the output letter's halves over D E, so the closed
-    form runs on the numerators alone; a pair whose s and t both vanish,
-    or whose bracket is zero, is skipped.  Each output letter is reduced
-    with one gcd, and once more per later pair that gives it, which needs
-    operands of several letters each.  If both arguments are homogeneous
-    with letters n and m, a nonzero result is homogeneous with letter n + m.
+    A one-letter d1 = (n, a, b) over denominator D brackets into d2 letter
+    by letter: with m's scalars over E, s is over D, t over E and the
+    output letter n + m's halves over D E, so the closed form runs on the
+    numerators alone, and each output letter is formed once and reduced
+    with one gcd; a letter m whose s and t both vanish, or whose bracket
+    is zero, gives none.  Any other d1 is the ``linear_combination`` of
+    its letters' brackets.  If both arguments are homogeneous with letters
+    n and m, a nonzero result is homogeneous with letter n + m.
     """
+    if len(d1._t) != 1:
+        return linear_combination(((1, 0, 1), lie_bracket(op, d2)) for op in d1.split().values())
+    (((n1, n2), (aa, ab, ba, bb, dd)),) = d1._t.items()
     out: dict[Letter, Quintuple] = {}
-    for (n1, n2), (aa, ab, ba, bb, dd) in d1._t.items():
-        for (m1, m2), (ca, cb, ea, eb, ed) in d2._t.items():
-            sa, sb = aa * m1 + ba * m2, ab * m1 + bb * m2
-            ta, tb = ca * n1 + ea * n2, cb * n1 + eb * n2
-            if not (sa or sb or ta or tb):  # s = t = 0: this pair's bracket is zero
-                continue
-            xa = sa * ca - sb * cb - ta * aa + tb * ab
-            xb = sa * cb + sb * ca - ta * ab - tb * aa
-            ya = sa * ea - sb * eb - ta * ba + tb * bb
-            yb = sa * eb + sb * ea - ta * bb - tb * ba
-            if not (xa or xb or ya or yb):
-                continue
-            f = dd * ed
-            k = (n1 + m1, n2 + m2)
-            if k in out:  # another pair gave letter k: add over the product denominator
-                pa, pb, qa, qb, e = out.pop(k)
-                xa, xb, ya, yb, f = pa * f + xa * e, pb * f + xb * e, qa * f + ya * e, qb * f + yb * e, e * f
-                if not (xa or xb or ya or yb):
-                    continue
-            g = gcd(xa, xb, ya, yb, f)
-            out[k] = xa // g, xb // g, ya // g, yb // g, f // g
+    for (m1, m2), (ca, cb, ea, eb, ed) in d2._t.items():
+        sa, sb = aa * m1 + ba * m2, ab * m1 + bb * m2
+        ta, tb = ca * n1 + ea * n2, cb * n1 + eb * n2
+        if not (sa or sb or ta or tb):  # s = t = 0: this letter's bracket is zero
+            continue
+        xa = sa * ca - sb * cb - ta * aa + tb * ab
+        xb = sa * cb + sb * ca - ta * ab - tb * aa
+        ya = sa * ea - sb * eb - ta * ba + tb * bb
+        yb = sa * eb + sb * ea - ta * bb - tb * ba
+        if not (xa or xb or ya or yb):
+            continue
+        f = dd * ed
+        g = gcd(xa, xb, ya, yb, f)
+        out[(n1 + m1, n2 + m2)] = xa // g, xb // g, ya // g, yb // g, f // g
     return Derivation._of(out)
 
 

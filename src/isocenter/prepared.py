@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .algebra import BiPoly, GaussianRational, ZERO, grlex_key
+from .algebra import BiPoly, GaussianRational, X, Y, ZERO, grlex_key
 from .errors import InputError, InternalInconsistencyError
 from .records import Record
 
@@ -185,12 +185,12 @@ def reconstruct(f: PlanarField) -> tuple[BiPoly, BiPoly]:
     """
     from .operators import Derivation, linear_combination
 
-    linear = Derivation(BiPoly.monomial(1, 0, f.xi), BiPoly.monomial(0, 1, -f.xi))
+    linear = Derivation.from_terms({(0, 0): (f.xi, -f.xi)})
     total = linear_combination(((1, 0, 1), d) for d in (linear, *decompose(f).entries.values()))
     dx, dy = total.dx, total.dy
     p = f.perturbation()
-    want_dx = BiPoly.monomial(1, 0, f.xi) + p
-    want_dy = BiPoly.monomial(0, 1, -f.xi) + p.swap_conj()
+    want_dx = X.scale(f.xi) + p
+    want_dy = Y.scale(-f.xi) + p.swap_conj()
     if dx != want_dx or dy != want_dy:
         raise InternalInconsistencyError(
             "decomposition does not reconstruct the field: "

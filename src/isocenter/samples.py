@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import BiPoly, GaussianRational, _coerce, _reduced
-from .operators import Derivation, hom_op
+from .algebra import GaussianRational, _coerce, _reduced
+from .operators import Derivation
 from .prepared import PlanarField
 
 
@@ -73,18 +73,10 @@ def random_hom_op(rng: random.Random, max_deg: int = 4) -> Derivation:
     kind = rng.random()
     if kind < 0.7:
         i = rng.randint(1, k)
-        return hom_op(
-            (i - 1, k - i),
-            BiPoly.monomial(i, k - i, random_scalar(rng)),
-            BiPoly.monomial(i - 1, k - i + 1, random_scalar(rng)),
-        )
+        return Derivation.from_terms({(i - 1, k - i): (random_scalar(rng), random_scalar(rng))})
     if kind < 0.85:
-        return hom_op(
-            (-1, k), BiPoly.monomial(0, k, random_nonzero_scalar(rng)), BiPoly()
-        )
-    return hom_op(
-        (k, -1), BiPoly(), BiPoly.monomial(k, 0, random_nonzero_scalar(rng))
-    )
+        return Derivation.from_terms({(-1, k): (random_nonzero_scalar(rng), 0)})
+    return Derivation.from_terms({(k, -1): (0, random_nonzero_scalar(rng))})
 
 
 def quadratic(p20, p11, p02) -> PlanarField:

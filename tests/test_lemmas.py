@@ -10,6 +10,8 @@ it, and each lemma's list is compared by count and SHA-256 digest.
 """
 
 import hashlib
+import sys
+from collections import Counter
 
 from isocenter import lemmas, samples
 
@@ -84,3 +86,32 @@ def test_holom_brackets_only_its_alphabets_letter_pairs(monkeypatch):
     monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
     assert lemmas.lemma_holom(4).passed
     assert len(sizes) == 200 and calls[0] == sum(k * (k - 1) // 2 for k in sizes) == 2500
+
+
+def test_suites_build_operators_as_letter_maps(monkeypatch):
+    # the closed forms and the operator pairs are letter maps: a BiPoly is
+    # built only as a decomposed field's perturbation, and Derivation(dx, dy)
+    # runs only in decompose and once per bracket_oracle pair
+    from isocenter.algebra import BiPoly
+    from isocenter.operators import Derivation
+
+    built = Counter()
+    monomial, bipoly, derivation = BiPoly.monomial, BiPoly.__init__, Derivation.__init__
+
+    def counted_monomial(*args):
+        built["BiPoly.monomial"] += 1
+        return monomial(*args)
+
+    def counted_bipoly(self, *args):
+        built["BiPoly"] += 1
+        bipoly(self, *args)
+
+    def counted_derivation(self, dx, dy):
+        built["Derivation in " + sys._getframe(1).f_code.co_name] += 1
+        derivation(self, dx, dy)
+
+    monkeypatch.setattr(BiPoly, "monomial", staticmethod(counted_monomial))
+    monkeypatch.setattr(BiPoly, "__init__", counted_bipoly)
+    monkeypatch.setattr(Derivation, "__init__", counted_derivation)
+    assert all(r.passed for r in lemmas.run_all(0))
+    assert built == {"BiPoly": 755, "Derivation in decompose": 755, "Derivation in bracket_oracle": 1350}
