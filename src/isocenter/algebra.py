@@ -9,7 +9,8 @@ triples, with no stored zero coefficients, and its arithmetic works on
 the ints with one gcd per coefficient it adds or makes: scalar objects
 appear only at the edge (the constructor, ``monomial``, ``scale``'s argument,
 ``terms``, ``sorted_terms``, ``to_dict`` and ``str``).  Floating point
-never appears in this module.
+never appears in this module, and ``fractions`` is imported only by the
+``re`` and ``im`` properties, when called.
 """
 
 from __future__ import annotations

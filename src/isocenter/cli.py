@@ -5,8 +5,12 @@ deterministic for fixed input and seed); text output is for humans.
 Exit codes: 0 success, 1 invalid input, 2 internal inconsistency or
 lemma failure.
 
-Each command imports the modules it runs inside its own function, so no
-command loads the layers of another.
+Each command imports the modules it runs inside its own function:
+``complexity`` and ``classify`` load no mould, word or numerical layer (a
+malformed ``classify`` input not even the checkers), ``scan-periods`` no
+exact analysis, ``analyze`` no numerical layer, and only ``verify-lemmas``
+the lemma suites.  No command but ``scan-periods`` loads ``dataclasses``,
+and none ``fractions``; ``tests/test_import_hygiene.py`` pins both.
 """
 
 from __future__ import annotations

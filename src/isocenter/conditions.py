@@ -21,11 +21,14 @@ if TYPE_CHECKING:  # the checkers import these when they run, so `complexity` lo
 class ConditionVerdict(Record):
     """Whether a condition holds, with the residual of each failing relation."""
 
-    __slots__ = ("condition_id", "holds", "failing_relations")
+    __slots__ = ("condition_id", "failing_relations")
 
-    def __init__(self, condition_id: str, holds: bool,
-                 failing_relations: list[tuple[str, GaussianRational]] | None = None):
-        self._fill(condition_id, holds, [] if failing_relations is None else failing_relations)
+    def __init__(self, condition_id: str, failing_relations: list[tuple[str, GaussianRational]] | None = None):
+        self._fill(condition_id, [] if failing_relations is None else failing_relations)
+
+    @property
+    def holds(self) -> bool:
+        return not self.failing_relations
 
     def to_json_obj(self) -> dict:
         return {
@@ -87,7 +90,7 @@ def check_uniform(f: PlanarField) -> ConditionVerdict:
     p = f.perturbation()
     identity_holds = (BiPoly.monomial(0, 1) * p) == (BiPoly.monomial(1, 0) * p.swap_conj())
     _routes_agree("uniform-isochronicity", identity_holds, failing)
-    return ConditionVerdict("UI", not failing, failing)
+    return ConditionVerdict("UI", failing)
 
 
 def check_cauchy_riemann(f: PlanarField) -> ConditionVerdict:
@@ -98,7 +101,7 @@ def check_cauchy_riemann(f: PlanarField) -> ConditionVerdict:
         if j
     ]
     _routes_agree("Cauchy-Riemann", not f.perturbation().partial("y"), failing)
-    return ConditionVerdict("CR", not failing, failing)
+    return ConditionVerdict("CR", failing)
 
 
 def _routes_agree(condition: str, identity_holds: bool, failing: list) -> None:
@@ -174,7 +177,7 @@ def homogeneous_uniform_verdict(f: PlanarField) -> ConditionVerdict:
         r = f.coeff(m + 1, m)
         if r:
             failing.append((f"p_{{{m + 1},{m}}}=0", r))
-    verdict = ConditionVerdict("HOM_UNIFORM", not failing, failing)
+    verdict = ConditionVerdict("HOM_UNIFORM", failing)
     if verdict.holds and structural_linearisability(decompose(f), 6) != LINEARISABLE_STRUCTURAL:
         raise InternalInconsistencyError(
             "homogeneous uniform field failed the structural linearisability check"

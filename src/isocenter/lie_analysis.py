@@ -17,21 +17,25 @@ spans grade by grade instead of walking every word.  The spans are built
 inside the components of the non-commutation graph, whose edges are the
 nonzero letter-pair brackets of the tree's level 2: ad_{B_n} is a
 derivation, so [B_n, B_w] = 0 when B_n commutes with every letter of w,
-and the letters of a word with a nonzero bracket all lie in one
-component.  So with no weight-zero letter and each component's weights
-of one strict sign, no resonant word of any length has a nonzero bracket:
-the all-lengths certificate.  Each prefix of a resonant word with one is
-brought back to weight zero by letters of its own component, the one
-reach rule by which the verdict and the resonant tree prune.  Resonant
-words are listed by joining half-words through a table keyed by weight,
-pruned by the whole alphabet's reach, since they are words, not brackets.
+and the letters of a word with a nonzero bracket all lie in one component.
+So with no weight-zero letter and each component's weights of one strict
+sign, no resonant word of any length has a nonzero bracket: the
+all-lengths certificate.  The CR lemma (``lemmas``), and order-1
+nilpotency with no weight-zero letter (each component one letter), are
+special cases of it.  Each prefix of a resonant word with one is brought
+back to weight zero by letters of its own component, the one reach rule by
+which the verdict and the resonant tree prune.  So a CR alphabet, whose
+components each have weights of one sign, or a UI-homogeneous one, whose
+letters all commute, makes no bracket past the letter pairs, and
+``analyze`` brackets each letter pair once in all.  Resonant words are
+listed by joining half-words through a table keyed by weight, pruned by
+the whole alphabet's reach, since they are words, not brackets.
 ``iter_bracket_levels`` is the one traversal of the word prefix tree.
 Swapping the first two letters of a word negates its bracket, so from
-level 2 on each entry stands for a swap-twin class {w, twin(w)}: the
-word w with its bracket d, and ``twin(w)`` with -d.  The central series
-and its pair witnesses are read off its levels; the projection sum reads
-it up to level L-1 (level 1 when L is 1) and brackets level L once per
-letter.
+level 2 on each entry stands for a swap-twin class {w, twin(w)}: the word
+w with its bracket d, and ``twin(w)`` with -d.  The central series and its
+pair witnesses are read off its levels; the projection sum reads it up to
+level L-1 (level 1 when L is 1) and brackets level L once per letter.
 
 The tree is the alphabet's comould: its brackets depend on the alphabet
 alone, never on a mould.  So it is built once, a level at a time as its
@@ -67,9 +71,7 @@ from .records import Record
 
 
 def _gc_paused(fn: Callable) -> Callable:
-    """Run fn with the cyclic collector disabled, re-enabling it afterwards
-    only if it was enabled before.  For functions whose objects form no
-    reference cycle; never for a generator."""
+    """Run fn with the cyclic collector paused and its state restored after; never a generator."""
 
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -87,11 +89,15 @@ def _gc_paused(fn: Callable) -> Callable:
 class SeriesReport(Record):
     """Central-series generating sets plus the order-1 nilpotency verdict."""
 
-    __slots__ = ("levels", "nilpotent_order1", "witnesses")
+    __slots__ = ("levels", "witnesses")
 
-    def __init__(self, levels: list[list[Derivation]], nilpotent_order1: bool,
+    def __init__(self, levels: list[list[Derivation]],
                  witnesses: list[tuple[tuple[Letter, Letter], Derivation]] | None = None):
-        self._fill(levels, nilpotent_order1, [] if witnesses is None else witnesses)
+        self._fill(levels, [] if witnesses is None else witnesses)
+
+    @property
+    def nilpotent_order1(self) -> bool:
+        return not self.witnesses
 
 
 class ResonanceReport(Record):
@@ -106,11 +112,14 @@ class ResonanceReport(Record):
     does not depend on the bound.
     """
 
-    __slots__ = ("all_brackets_zero", "witnesses", "structurally_proven")
+    __slots__ = ("witnesses", "structurally_proven")
 
-    def __init__(self, all_brackets_zero: bool, witnesses: list[tuple[Word, Derivation]] | None = None,
-                 structurally_proven: bool = False):
-        self._fill(all_brackets_zero, [] if witnesses is None else witnesses, structurally_proven)
+    def __init__(self, witnesses: list[tuple[Word, Derivation]] | None = None, structurally_proven: bool = False):
+        self._fill([] if witnesses is None else witnesses, structurally_proven)
+
+    @property
+    def all_brackets_zero(self) -> bool:
+        return not self.witnesses
 
 
 @_gc_paused
@@ -121,9 +130,7 @@ def central_series(a: Alphabet, depth: int) -> SeriesReport:
     class of level k >= 2 listed as its bracket d and then -d.  Stops
     early at an empty level; no linear-independence reduction is made.
     The witnesses are the nonzero [B_n, B_m] with n before m: the level-2
-    entries (m, n), in order.  The levels are read off the alphabet's kept
-    tree, so a later series or verdict on the same alphabet brackets no
-    letter pair again.
+    entries (m, n), in order.  The levels are read off the alphabet's kept tree.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
@@ -134,7 +141,7 @@ def central_series(a: Alphabet, depth: int) -> SeriesReport:
     while len(levels) < depth and levels[-1]:  # so the level after an empty one is never built
         level = pairs if len(levels) == 1 else next(tree)
         levels.append([e for _, _, d in level for e in (d, -d)])
-    return SeriesReport(levels=levels, nilpotent_order1=not witnesses, witnesses=witnesses)
+    return SeriesReport(levels=levels, witnesses=witnesses)
 
 
 def _reach(weights: set[int], max_len: int) -> list[set[int]]:
@@ -162,9 +169,8 @@ def iter_bracket_levels(a: Alphabet, max_len: int, resonant_only: bool = False) 
     back to zero; its level 2 is a filter of the full tree's.  At
     ``max_len`` 1 that is the weight-zero letters, found with no bracket.
 
-    The levels are kept on the alphabet (see the module docstring): the
-    full tree for every bound, the resonant one per bound.  A level is
-    built only when it is first asked for, and never again.
+    The levels are kept on the alphabet, and each is built when it is
+    first asked for (module docstring).
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
@@ -360,11 +366,8 @@ def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     For length-1 resonant words the "bracket" is the operator itself
     (always nonzero by alphabet construction, hence always a witness), and
     it is found before any bracket is made.  Longer ones are sought
-    within the components of the non-commutation graph only; the
-    letter-pair brackets are read from the alphabet's level 2, so after a
-    central series over the same alphabet no letter pair is bracketed again.
+    within the components of the non-commutation graph only, from the
+    letter-pair brackets of the alphabet's level 2 (module docstring).
     """
-    witnesses = _first_resonant_basis(a, max_len)
-    return ResonanceReport(all_brackets_zero=not witnesses, witnesses=witnesses,
-                           structurally_proven=_certified(a))
+    return ResonanceReport(witnesses=_first_resonant_basis(a, max_len), structurally_proven=_certified(a))
 

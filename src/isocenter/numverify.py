@@ -9,9 +9,9 @@ exponents and compiled once per exponent shape: each power of z and z̄ it
 needs is computed once per call, by the products CPython's complex ``**``
 makes, and a zero exponent leaves its factor out instead of multiplying by
 1+0j, so its floats are those of ``ξz + Σ c * z**i * z̄**j`` up to the sign
-of a zero part.  `measure_period` evaluates the rhs at the start point once,
-for the overflow check, the section's direction and the first step.
-Results are evidence, never proofs.
+of a zero part.  Its records stay dataclasses, as the benchmark's tracer
+rebuilds ``RealSystem`` with ``dataclasses.replace``.  Results are evidence,
+never proofs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .errors import InputError, NonPeriodicError
 from .prepared import PlanarField
@@ -113,22 +113,21 @@ def measure_period(
 ) -> float:
     """First return time to the section {v = 0, u > 0} from (r0, 0).
 
-    Integrates with DOP853, the adaptive 8th-order explicit pair of
-    `isocenter.dop853`, whose step loop (`first_return`) tests each accepted
-    step for the crossing and stops at the first return.  The rhs at (r0, 0)
-    is evaluated once, for the overflow check, the direction and the first
-    step.  A crossing counts in the direction the orbit leaves (r0, 0), the
-    sign of v' there (up for ξ = +i).  The start point lies on the section,
-    so the first step must cross it at t = 0; the second crossing, the first
-    return, is found on its step's 7th-order interpolant by Brent's method,
-    and integration stops there: the time budget bounds only orbits that
-    never return.  The relative tolerance is
-    max(tol, 1e-13) and the absolute one max(tol, 1e-13) * r0 * 1e-3;
-    raises InputError when the latter underflows to 0.  Raises NonPeriodicError
-    when the rhs overflows at the start point, when the integration fails
-    (step-size underflow or a non-finite state), when the start crossing is
-    missing, when the return crosses at u <= 0, or when no return occurs
-    within the budget.
+    Integrates with `isocenter.dop853`, imported on the first call, whose
+    step loop (`first_return`) tests each accepted step for the crossing
+    and stops at the first return.  The rhs at (r0, 0) is evaluated once,
+    for the overflow check, the direction and the first step.  A crossing
+    counts in the direction the orbit leaves (r0, 0), the sign of v' there
+    (up for ξ = +i).  The start point lies on the section, so the first
+    step must cross it at t = 0; the second crossing, the first return, is
+    found on its step's 7th-order interpolant by Brent's method, and
+    integration stops there: the time budget bounds only orbits that never
+    return.  The relative tolerance is max(tol, 1e-13) and the absolute one
+    max(tol, 1e-13) * r0 * 1e-3; raises InputError when the latter
+    underflows to 0.  Raises NonPeriodicError when the rhs overflows at the
+    start point, when the integration fails (step-size underflow or a
+    non-finite state), when the start crossing is missing, when the return
+    crosses at u <= 0, or when no return occurs within the budget.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise InputError(f"initial radius must be positive and finite, got {r0}")
@@ -173,7 +172,7 @@ class PeriodScan:
     radii: tuple[float, ...]
     periods: tuple[float, ...]
     max_rel_spread: float
-    reference: float = TWO_PI
+    reference: ClassVar[float] = TWO_PI
 
     def to_json_obj(self) -> dict:
         return {

@@ -12,8 +12,7 @@ depends on the alphabet alone: it is built once and kept on the
 ``Alphabet`` while the alphabet lives, so the sums of many moulds over one
 alphabet bracket its words once.  A tree sum adds every level into one
 unreduced accumulator of ``operators`` and brings it to lowest terms
-once, at the end.  The memory retained is that of the
-largest trees asked for; dropping the alphabet frees it.
+once, at the end.
 
 The mould side is kept on the mould.  ``Mould.value`` makes its word a
 tuple of tuples, so past it every word is a tuple word, and a JSON word
@@ -65,10 +64,11 @@ class Mould:
     the word, and no value is kept for it.  ``Mould(fn)`` has the word
     fold: the state is the word so far, ``step`` appends a letter and
     ``finish`` is the triple of ``fn``'s value.  Exactly one of ``fn``
-    and ``fold`` must be given.  ``value`` takes a JSON word (letters as
-    lists) too: it makes every word a tuple of tuples first, so the
-    fold and ``fn`` see tuple words only, and a JSON word shares its tuple
-    word's kept state and value.
+    and ``fold`` must be given; a sum of moulds is a word fold,
+    ``Mould(lambda w: m1.value(w) + m2.value(w))``.  ``value`` takes a
+    JSON word (letters as lists) too: it makes every word a tuple of tuples
+    first, so the fold and ``fn`` see tuple words only, and a JSON word
+    shares its tuple word's kept state and value.
 
     A mould keeps the value of each word it evaluates, in a dict
     private to the mould from the word's parent word (all but its last
@@ -254,16 +254,16 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     accumulator (``operators._accumulate``), unreduced; so is each
     bracket [B_n, S_n] of level L below, with the weight (1, 0, L), and
     the accumulator is brought to lowest terms once, at the end
-    (``operators._canonical``).  The tree
-    is the alphabet's comould, built on the first sum (or central series)
-    that needs it and kept on the alphabet, so a repeat sum brackets no
-    tree word.  The values of w and twin(w) come from ``Mould._value``,
-    level by level: on a fresh fold mould each is one ``step`` from its
-    parent word's kept state and one ``finish``, and on a kept mould each
-    is read back.  Below the deepest level L the mould is evaluated only on
-    nonzero brackets, and with resonant support only at weight zero; the
-    states of the other entries are still kept, as their children step
-    from them.  Level L uses bilinearity in the last letter:
+    (``operators._canonical``).  The tree is the alphabet's comould, built
+    on the first sum (or central series) that needs it and kept on the
+    alphabet, so a repeat sum brackets no tree word.  The values of w and
+    twin(w) come from ``Mould._value``, level by level: on a fresh fold
+    mould each is one ``step`` from its parent word's kept state and one
+    ``finish``, and on a kept mould each is read back.  Below the deepest
+    level L the mould is evaluated only on nonzero brackets, and with
+    resonant support only at weight zero; the states of the other entries
+    are still kept, as their children step from them.  Level L uses
+    bilinearity in the last letter:
 
         sum_{|w|=L} M^w [B_w] = sum_n [B_n, S_n],  S_n = sum_{|u|=L-1} M^{un} [B_u],
 
@@ -274,12 +274,10 @@ def projection_sum(m: Mould, a: Alphabet, max_len: int) -> Derivation:
     on a first sum a length-L word costs one step from u's state and one
     finish, and on a repeat sum nothing.  Under resonant support the
     entries u are grouped by weight once, and S_n reads the group of
-    weight -weight(n) alone.  Each S_n is brought to lowest
-    terms before its bracket, and each letter with nonzero S_n costs one
-    bracket.  The mould is therefore also
-    evaluated on length-L words whose own bracket vanishes: it must be a
-    pure function of the word.  The mould keeps one state per tree word
-    and twin below level L, and one value per tree word and twin up to L.
+    weight -weight(n) alone.  Each S_n is brought to lowest terms before
+    its bracket, and each letter with nonzero S_n costs one bracket.  The
+    mould is therefore also evaluated on length-L words whose own bracket
+    vanishes: it must be a pure function of the word.
 
     A mould with a known ``support`` (``indicator_mould``, ``table_mould``)
     skips the tree: the sum is taken over its support words w with
@@ -361,7 +359,7 @@ def structural_linearisability(a: Alphabet, max_len: int) -> str:
     LinearisableStructural when the commutation components certify that
     no resonant nested bracket of any length is nonzero
     (``ResonanceReport.structurally_proven``), otherwise Unknown, whatever
-    the bound max_len >= 1.
+    the bound max_len >= 1; no central series, CR predicate or span DP runs.
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")

@@ -121,11 +121,10 @@ class Alphabet(Record):
     builds on first use, level by level, and keeps while the alphabet
     lives, so every later central series or projection sum over it reads
     them back.  The full tree is kept under the key 0, and the tree pruned
-    for resonant words of at most L letters under L.  The memory retained
-    is that of the largest trees asked for; dropping the alphabet frees
-    it.  ``_trees`` is not a field: ``==``, ``repr``, copy and pickle see
-    ``entries`` only, and a copy starts with no tree.  The trees grow
-    without a lock, so two threads must not use one alphabet at once.
+    for resonant words of at most L letters under L.  ``_trees`` is not a
+    field: ``==``, ``repr``, copy and pickle see ``entries`` only, and a
+    copy starts with no tree.  The trees grow without a lock, so two
+    threads must not use one alphabet at once.
     """
 
     __slots__ = ("entries", "_trees")

@@ -1,14 +1,16 @@
 """Immutable value records on ``__slots__``.
 
 The package's small result types (``PlanarField``, ``Alphabet``, the
-series, resonance and condition reports, ``LemmaResult``) subclass
-``Record``.  Each lists its fields in ``__slots__``, in the order of its
-``__init__`` parameters, and sets them once through ``_fill``.  A record
-compares ``==`` by type and field values, hashes as the tuple of them,
-prints as ``Name(field=value, ...)`` and refuses assignment and deletion,
-as a frozen dataclass does.  A slot whose name starts with ``_`` is not a
-field but private state of the class (``Alphabet``'s bracket trees): it is
-not compared, hashed or printed, and copy and pickle rebuild the record
+series, resonance and condition reports, ``GeomComplexity``,
+``LemmaResult``) subclass ``Record``.  Each lists its fields in
+``__slots__``, in the order of its ``__init__`` parameters, and sets them
+once through ``_fill``; a flag that a report derives from them is a
+property.  A record compares ``==`` by type and field values, hashes as
+the tuple of them, so only when every field is hashable, prints as
+``Name(field=value, ...)`` and refuses assignment and deletion, as a
+frozen dataclass does.  A slot whose name starts with ``_`` is not a field
+but private state of the class (``Alphabet``'s bracket trees): it is not
+compared, hashed or printed, and copy and pickle rebuild the record
 through ``__init__`` from its fields alone.  Importing this module loads
 nothing, while ``dataclasses`` imports ``inspect``, ``ast`` and ``dis``:
 several milliseconds of every command's start.

@@ -1,4 +1,4 @@
-"""Seeded generators of random fields and scalars for the lemma suites."""
+"""Seeded generators of random fields, scalars and operators for the lemma suites and tests."""
 
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ def random_cr_field(rng: random.Random, d: int) -> PlanarField:
 
 
 def random_hom_op(rng: random.Random, max_deg: int = 4) -> Derivation:
-    """Random homogeneous operator of one of the three alphabet shapes."""
+    """Random homogeneous operator of one of the three alphabet shapes, built as a letter map."""
     k = rng.randint(2, max_deg)
     kind = rng.random()
     if kind < 0.7:

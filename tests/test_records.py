@@ -26,15 +26,15 @@ CASES = [
     (PlanarField, (2, {(2, 0): HALF}, "-"),
      dict(degree=2, coefficients={(2, 0): HALF}, xi_sign="-"), (2, {(2, 0): HALF}, "+")),
     (Alphabet, ({(1, 0): OPS[0]},), dict(entries={(1, 0): OPS[0]}), ({(1, 0): OPS[1]},)),
-    (SeriesReport, ([[OPS[0]]], False, [(((1, 0), (0, 1)), OPS[1])]),
-     dict(levels=[[OPS[0]]], nilpotent_order1=False, witnesses=[(((1, 0), (0, 1)), OPS[1])]),
-     ([[OPS[0]]], True, [(((1, 0), (0, 1)), OPS[1])])),
-    (ResonanceReport, (False, [(((1, 1),), OPS[2])], True),
-     dict(all_brackets_zero=False, witnesses=[(((1, 1),), OPS[2])], structurally_proven=True),
-     (False, [(((1, 1),), OPS[2])], False)),
-    (ConditionVerdict, ("UI", False, [("p_{0,2}=0", HALF)]),
-     dict(condition_id="UI", holds=False, failing_relations=[("p_{0,2}=0", HALF)]),
-     ("CR", False, [("p_{0,2}=0", HALF)])),
+    (SeriesReport, ([[OPS[0]]], [(((1, 0), (0, 1)), OPS[1])]),
+     dict(levels=[[OPS[0]]], witnesses=[(((1, 0), (0, 1)), OPS[1])]),
+     ([[OPS[0]]], [])),
+    (ResonanceReport, ([(((1, 1),), OPS[2])], True),
+     dict(witnesses=[(((1, 1),), OPS[2])], structurally_proven=True),
+     ([(((1, 1),), OPS[2])], False)),
+    (ConditionVerdict, ("UI", [("p_{0,2}=0", HALF)]),
+     dict(condition_id="UI", failing_relations=[("p_{0,2}=0", HALF)]),
+     ("CR", [("p_{0,2}=0", HALF)])),
     (GeomComplexity, (6, 1, 18), dict(q=6, m=1, ambient_dim=18), (7, 1, 18)),
     (LemmaResult, ("fond2", True, "100 draws"), dict(name="fond2", passed=True, detail="100 draws"),
      ("fond2", False, "100 draws")),
@@ -58,6 +58,39 @@ def test_record_is_an_immutable_value(cls, args, kwargs, changed):
     with pytest.raises(AttributeError):
         r.extra = 1
     assert r == cls(**kwargs)
+
+
+# (record with no witness or failing relation, one with, the derived flag)
+FLAGGED = [
+    (SeriesReport([[OPS[0]]]), SeriesReport([[OPS[0]]], [(((1, 0), (0, 1)), OPS[1])]), "nilpotent_order1"),
+    (ResonanceReport(), ResonanceReport([(((1, 1),), OPS[2])]), "all_brackets_zero"),
+    (ConditionVerdict("UI"), ConditionVerdict("UI", [("p_{0,2}=0", HALF)]), "holds"),
+]
+
+
+@pytest.mark.parametrize("clear,flagged,flag", FLAGGED, ids=[c[2] for c in FLAGGED])
+def test_verdict_flags_are_derived_from_the_witnesses(clear, flagged, flag):
+    # a report cannot say a condition holds while it lists a failing relation:
+    # the flag is read off the list, is no field and cannot be set
+    assert getattr(clear, flag) is True and getattr(flagged, flag) is False
+    assert flag not in type(clear).__slots__ and isinstance(getattr(type(clear), flag), property)
+    for r in (clear, flagged):
+        with pytest.raises(AttributeError):
+            setattr(r, flag, True)
+        with pytest.raises(AttributeError):
+            delattr(r, flag)
+    with pytest.raises(TypeError):
+        type(clear)(*clear._values(), True)
+    with pytest.raises(TypeError):
+        type(clear)(**{name: getattr(clear, name) for name in clear._fields}, **{flag: True})
+    assert getattr(clear, flag) is True and getattr(flagged, flag) is False
+
+
+def test_condition_verdict_json_reads_its_failing_relations():
+    obj = ConditionVerdict("UI", [("p_{0,2}=0", HALF)]).to_json_obj()
+    assert obj == {"condition": "UI", "holds": False,
+                   "failing": [{"relation": "p_{0,2}=0", "residual": str(HALF)}]}
+    assert ConditionVerdict("CR").to_json_obj() == {"condition": "CR", "holds": True, "failing": []}
 
 
 def test_hash_follows_the_values():
@@ -92,18 +125,18 @@ def test_alphabet_trees_are_not_a_field():
 
 def test_defaults_are_fresh_per_instance():
     lists = [
-        (SeriesReport([], True), "witnesses"),
-        (SeriesReport([], True), "witnesses"),
-        (ResonanceReport(True), "witnesses"),
-        (ResonanceReport(True), "witnesses"),
-        (ConditionVerdict("UI", True), "failing_relations"),
-        (ConditionVerdict("UI", True), "failing_relations"),
+        (SeriesReport([]), "witnesses"),
+        (SeriesReport([]), "witnesses"),
+        (ResonanceReport(), "witnesses"),
+        (ResonanceReport(), "witnesses"),
+        (ConditionVerdict("UI"), "failing_relations"),
+        (ConditionVerdict("UI"), "failing_relations"),
     ]
     values = [getattr(r, name) for r, name in lists]
     assert all(v == [] for v in values) and len({id(v) for v in values}) == len(values)
     values[0].append(1)
-    assert SeriesReport([], True).witnesses == [] and values[1] == []
-    assert ResonanceReport(True).structurally_proven is False and LemmaResult("a", True).detail == ""
+    assert SeriesReport([]).witnesses == [] and values[1] == []
+    assert ResonanceReport().structurally_proven is False and LemmaResult("a", True).detail == ""
     assert PlanarField(2, {}).xi_sign == "+"
     a, b = Alphabet(), Alphabet()
     assert a == b and a.entries == {} and a.entries is not b.entries
