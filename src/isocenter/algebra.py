@@ -337,14 +337,6 @@ class BiPoly:
         """
         return BiPoly._of({(j, i): (a, -b, d) for (i, j), (a, b, d) in self._t.items()})
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {i + j for i, j in self._t}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
     def sorted_terms(self) -> Iterator[tuple[Exponent, GaussianRational]]:
         for e in sorted(self._t, key=grlex_key):
             yield e, _triple(*self._t[e])

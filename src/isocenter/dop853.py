@@ -16,7 +16,7 @@ apart: each part gets the floats of ``du += a * ku[j]``, up to a zero's sign.
 
 The integration is one step loop, `first_return`: it tests each accepted
 step for a crossing of the section v = 0 and stops at the first return,
-handing back that step, whose interpolant the caller builds.
+handing back that step, whose interpolant the caller builds, or raises.
 
 The tables below are copied from scipy's
 ``scipy/integrate/_ivp/dop853_coefficients.py``, "Copyright (c) 2001-2002
@@ -282,8 +282,9 @@ trial_step, dense_coefficients = _KERNELS["trial_step"], _KERNELS["dense_coeffic
 
 
 class StepFailure(ArithmeticError):
-    """The integration cannot go on: the step size underflowed or the state
-    is no longer finite."""
+    """The search for the first return ends without one: the start crossing
+    is missing, the time bound is reached, the step size underflowed or the
+    state is no longer finite."""
 
 
 def sq(w: complex, su: float, sv: float) -> float:
@@ -334,17 +335,17 @@ def nested(f: tuple, x: float) -> complex:
 
 def first_return(
     rhs: Rhs, z: complex, f: complex, direction: float, t_bound: float, rtol: float, atol: float
-) -> tuple | None:
+) -> tuple:
     """Integrate z' = rhs(z) from t = 0, where f = rhs(z), to the first
     return to the section v = 0 through z, crossed as v goes from <= 0 to
     >= 0 times direction.  The start lies on the section, so the first step
-    must cross it too.  Returns the step that ends the search as
-    (t_old, t, z_old, z, k), with its 13 stage derivatives k, the last the
-    rhs at z: the first step if it does not cross, else the first later step
-    that does.  Returns None when t reaches t_bound first.
+    must cross it too.  Returns the first later step that crosses, the
+    return, as (t_old, t, z_old, z, k) with t_old > 0 and its 13 stage
+    derivatives k, the last the rhs at z.
 
-    Raises StepFailure when the step size falls below ten spacings of t or a
-    step lands on a non-finite state.
+    Raises StepFailure when the first step does not cross, when t reaches
+    t_bound without a return, when the step size falls below ten spacings
+    of t, or when a step lands on a non-finite state.
     """
     h_abs = initial_step(rhs, z, f, t_bound, rtol, atol)
     t = 0.0
@@ -387,9 +388,11 @@ def first_return(
         # step must cross at the start, and the next step to cross returns
         crossed = direction * z.imag <= 0.0 <= direction * z_new.imag
         if crossed != (t == 0.0):
+            if t == 0.0:
+                raise StepFailure("no start crossing of the section at t = 0")
             return t, t_new, z, z_new, k
         t, z, f = t_new, z_new, k[12]
-    return None
+    raise StepFailure("no return to the section within budget")
 
 
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:

@@ -10,4 +10,5 @@ class InternalInconsistencyError(RuntimeError):
 
 
 class NonPeriodicError(RuntimeError):
-    """An orbit failed to return to the section within the time budget."""
+    """An orbit has no measurable first return to the section: the
+    integration overflowed or failed, or the return crosses at u <= 0."""

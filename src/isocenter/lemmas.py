@@ -138,6 +138,9 @@ def lemma_fond2(seed: int) -> LemmaResult:
         for which, f in enumerate(fields):
             a = decompose(f)
             letters = a.letters()
+            # brackets each pair through this module's name `lie_bracket`, not
+            # through `central_series`, so a test that patches that name sees
+            # this lemma fail
             for x in letters:
                 for y in letters:
                     br = lie_bracket(a[x], a[y])

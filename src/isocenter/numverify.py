@@ -30,6 +30,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_RADII = (0.02, 0.05, 0.1, 0.2)
 DEFAULT_TOL = 1e-10
 RADIUS_WARN = 0.5
+TIME_BUDGET = 10 * TWO_PI
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,7 @@ def to_real_system(f: PlanarField) -> RealSystem:
     return RealSystem(namespace["rhs"])
 
 
-def measure_period(
-    s: RealSystem,
-    r0: float,
-    tol: float = DEFAULT_TOL,
-    time_budget: float = 10.0 * TWO_PI,
-) -> float:
+def measure_period(s: RealSystem, r0: float, tol: float = DEFAULT_TOL) -> float:
     """First return time to the section {v = 0, u > 0} from (r0, 0).
 
     Integrates with `isocenter.dop853`, imported on the first call, whose
@@ -121,20 +117,20 @@ def measure_period(
     (up for ξ = +i).  The start point lies on the section, so the first
     step must cross it at t = 0; the second crossing, the first return, is
     found on its step's 7th-order interpolant by Brent's method, and
-    integration stops there: the time budget bounds only orbits that never
-    return.  The relative tolerance is max(tol, 1e-13) and the absolute one
-    max(tol, 1e-13) * r0 * 1e-3; raises InputError when the latter
-    underflows to 0.  Raises NonPeriodicError when the rhs overflows at the
-    start point, when the integration fails (step-size underflow or a
-    non-finite state), when the start crossing is missing, when the return
-    crosses at u <= 0, or when no return occurs within the budget.
+    integration stops there: the time budget `TIME_BUDGET`, read at each
+    call, bounds only orbits that never return.  The relative tolerance is
+    max(tol, 1e-13) and the absolute one max(tol, 1e-13) * r0 * 1e-3;
+    raises InputError when the latter underflows to 0.  Raises
+    NonPeriodicError when the rhs overflows at the start point, when the
+    return crosses at u <= 0, or when the step loop ends without a return
+    (a missing start crossing, no return within the budget, step-size
+    underflow or a non-finite state), its message behind
+    ``integration failed from r0=...:``.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise InputError(f"initial radius must be positive and finite, got {r0}")
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be positive and finite, got {tol}")
-    if not (math.isfinite(time_budget) and time_budget > 0):
-        raise InputError(f"time budget must be positive and finite, got {time_budget}")
     # imported here so that the exact commands never load the tables
     from .dop853 import StepFailure, brentq, first_return, interpolant
 
@@ -148,15 +144,9 @@ def measure_period(
         raise NonPeriodicError(f"integration overflowed from r0={r0}")
     direction = math.copysign(1.0, f0.imag)
     try:
-        step = first_return(s.rhs, z0, f0, direction, time_budget, rtol, atol)
+        t_old, t, z_old, z, k = first_return(s.rhs, z0, f0, direction, TIME_BUDGET, rtol, atol)
     except StepFailure as exc:
         raise NonPeriodicError(f"integration failed from r0={r0}: {exc}") from exc
-    if step is None:
-        raise NonPeriodicError(f"no return to the section from r0={r0} within budget")
-    t_old, t, z_old, z, k = step
-    if t_old == 0.0:
-        # the first step leaves the start point without crossing the section
-        raise NonPeriodicError(f"no start crossing of the section at t = 0 from r0={r0}")
     y = interpolant(s.rhs, t_old, t, z_old, z, k)
     t_return = brentq(lambda x: y(x).imag, t_old, t)
     u_return = y(t_return).real

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .algebra import BiPoly, GaussianRational, X, Y, ZERO, grlex_key
+from .algebra import BiPoly, GaussianRational, X, Y, ZERO, _coerce, grlex_key
 from .errors import InputError, InternalInconsistencyError
 from .records import Record
 
@@ -27,7 +27,10 @@ _COEFF_KEYS = {"i", "j", "value"}
 class PlanarField(Record):
     """Degree-d perturbation P plus the sign of ξ (ξ^2 = -1, default +i).
 
-    ``coefficients`` keeps the nonzero entries of the given map.
+    ``coefficients`` keeps the nonzero entries of the given map in its
+    order, each an int, Fraction-like value or scalar made a
+    ``GaussianRational``: any other value raises TypeError, and a non-int
+    exponent InputError.
     """
 
     __slots__ = ("degree", "coefficients", "xi_sign")
@@ -40,10 +43,14 @@ class PlanarField(Record):
             raise InputError(f"xi_sign must be '+' or '-', got {xi_sign!r}")
         clean = {}
         for (i, j), c in coefficients.items():
+            # type() rather than isinstance, as in the loader: bool is an int subclass
+            if type(i) is not int or type(j) is not int:
+                raise InputError(f"coefficient exponents must be integers: {(i, j)!r}")
             if not (2 <= i + j <= degree) or i < 0 or j < 0:
                 raise InputError(
                     f"coefficient exponent ({i},{j}) outside 2 <= i+j <= {degree}"
                 )
+            c = _coerce(c)
             if c:
                 clean[(i, j)] = c
         self._fill(degree, clean, xi_sign)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import GaussianRational, _coerce, _reduced
+from .algebra import GaussianRational, _reduced
 from .operators import Derivation
 from .prepared import PlanarField
 
@@ -81,9 +81,4 @@ def random_hom_op(rng: random.Random, max_deg: int = 4) -> Derivation:
 
 def quadratic(p20, p11, p02) -> PlanarField:
     """Convenience quadratic field from three scalars."""
-    coeffs = {}
-    for key, val in (((2, 0), p20), ((1, 1), p11), ((0, 2), p02)):
-        g = _coerce(val)
-        if g:
-            coeffs[key] = g
-    return PlanarField(degree=2, coefficients=coeffs)
+    return PlanarField(degree=2, coefficients={(2, 0): p20, (1, 1): p11, (0, 2): p02})

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from isocenter import dop853
+from isocenter import dop853, numverify
 from isocenter.algebra import GaussianRational
 from isocenter.errors import InputError, NonPeriodicError
 from isocenter.numverify import (
     DEFAULT_RADII,
     DEFAULT_TOL,
+    TIME_BUDGET,
     TWO_PI,
     RealSystem,
     isochrony_scan,
@@ -107,15 +108,6 @@ def test_input_validation():
             isochrony_scan(LINEAR, [0.05], tol=bad)
 
 
-def test_bad_time_budget_is_rejected():
-    # unchecked, a nan budget can hang a step loop and the others end in a
-    # misleading NonPeriodicError
-    s = to_real_system(LINEAR)
-    for bad in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(InputError, match="time budget"):
-            measure_period(s, 0.1, time_budget=bad)
-
-
 def counted(system):
     """The system with an rhs that counts its calls in ``calls[0]``."""
     calls = [0]
@@ -127,11 +119,12 @@ def counted(system):
     return RealSystem(rhs), calls
 
 
-def test_integration_stops_at_first_return():
+def test_integration_stops_at_first_return(monkeypatch):
     counts = []
     for budget in (10 * TWO_PI, 100 * TWO_PI):
+        monkeypatch.setattr(numverify, "TIME_BUDGET", budget)
         s, calls = counted(to_real_system(LINEAR))
-        assert measure_period(s, 0.1, time_budget=budget) == pytest.approx(TWO_PI, rel=1e-10)
+        assert measure_period(s, 0.1) == pytest.approx(TWO_PI, rel=1e-10)
         counts.append(calls[0])
     assert counts[0] == counts[1]
 
@@ -171,26 +164,49 @@ NEGATIVE_RETURN = RealSystem(lambda z: complex(-1.0, math.cos(math.pi * (z.real 
 NON_RETURNING = PlanarField(degree=3, coefficients={(2, 1): GaussianRational(50)})
 # u' = u^2 blows up at t = 10 from u = 0.1, where the step size underflows
 BLOW_UP = RealSystem(lambda z: complex(z.real * z.real, 1.0))
+# v grows forever at a constant rate: the orbit leaves the section and
+# never comes back, so the step loop runs out of time
+DRIFTING = RealSystem(lambda z: complex(0.0, 1e-3))
 
 
 def test_missing_start_crossing():
     with pytest.raises(NonPeriodicError, match="no start crossing"):
-        measure_period(MISSING_START, 0.1, time_budget=1.0)
+        measure_period(MISSING_START, 0.1)
+    # the step loop raises rather than hand back the non-crossing first step
+    z0 = complex(0.1, 0.0)
+    with pytest.raises(dop853.StepFailure, match="^no start crossing of the section at t = 0$"):
+        dop853.first_return(MISSING_START.rhs, z0, MISSING_START.rhs(z0), 1.0, TIME_BUDGET, 1e-10, 1e-14)
 
 
 def test_return_on_negative_side():
     with pytest.raises(NonPeriodicError, match="u = -0.1"):
-        measure_period(NEGATIVE_RETURN, 0.1, time_budget=1.0)
+        measure_period(NEGATIVE_RETURN, 0.1)
 
 
 def test_non_returning_orbit():
     with pytest.raises(NonPeriodicError):
-        measure_period(to_real_system(NON_RETURNING), 0.45, time_budget=12.0)
+        measure_period(to_real_system(NON_RETURNING), 0.45)
+
+
+def test_exhausted_time_budget(monkeypatch):
+    assert TIME_BUDGET == 10 * TWO_PI
+    message = "integration failed from r0=0.1: no return to the section within budget"
+    with pytest.raises(NonPeriodicError, match=f"^{message}$"):
+        measure_period(DRIFTING, 0.1)
+    # the budget is read at each call: a rotation cut short of one turn fails
+    monkeypatch.setattr(numverify, "TIME_BUDGET", 1.0)
+    with pytest.raises(NonPeriodicError, match=f"^{message}$"):
+        measure_period(to_real_system(LINEAR), 0.1)
+    monkeypatch.undo()
+    # the scan's own system, whatever the field, is the drifting one
+    monkeypatch.setattr(numverify, "to_real_system", lambda f: DRIFTING)
+    with pytest.raises(NonPeriodicError, match=f"^radius 0.1: {message}$"):
+        isochrony_scan(LINEAR, (0.1,))
 
 
 def test_step_size_underflow():
     with pytest.raises(NonPeriodicError, match="integration failed from r0=0.1: step size underflow"):
-        measure_period(BLOW_UP, 0.1, time_budget=20.0)
+        measure_period(BLOW_UP, 0.1)
 
 
 def test_large_radius_warns():
@@ -447,12 +463,13 @@ def test_failures_match_scipy():
         (MISSING_START, 0.1, 1.0),
         (NEGATIVE_RETURN, 0.1, 1.0),
         (BLOW_UP, 0.1, 20.0),
+        (DRIFTING, 0.1, 10.0 * TWO_PI),
     ]
     for s, r0, budget in cases:
         with pytest.raises(NonPeriodicError):
             scipy_period(s, r0, time_budget=budget)
         with pytest.raises(NonPeriodicError):
-            measure_period(s, r0, time_budget=budget)
+            measure_period(s, r0)
 
 
 def test_brentq_bisects_when_the_extrapolation_underflows():

@@ -138,6 +138,32 @@ def test_field_validation():
         PlanarField(degree=2, coefficients={(0, 3): G(1)})
 
 
+def test_field_holds_only_scalars():
+    # ints and Fractions become GaussianRationals, in the given order, so
+    # every route that reads .conj or .to_complex takes them
+    from isocenter.conditions import check_uniform, classify_quadratic
+    from isocenter.lie_analysis import central_series
+    from isocenter.numverify import to_real_system
+
+    raw = PlanarField(2, {(1, 1): Fraction(1, 2), (2, 0): 1, (0, 2): 0})
+    exact = PlanarField(2, {(1, 1): G(Fraction(1, 2)), (2, 0): G(1)})
+    assert raw == exact
+    assert list(raw.coefficients) == [(1, 1), (2, 0)]
+    assert all(type(c) is GaussianRational for c in raw.coefficients.values())
+    assert check_uniform(raw) == check_uniform(exact)
+    assert classify_quadratic(raw) == classify_quadratic(exact)
+    z = complex(0.3, 0.2)
+    assert to_real_system(raw).rhs(z) == to_real_system(exact).rhs(z)
+    with pytest.raises(TypeError, match="cannot coerce str"):
+        PlanarField(2, {(2, 0): "1"})
+    with pytest.raises(TypeError, match="cannot coerce float"):
+        PlanarField(2, {(2, 0): 0.5})
+    for key in ((2.0, 0), (1, 1.0), (True, 1)):
+        with pytest.raises(InputError, match="exponents must be integers"):
+            PlanarField(2, {key: G(1)})
+    assert central_series(decompose(exact), 2).levels == central_series(decompose(raw), 2).levels
+
+
 class TestFieldFile:
     def good_obj(self):
         return {
