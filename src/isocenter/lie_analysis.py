@@ -51,11 +51,13 @@ is that of the largest trees asked for; dropping the alphabet frees it.
 garbage collector paused, and restore its state on return or raise.
 What they build is tuples, lists, dicts and ``Derivation``, none of which
 refers back to itself, so reference counting frees all of it and a
-collection would find nothing; left running, the collector rescans the
-growing word and bracket lists over and over.  ``resonant_subset_trivial``
-is not paused, since its span DP keeps at most two vectors per cell, and
-``iter_bracket_levels`` is a generator, so a pause held across a
-``yield`` would reach into its caller.
+collection would find nothing.  The pause saves the collector's rescans
+of the growing word and bracket lists during the build, not a collection:
+allocations still count while it holds, so the first one after it runs a
+young pass over everything the call returned, which frees nothing.
+``resonant_subset_trivial`` is not paused, since its span DP keeps at
+most two vectors per cell, and ``iter_bracket_levels`` is a generator, so
+a pause held across a ``yield`` would reach into its caller.
 """
 
 from __future__ import annotations
@@ -199,8 +201,7 @@ def _grow(a: Alphabet, levels: list[list[tuple]], keep: dict[Letter, set[int]] |
     full tree's, filtered so, with no bracket made.
     """
     if not levels:
-        return [((n,), weight(n), a[n]) for n in a
-                if a[n] and (keep is None or n in keep and -weight(n) in keep[n])]
+        return [((n,), weight(n), a[n]) for n in a if keep is None or n in keep and -weight(n) in keep[n]]
     first, level = levels[0], levels[-1]  # no word of the tree has a letter outside level 1
     pairs = len(levels) == 1  # level 2 extends only the letters after n; later levels every entry
     if pairs and keep is not None:
@@ -301,7 +302,7 @@ def _component_reach(a: Alphabet, max_len: int) -> dict[Letter, tuple[list[Lette
 
 def _certified(a: Alphabet) -> bool:
     """The all-lengths certificate; a weight-zero letter fails it before any bracket."""
-    return not any(a[n] and not weight(n) for n in a) and not _component_reach(a, 1)
+    return not a.resonant_letters() and not _component_reach(a, 1)
 
 
 def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivation]]:
@@ -318,9 +319,8 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
     """
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
-    for n in a:
-        if not weight(n) and a[n]:
-            return [((n,), a[n])]
+    if zero := a.resonant_letters():
+        return [((zero[0],), a[zero[0]])]
     if max_len == 1:
         return []
     part = _component_reach(a, max_len)
@@ -363,11 +363,10 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
 def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     """Test whether every resonant nested bracket up to the length bound vanishes.
 
-    For length-1 resonant words the "bracket" is the operator itself
-    (always nonzero by alphabet construction, hence always a witness), and
-    it is found before any bracket is made.  Longer ones are sought
-    within the components of the non-commutation graph only, from the
-    letter-pair brackets of the alphabet's level 2 (module docstring).
+    A weight-zero letter, whose operator an ``Alphabet`` never holds as
+    zero, is a witness found before any bracket is made.  Longer resonant
+    words are sought within the components of the non-commutation graph
+    only, from the letter-pair brackets of the alphabet's level 2.
     """
     return ResonanceReport(witnesses=_first_resonant_basis(a, max_len), structurally_proven=_certified(a))
 

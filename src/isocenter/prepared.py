@@ -121,7 +121,9 @@ class PlanarField(Record):
 
 
 class Alphabet(Record):
-    """Letters with their (nonzero) homogeneous operators, in grlex letter order.
+    """Letters with their nonzero homogeneous operators, in grlex letter order:
+    the constructor drops a zero operator, so ``len``, ``==`` and
+    ``resonant_letters`` see only the letters of the prefix tree.
 
     The private slot ``_trees`` holds the alphabet's comould: the nested
     brackets of the prefix tree that ``lie_analysis.iter_bracket_levels``
@@ -137,8 +139,7 @@ class Alphabet(Record):
     __slots__ = ("entries", "_trees")
 
     def __init__(self, entries: Mapping[Letter, Derivation] | None = None):
-        entries = entries or {}
-        self._fill({letter: entries[letter] for letter in sorted(entries, key=grlex_key)})
+        self._fill({n: entries[n] for n in sorted(entries or {}, key=grlex_key) if entries[n]})
         object.__setattr__(self, "_trees", {})
 
     def letters(self) -> list[Letter]:

@@ -16,9 +16,9 @@ def random_scalar(rng: random.Random, bound: int = 9) -> GaussianRational:
     return _reduced(p * s, r * q, q * s)
 
 
-def random_nonzero_scalar(rng: random.Random, bound: int = 9) -> GaussianRational:
+def random_nonzero_scalar(rng: random.Random) -> GaussianRational:
     while True:
-        z = random_scalar(rng, bound)
+        z = random_scalar(rng)
         if z:
             return z
 

@@ -35,7 +35,6 @@ DEFAULTED = [
     "prepared.PlanarField.__init__.xi_sign",
     "samples.random_field.density",
     "samples.random_hom_op.max_deg",
-    "samples.random_nonzero_scalar.bound",
     "samples.random_scalar.bound",
     "samples.random_ui_homogeneous.force_middle_zero",
 ]
@@ -69,4 +68,4 @@ def test_parameters_with_a_default_are_pinned():
     for path in sorted(SOURCE.glob("*.py")):
         found += defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(found) == DEFAULTED
-    assert len(DEFAULTED) == 29
+    assert len(DEFAULTED) == 28

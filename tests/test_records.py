@@ -11,8 +11,14 @@ from isocenter.algebra import GaussianRational
 from isocenter.conditions import ConditionVerdict, GeomComplexity
 from isocenter.errors import InputError
 from isocenter.lemmas import LemmaResult
-from isocenter.lie_analysis import ResonanceReport, SeriesReport, central_series
-from isocenter.operators import Derivation
+from isocenter.lie_analysis import (
+    ResonanceReport,
+    SeriesReport,
+    central_series,
+    enumerate_resonant_words,
+    resonant_subset_trivial,
+)
+from isocenter.operators import ZERO_DERIVATION, Derivation
 from isocenter.prenormal import projection_sum, random_mould
 from isocenter.prepared import Alphabet, PlanarField, decompose
 from isocenter.records import Record
@@ -152,4 +158,16 @@ def test_constructors_keep_their_checks_and_order():
     with pytest.raises(InputError, match="outside"):
         PlanarField(degree=2, coefficients={(3, 0): HALF})
     ops = {(2, 0): OPS[0], (-1, 2): OPS[1], (1, 0): OPS[2], (0, 1): Derivation.from_terms({})}
-    assert list(Alphabet(ops).entries) == [(1, 0), (0, 1), (-1, 2), (2, 0)]
+    assert list(Alphabet(ops).entries) == [(1, 0), (-1, 2), (2, 0)]  # the zero operator at (0, 1) is dropped
+
+
+def test_alphabet_drops_zero_operators():
+    # a zero operator is no letter: len, ==, the resonant letters, the
+    # prefix tree's level 1 and the resonance verdict all leave it out
+    ops = decompose(quadratic(1, 2, 0)).entries
+    a = Alphabet({(1, 1): ZERO_DERIVATION, **ops})
+    assert a == Alphabet(ops) and a.entries == ops
+    assert len(a) == len(central_series(a, 1).levels[0]) == 2
+    assert a.resonant_letters() == []
+    assert enumerate_resonant_words(a, 3) == enumerate_resonant_words(Alphabet(ops), 3)
+    assert resonant_subset_trivial(a, 3) == resonant_subset_trivial(Alphabet(ops), 3)
