@@ -239,6 +239,11 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 EPS = sys.float_info.epsilon
+SQRT_EPS = math.sqrt(EPS)
+# a turning orbit that blows up in finite time shrinks its steps toward the
+# underflow bound over millions of rhs calls; the loop ends after this many
+# accepted steps in a row each shorter than sqrt(EPS) * t
+STALL_STEPS = 1000
 
 # the sparse rows as (j, a_sj) pairs, in the order their sums are written
 B_ITEMS, E3_ITEMS, E5_ITEMS = (tuple(w.items()) for w in (B, E3, E5))
@@ -283,8 +288,8 @@ trial_step, dense_coefficients = _KERNELS["trial_step"], _KERNELS["dense_coeffic
 
 class StepFailure(ArithmeticError):
     """The search for the first return ends without one: the start crossing
-    is missing, the time bound is reached, the step size underflowed or the
-    state is no longer finite."""
+    is missing, the time bound is reached, the step size underflowed or
+    stalled, or the state is no longer finite."""
 
 
 def sq(w: complex, su: float, sv: float) -> float:
@@ -345,10 +350,12 @@ def first_return(
 
     Raises StepFailure when the first step does not cross, when t reaches
     t_bound without a return, when the step size falls below ten spacings
-    of t, or when a step lands on a non-finite state.
+    of t, when STALL_STEPS accepted steps in a row are each shorter than
+    sqrt(EPS) * t, or when a step lands on a non-finite state.
     """
     h_abs = initial_step(rhs, z, f, t_bound, rtol, atol)
     t = 0.0
+    stalled = 0
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -391,6 +398,9 @@ def first_return(
             if t == 0.0:
                 raise StepFailure("no start crossing of the section at t = 0")
             return t, t_new, z, z_new, k
+        stalled = stalled + 1 if h < SQRT_EPS * t else 0
+        if stalled == STALL_STEPS:
+            raise StepFailure(f"step size stalled at t = {t_new:.6g}")
         t, z, f = t_new, z_new, k[12]
     raise StepFailure("no return to the section within budget")
 

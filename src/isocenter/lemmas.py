@@ -11,7 +11,9 @@ pairs they are checked on are letter maps (``Derivation.from_terms``), so
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
+from .algebra import ZERO
 from .lie_analysis import central_series, resonant_subset_trivial
 from .operators import ZERO_DERIVATION, Derivation, bracket_oracle, lie_bracket
 from .prenormal import projection_sum, random_mould, verify_fond3
@@ -38,31 +40,17 @@ class LemmaResult(Record):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def quadratic_display_bracket(p20, p11) -> Derivation:
-    """Expected [B_{(1,0)}, B_{(0,1)}] for a quadratic field.
-
-    Scalars follow the quadratic bracket identity; the grading forces the
-    bracket's letter (1,1).
-    """
-    cx = p11 * (p11.conj() - p20)
-    cy = p11.conj() * (p20.conj() - p11)
-    return Derivation.from_terms({(1, 1): (cx, cy)})
-
-
-def extreme_pair_bracket(n: int, p0n) -> Derivation:
-    """Expected [B_{(n,-1)}, B_{(-1,n)}] = n|p_{0,n}|^2 (xy)^{n-1}(x d/dx - y d/dy)."""
-    c = p0n.norm_sq() * n
-    return Derivation.from_terms({(n - 1, n - 1): (c, -c)})
-
-
 def transpose_pair_bracket(n: int, i: int, a, c) -> Derivation:
-    """Expected [B_{(i-1,n-i)}, B_{(n-i,i-1)}] with a = p_{i,n-i}, c = p_{n-i+1,i-1}.
+    """Expected [B_{(i-1,n-i)}, B_{(n-i,i-1)}] with a = p_{i,n-i}, c = p_{n-i+1,i-1}
+    for every transposed pair i = 0..n+1, reading p_{i,j} = 0 outside 0 <= i, j.
 
     With U = c - conj(a):
         d/dx part: [(n-i) a U + (i-1) c conj(U)] x (xy)^{n-1}
         d/dy part: -[(n-i) conj(a) conj(U) + (i-1) conj(c) U] y (xy)^{n-1}
-    The sign of the (i-1) term in the d/dx part is forced by consistency
-    with the quadratic bracket identity (n = 2, i = 2).
+    At i = n+1 (a = 0, c = p_{0,n}) this is the extreme pair's
+    n|p_{0,n}|^2 (xy)^{n-1}(x d/dx - y d/dy).  At n = i = 2 it is the quadratic
+    identity p11 (conj(p11) - p20) x^2 y d/dx + conj(p11) (conj(p20) - p11) x y^2 d/dy,
+    which forces the sign of the (i-1) term in the d/dx part.
     """
     u = c - a.conj()
     cx = (n - i) * a * u + (i - 1) * c * u.conj()
@@ -75,11 +63,6 @@ def transpose_pair_ops(n: int, i: int, a, c) -> tuple[Derivation, Derivation]:
     homogeneous coefficients a = p_{i,n-i}, c = p_{n-i+1,i-1}."""
     return (Derivation.from_terms({(i - 1, n - i): (a, c.conj())}),
             Derivation.from_terms({(n - i, i - 1): (c, a.conj())}))
-
-
-def extreme_pair_ops(n: int, p0n) -> tuple[Derivation, Derivation]:
-    """B_{(n,-1)} = conj(p_{0,n}) x^n d/dy and B_{(-1,n)} = p_{0,n} y^n d/dx."""
-    return Derivation.from_terms({(n, -1): (0, p0n.conj())}), Derivation.from_terms({(-1, n): (p0n, 0)})
 
 
 def _bracket_mismatch(d1: Derivation, d2: Derivation, want: Derivation) -> str:
@@ -98,7 +81,7 @@ def lemma_quadratic_bracket(seed: int) -> LemmaResult:
         p20, p11, p02 = (random_scalar(rng) for _ in range(3))
         ops = decompose(quadratic(p20, p11, p02)).entries
         d1, d2 = ops.get((1, 0), ZERO_DERIVATION), ops.get((0, 1), ZERO_DERIVATION)
-        err = _bracket_mismatch(d1, d2, quadratic_display_bracket(p20, p11))
+        err = _bracket_mismatch(d1, d2, transpose_pair_bracket(2, 2, p20, p11))
         if err:
             return LemmaResult("quadratic_bracket", False, f"draw {k}: {err}")
     return LemmaResult("quadratic_bracket", True, f"{draws} draws")
@@ -109,19 +92,13 @@ def lemma_bracket_formulas(seed: int) -> LemmaResult:
     rng = random.Random(seed)
     for n in range(2, max_n + 1):
         for k in range(draws):
-            p0n = random_nonzero_scalar(rng)
-            err = _bracket_mismatch(*extreme_pair_ops(n, p0n), extreme_pair_bracket(n, p0n))
-            if err:
-                return LemmaResult("bracket_formulas", False, f"extreme pair n={n} draw {k}: {err}")
-            for i in range(1, n + 1):
-                a = random_scalar(rng)
-                c = random_scalar(rng)
-                err = _bracket_mismatch(*transpose_pair_ops(n, i, a, c),
-                                        transpose_pair_bracket(n, i, a, c))
+            # the extreme pair i = n+1 (a = p_{n+1,-1} = 0, c = p_{0,n}), then i = 1..n
+            pairs = [(n + 1, ZERO, random_nonzero_scalar(rng))]
+            pairs += [(i, random_scalar(rng), random_scalar(rng)) for i in range(1, n + 1)]
+            for i, a, c in pairs:
+                err = _bracket_mismatch(*transpose_pair_ops(n, i, a, c), transpose_pair_bracket(n, i, a, c))
                 if err:
-                    return LemmaResult(
-                        "bracket_formulas", False, f"transpose pair n={n} i={i} draw {k}: {err}"
-                    )
+                    return LemmaResult("bracket_formulas", False, f"n={n} i={i} draw {k}: {err}")
     return LemmaResult("bracket_formulas", True, f"n=2..{max_n}, {draws} draws each")
 
 
@@ -137,19 +114,13 @@ def lemma_fond2(seed: int) -> LemmaResult:
         ]
         for which, f in enumerate(fields):
             a = decompose(f)
-            letters = a.letters()
-            # brackets each pair through this module's name `lie_bracket`, not
-            # through `central_series`, so a test that patches that name sees
-            # this lemma fail
-            for x in letters:
-                for y in letters:
-                    br = lie_bracket(a[x], a[y])
-                    if br:
-                        return LemmaResult(
-                            "fond2",
-                            False,
-                            f"condition {which + 1} draw {k}: [{x},{y}] = {br}",
-                        )
+            # each unordered pair of distinct letters once ([y, x] = -[x, y],
+            # [x, x] = 0), through this module's name `lie_bracket`, not
+            # `central_series`, so a test that patches that name sees it fail
+            for x, y in combinations(a.letters(), 2):
+                br = lie_bracket(a[x], a[y])
+                if br:
+                    return LemmaResult("fond2", False, f"condition {which + 1} draw {k}: [{x},{y}] = {br}")
     return LemmaResult("fond2", True, f"{draws} draws per condition")
 
 

@@ -123,8 +123,8 @@ def measure_period(s: RealSystem, r0: float, tol: float = DEFAULT_TOL) -> float:
     raises InputError when the latter underflows to 0.  Raises
     NonPeriodicError when the rhs overflows at the start point, when the
     return crosses at u <= 0, or when the step loop ends without a return
-    (a missing start crossing, no return within the budget, step-size
-    underflow or a non-finite state), its message behind
+    (a missing start crossing, no return within the budget, a step size
+    that underflows or stalls, or a non-finite state), its message behind
     ``integration failed from r0=...:``.
     """
     if not (math.isfinite(r0) and r0 > 0):

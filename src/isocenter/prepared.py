@@ -2,10 +2,10 @@
 
 The input is the complex representation  x' = ξx + P(x,y), y' = -ξy + Q(y,x)
 with y = conj(x) and Q derived from P by coefficient conjugation with
-exponent transposition (never stored).  Decomposition produces the three
-families of homogeneous operators; the weight of a letter (n1,n2) is kept
-as the integer n1 - n2, dropping the common ξ factor (resonance and
-additivity are unchanged).
+exponent transposition (never stored).  Decomposition produces one family
+of homogeneous operators B_{(i-1,k-i)}, i = 0..k+1 (see ``decompose``);
+the weight of a letter (n1,n2) is kept as the integer n1 - n2, dropping
+the common ξ factor (resonance and additivity are unchanged).
 """
 
 from __future__ import annotations
@@ -171,10 +171,9 @@ def weight(item: Letter | Word) -> int:
 def decompose(f: PlanarField) -> Alphabet:
     """Split the field's derivation P d/dx + Q d/dy into one-letter operators.
 
-    For 2 <= k <= d, 1 <= i <= k this gives the three families
+    For 2 <= k <= d and i = 0..k+1, reading p_{i,j} = 0 outside 0 <= i, j:
         B_{(i-1,k-i)} = x^{i-1} y^{k-i} (p_{i,k-i} x d/dx + conj(p_{k-i+1,i-1}) y d/dy)
-        B_{(-1,k)}    = p_{0,k} y^k d/dx
-        B_{(k,-1)}    = conj(p_{0,k}) x^k d/dy
+    whose ends are B_{(-1,k)} = p_{0,k} y^k d/dx and B_{(k,-1)} = conj(p_{0,k}) x^k d/dy.
     Letters with identically zero operators are omitted.
     """
     # imported here so that loading a field does not load the operators

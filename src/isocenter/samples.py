@@ -68,7 +68,8 @@ def random_cr_field(rng: random.Random, d: int) -> PlanarField:
 
 
 def random_hom_op(rng: random.Random, max_deg: int = 4) -> Derivation:
-    """Random homogeneous operator of one of the three alphabet shapes, built as a letter map."""
+    """Random homogeneous operator B_{(i-1,k-i)} of the alphabet's family, built as a
+    letter map: an inner letter 1 <= i <= k, or an end i = 0 or k+1 with one nonzero part."""
     k = rng.randint(2, max_deg)
     kind = rng.random()
     if kind < 0.7:

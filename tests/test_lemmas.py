@@ -63,11 +63,9 @@ def test_lemma_draws_at_seed_0_are_pinned(monkeypatch):
     assert {lemma: (len(d), digest(d)) for lemma, d in draws.items()} == PINNED
 
 
-def test_holom_brackets_only_its_alphabets_letter_pairs(monkeypatch):
-    # lemma_holom's 200 alphabets are CR, whose families are components
-    # with weights of one sign: each verdict brackets its k letters' pairs
-    # once, k(k-1)/2, and nothing past level 2
-    from isocenter import lie_analysis
+def _alphabet_sizes_and_brackets(monkeypatch, module, lemma, seed):
+    """The sizes of the alphabets that ``lemma(seed)`` decomposes, and the
+    number of ``lie_bracket`` calls made through ``module``'s name."""
     from isocenter.operators import lie_bracket
 
     sizes, calls = [], [0]
@@ -83,9 +81,26 @@ def test_holom_brackets_only_its_alphabets_letter_pairs(monkeypatch):
         return lie_bracket(d1, d2)
 
     monkeypatch.setattr(lemmas, "decompose", recorded)
-    monkeypatch.setattr(lie_analysis, "lie_bracket", counted)
-    assert lemmas.lemma_holom(4).passed
-    assert len(sizes) == 200 and calls[0] == sum(k * (k - 1) // 2 for k in sizes) == 2500
+    monkeypatch.setattr(module, "lie_bracket", counted)
+    assert lemma(seed).passed
+    return sizes, calls[0]
+
+
+def test_holom_brackets_only_its_alphabets_letter_pairs(monkeypatch):
+    # lemma_holom's 200 alphabets are CR, whose families are components
+    # with weights of one sign: each verdict brackets its k letters' pairs
+    # once, k(k-1)/2, and nothing past level 2
+    from isocenter import lie_analysis
+
+    sizes, calls = _alphabet_sizes_and_brackets(monkeypatch, lie_analysis, lemmas.lemma_holom, 4)
+    assert len(sizes) == 200 and calls == sum(k * (k - 1) // 2 for k in sizes) == 2500
+
+
+def test_fond2_brackets_each_unordered_letter_pair_once(monkeypatch):
+    # lemma_fond2's 200 quadratic alphabets have two letters each: one
+    # bracket per alphabet, k(k-1)/2, through lemmas' own name lie_bracket
+    sizes, calls = _alphabet_sizes_and_brackets(monkeypatch, lemmas, lemmas.lemma_fond2, 2)
+    assert len(sizes) == 200 and calls == sum(k * (k - 1) // 2 for k in sizes) == 200
 
 
 def test_suites_build_operators_as_letter_maps(monkeypatch):

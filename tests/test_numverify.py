@@ -429,6 +429,24 @@ def test_rhs_call_counts_are_pinned():
         assert calls[0] == RHS_CALLS[name], name
 
 
+# a Q_iii member whose orbit from r0 = 0.03 blows up at t = 2.10967 while it
+# turns: its steps shrink toward the underflow bound of ten spacings of t so
+# slowly that, without the stall exit, the loop made 7,554,710 rhs calls
+# (about 10 s) before "step size underflow"; from r0 = 0.02 it returns
+TURNING_BLOW_UP = quadratic(G("5/2", "-25/2"), G(1, 5), G("111/26", "165/26"))
+STALL_CALLS = 18674
+
+
+def test_turning_blow_up_stalls_within_the_call_budget():
+    s, calls = counted(to_real_system(TURNING_BLOW_UP))
+    with pytest.raises(NonPeriodicError, match="r0=0.03: step size stalled at t = 2.10967"):
+        measure_period(s, 0.03)
+    assert calls[0] == STALL_CALLS < 50_000
+    calls[0] = 0
+    assert measure_period(s, 0.02) == pytest.approx(TWO_PI)
+    assert calls[0] == 641
+
+
 def test_huge_radii_end_in_an_error_or_a_return():
     # from about 1e71 the scaled rhs norm of the initial step overflows to
     # inf, which made the first step size 0 and divided by it

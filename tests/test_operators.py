@@ -10,11 +10,8 @@ from isocenter.algebra import ZERO, BiPoly, GaussianRational, X, Y
 from isocenter import operators
 from isocenter.errors import InputError
 from isocenter.lemmas import (
-    extreme_pair_bracket,
-    extreme_pair_ops,
     lemma_bracket_formulas,
     lemma_quadratic_bracket,
-    quadratic_display_bracket,
     transpose_pair_bracket,
     transpose_pair_ops,
 )
@@ -135,21 +132,22 @@ def test_bracket_oracle_equivalence_small(monkeypatch):
 
 def test_bracket_oracle_does_not_call_lie_bracket(monkeypatch):
     # the two routes are independent: with the closed form unavailable, the
-    # oracle still returns the lemmas' closed-form brackets
+    # oracle still returns the lemmas' closed-form brackets, over the whole
+    # family i = 0..n+1, where p_{n+1,-1} = 0 is c at i = 0 and a at i = n+1
     def refuse(d1, d2):
         raise AssertionError("bracket_oracle called lie_bracket")
 
     monkeypatch.setattr(operators, "lie_bracket", refuse)
     rng = random.Random(31)
     for n in range(2, 6):
-        p0n = random_scalar(rng) or G(1)
-        assert bracket_oracle(*extreme_pair_ops(n, p0n)) == extreme_pair_bracket(n, p0n)
-        for i in range(1, n + 1):
-            a, c = random_scalar(rng), random_scalar(rng)
+        for i in range(n + 2):
+            a = ZERO if i == n + 1 else random_scalar(rng)
+            c = ZERO if i == 0 else random_scalar(rng)
             assert bracket_oracle(*transpose_pair_ops(n, i, a, c)) == transpose_pair_bracket(n, i, a, c)
+    # the quadratic identity is the case n = i = 2 on a decomposed field
     p20, p11, p02 = (random_scalar(rng) or G(1, 1) for _ in range(3))
     ops = decompose(quadratic(p20, p11, p02))
-    assert bracket_oracle(ops[(1, 0)], ops[(0, 1)]) == quadratic_display_bracket(p20, p11)
+    assert bracket_oracle(ops[(1, 0)], ops[(0, 1)]) == transpose_pair_bracket(2, 2, p20, p11)
 
 
 def test_lemmas_call_the_oracle_once_per_operator_pair(monkeypatch):
@@ -275,6 +273,17 @@ def test_extreme_pair_bracket_instance():
     br = lie_bracket(a[(2, -1)], a[(-1, 2)])
     assert br.dx == BiPoly.monomial(2, 1, G(18))
     assert br.dy == BiPoly.monomial(1, 2, G(-18))
+    assert br == transpose_pair_bracket(2, 3, ZERO, G(3))
+
+
+def test_quadratic_bracket_instance():
+    # p20 = 1, p11 = i, p02 = 0 gives the quadratic identity's value
+    # [B_{(1,0)}, B_{(0,1)}] = (1 - i) x^2 y d/dx + (-1 - i) x y^2 d/dy
+    a = decompose(quadratic(1, G(0, 1), 0))
+    br = lie_bracket(a[(1, 0)], a[(0, 1)])
+    assert br.dx == BiPoly.monomial(2, 1, G(1, -1))
+    assert br.dy == BiPoly.monomial(1, 2, G(-1, -1))
+    assert br == transpose_pair_bracket(2, 2, G(1), G(0, 1))
 
 
 def test_nested_bracket_conventions():
