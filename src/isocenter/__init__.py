@@ -16,7 +16,7 @@ _MODULE_OF = {  # exported name -> the submodule that defines it
     "GeomComplexity": "conditions",
     "InputError": "errors",
     "InternalInconsistencyError": "errors",
-    "LINEARISABLE_STRUCTURAL": "prenormal",
+    "LINEARISABLE_STRUCTURAL": "lie_analysis",
     "Mould": "prenormal",
     "NonPeriodicError": "errors",
     "PeriodScan": "numverify",
@@ -24,7 +24,7 @@ _MODULE_OF = {  # exported name -> the submodule that defines it
     "RealSystem": "numverify",
     "ResonanceReport": "lie_analysis",
     "SeriesReport": "lie_analysis",
-    "UNKNOWN": "prenormal",
+    "UNKNOWN": "lie_analysis",
     "bracket_oracle": "operators",
     "central_series": "lie_analysis",
     "check_cauchy_riemann": "conditions",
@@ -43,7 +43,7 @@ _MODULE_OF = {  # exported name -> the submodule that defines it
     "random_mould": "prenormal",
     "reconstruct": "prepared",
     "resonant_subset_trivial": "lie_analysis",
-    "structural_linearisability": "prenormal",
+    "structural_linearisability": "lie_analysis",
     "table_mould": "prenormal",
     "to_real_system": "numverify",
     "verify_fond3": "prenormal",

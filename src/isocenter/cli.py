@@ -41,9 +41,8 @@ def emit(obj: dict, fmt: str, text_lines) -> None:
 
 def analyze(input_path, max_word_length, series_depth, fmt):
     """Alphabet, weights, brackets, central series, resonant words."""
-    from .lie_analysis import central_series, enumerate_resonant_words
+    from .lie_analysis import central_series, enumerate_resonant_words, structural_linearisability
     from .operators import word_str
-    from .prenormal import structural_linearisability
     from .prepared import PlanarField, decompose, reconstruct, weight
 
     f = PlanarField.load(input_path)

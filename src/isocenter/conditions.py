@@ -165,7 +165,7 @@ def homogeneous_uniform_verdict(f: PlanarField) -> ConditionVerdict:
     for d = 2m+1 additionally p_{m+1,m} = 0.  A positive verdict implies
     (and asserts) the structural linearisability of the alphabet.
     """
-    from .prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
+    from .lie_analysis import LINEARISABLE_STRUCTURAL, structural_linearisability
     from .prepared import decompose
 
     if not f.is_homogeneous():

@@ -14,7 +14,7 @@ import random
 from itertools import combinations
 
 from .algebra import ZERO
-from .lie_analysis import central_series, resonant_subset_trivial
+from .lie_analysis import LINEARISABLE_STRUCTURAL, central_series, resonant_subset_trivial, structural_linearisability
 from .operators import ZERO_DERIVATION, Derivation, bracket_oracle, lie_bracket
 from .prenormal import projection_sum, random_mould, verify_fond3
 from .prepared import Alphabet, decompose
@@ -167,7 +167,8 @@ def lemma_holom(seed: int) -> LemmaResult:
             f = random_cr_field(rng, d)
             a = decompose(f)  # the CR lemma: the predicate holds, and the certificate agrees
             report = resonant_subset_trivial(a, max_len)
-            if not (_cr_structural_predicate(a) and report.all_brackets_zero and report.structurally_proven):
+            proven = structural_linearisability(a, max_len) == LINEARISABLE_STRUCTURAL
+            if not (_cr_structural_predicate(a) and report.all_brackets_zero and proven):
                 return LemmaResult(
                     "holom", False, f"d={d} draw {k}: witnesses={report.witnesses[:1]}"
                 )

@@ -2,8 +2,8 @@
 
 Covers the descending central series (truncated, generating sets only),
 resonant-word enumeration, the bounded triviality test of the resonant
-bracket subset and the all-lengths certificate of the commutation
-components.
+bracket subset and the structural verdict, ``structural_linearisability``:
+the all-lengths certificate of the commutation components.
 
 Every nested bracket of a word is one letter-map term at the word's
 multidegree, so the brackets of the length-r words of multidegree g span
@@ -71,6 +71,9 @@ from .operators import Derivation, Letter, Word, lie_bracket
 from .prepared import Alphabet, weight
 from .records import Record
 
+LINEARISABLE_STRUCTURAL = "LinearisableStructural"
+UNKNOWN = "Unknown"
+
 
 def _gc_paused(fn: Callable) -> Callable:
     """Run fn with the cyclic collector paused and its state restored after; never a generator."""
@@ -103,21 +106,20 @@ class SeriesReport(Record):
 
 
 class ResonanceReport(Record):
-    """Verdict on the resonant nested brackets up to a word-length bound.
+    """Verdict on the resonant nested brackets up to a word-length bound;
+    the all-lengths verdict is ``structural_linearisability``.
 
     ``witnesses`` is empty when every resonant bracket up to the bound
     vanishes.  Otherwise it is a basis (one or two vectors) of the first
     nonzero resonant span V_{r,(k,k)}: the shortest length r, then the
     smallest k.  Each entry is a resonant word of length r with its
-    nonzero nested bracket.  ``structurally_proven`` is the all-lengths
-    certificate of the commutation components (module docstring), which
-    does not depend on the bound.
+    nonzero nested bracket.
     """
 
-    __slots__ = ("witnesses", "structurally_proven")
+    __slots__ = ("witnesses",)
 
-    def __init__(self, witnesses: list[tuple[Word, Derivation]] | None = None, structurally_proven: bool = False):
-        self._fill([] if witnesses is None else witnesses, structurally_proven)
+    def __init__(self, witnesses: list[tuple[Word, Derivation]] | None = None):
+        self._fill([] if witnesses is None else witnesses)
 
     @property
     def all_brackets_zero(self) -> bool:
@@ -300,9 +302,16 @@ def _component_reach(a: Alphabet, max_len: int) -> dict[Letter, tuple[list[Lette
     return part
 
 
-def _certified(a: Alphabet) -> bool:
-    """The all-lengths certificate; a weight-zero letter fails it before any bracket."""
-    return not a.resonant_letters() and not _component_reach(a, 1)
+def structural_linearisability(a: Alphabet, max_len: int) -> str:
+    """Mould-independent verdict from the bracket structure alone.
+
+    LinearisableStructural when the commutation components certify that no
+    resonant nested bracket of any length is nonzero (module docstring), else
+    Unknown, whatever max_len >= 1.  A weight-zero letter fails before any bracket.
+    """
+    if max_len < 1:
+        raise InputError(f"max_len must be >= 1, got {max_len}")
+    return UNKNOWN if a.resonant_letters() or _component_reach(a, 1) else LINEARISABLE_STRUCTURAL
 
 
 def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivation]]:
@@ -363,10 +372,11 @@ def _first_resonant_basis(a: Alphabet, max_len: int) -> list[tuple[Word, Derivat
 def resonant_subset_trivial(a: Alphabet, max_len: int) -> ResonanceReport:
     """Test whether every resonant nested bracket up to the length bound vanishes.
 
-    A weight-zero letter, whose operator an ``Alphabet`` never holds as
-    zero, is a witness found before any bracket is made.  Longer resonant
-    words are sought within the components of the non-commutation graph
-    only, from the letter-pair brackets of the alphabet's level 2.
+    Its witnesses are bounded (``ResonanceReport``).  A weight-zero letter,
+    whose operator an ``Alphabet`` never holds as zero, is a witness found
+    before any bracket is made.  Longer resonant words are sought within
+    the components of the non-commutation graph only, from the letter-pair
+    brackets of the alphabet's level 2.
     """
-    return ResonanceReport(witnesses=_first_resonant_basis(a, max_len), structurally_proven=_certified(a))
+    return ResonanceReport(witnesses=_first_resonant_basis(a, max_len))
 

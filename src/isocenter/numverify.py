@@ -131,7 +131,7 @@ def measure_period(s: RealSystem, r0: float, tol: float = DEFAULT_TOL) -> float:
         raise InputError(f"initial radius must be positive and finite, got {r0}")
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be positive and finite, got {tol}")
-    # imported here so that the exact commands never load the tables
+    # imported here so that importing numverify for PeriodScan or to_real_system builds no dop853 kernel
     from .dop853 import StepFailure, brentq, first_return, interpolant
 
     rtol = max(tol, 1e-13)

@@ -25,7 +25,8 @@ word's children at a sum's deepest level, each missing one a ``step`` from
 the word's state.  So a repeat sum makes no ``step``, ``finish`` or user
 function call, and dropping the mould frees what it keeps.  The word fold
 keeps values only, as its state is the word, and a finite mould keeps
-none, as its table holds them.
+none, as its table holds them.  The structural verdict, which no mould
+enters, is ``lie_analysis``'s: ``perfbench`` still imports it from here.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .algebra import ONE, GaussianRational, ZERO, _coerce, _reduced
 from .errors import InputError
-from .lie_analysis import _certified, central_series, iter_bracket_levels, twin
+from .lie_analysis import central_series, iter_bracket_levels, structural_linearisability, twin  # noqa: F401
 from .operators import (Derivation, Letter, Word, _accumulate, _canonical, lie_bracket, linear_combination,
                         nested_bracket, word_str)
 from .prepared import Alphabet, weight
@@ -45,8 +46,6 @@ from .prepared import Alphabet, weight
 if TYPE_CHECKING:
     from fractions import Fraction
 
-LINEARISABLE_STRUCTURAL = "LinearisableStructural"
-UNKNOWN = "Unknown"
 _MASK = (1 << 64) - 1  # random_mould's arithmetic is mod 2^64
 _parts = attrgetter("_a", "_b", "_d")  # the integer triple of a GaussianRational
 _NONE = object()  # no state kept for a word
@@ -185,7 +184,7 @@ def _split(z: int) -> tuple[int, int, int, int]:
     return p - 9, q + 1, r - 9, z % 9 + 1
 
 
-def random_mould(seed: int, support_resonant_only: bool = True) -> Mould:
+def random_mould(seed: int, support_resonant_only: bool) -> Mould:
     """Seeded mould with small rational values, a pure function of (seed, word).
 
     Its value on a word is p/q + (r/s) i, read off a 64-bit integer z that
@@ -351,19 +350,6 @@ def _difference(v: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, 
 def letter_sum(m: Mould, a: Alphabet) -> Derivation:
     """sum over weight-zero letters of M^n B_n, no bracket terms."""
     return linear_combination((m._value((n,)), a[n]) for n in a.resonant_letters())
-
-
-def structural_linearisability(a: Alphabet, max_len: int) -> str:
-    """Mould-independent verdict from the bracket structure alone.
-
-    LinearisableStructural when the commutation components certify that
-    no resonant nested bracket of any length is nonzero
-    (``ResonanceReport.structurally_proven``), otherwise Unknown, whatever
-    the bound max_len >= 1; no central series, CR predicate or span DP runs.
-    """
-    if max_len < 1:
-        raise InputError(f"max_len must be >= 1, got {max_len}")
-    return LINEARISABLE_STRUCTURAL if _certified(a) else UNKNOWN
 
 
 def verify_fond3(

@@ -13,8 +13,7 @@ from isocenter.conditions import (
     homogeneous_uniform_verdict,
 )
 from isocenter.errors import InputError, InternalInconsistencyError
-from isocenter.lie_analysis import central_series
-from isocenter.prenormal import LINEARISABLE_STRUCTURAL, structural_linearisability
+from isocenter.lie_analysis import LINEARISABLE_STRUCTURAL, central_series, structural_linearisability
 from isocenter.prepared import PlanarField, decompose
 from isocenter.samples import quadratic, random_field, random_ui_homogeneous
 

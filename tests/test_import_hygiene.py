@@ -67,7 +67,9 @@ def loaded_modules(args) -> tuple[set, set]:
         # numverify keeps its dataclasses
         (["scan-periods", "--input", str(FIELDS / "uniform.json")],
          EXACT_WORDS | {"lemmas", "conditions", "operators"}, {"fractions"}),
-        (["analyze", "--input", str(FIELDS / "cubic.json"), "--max-word-length", "3"], NUMERICAL, WATCHED),
+        # the structural verdict is lie_analysis's: analyze loads no mould layer
+        (["analyze", "--input", str(FIELDS / "cubic.json"), "--max-word-length", "3"],
+         NUMERICAL | {"prenormal"}, WATCHED),
         (["verify-lemmas"], NUMERICAL, WATCHED),
     ],
     ids=["complexity", "classify", "classify-malformed", "scan-periods", "analyze", "verify-lemmas"],

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from isocenter import algebra, lemmas, lie_analysis, prenormal
+from isocenter import algebra, lemmas, lie_analysis
 from isocenter.algebra import BiPoly, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lemmas import _cr_structural_predicate
@@ -22,10 +22,11 @@ from isocenter.lie_analysis import (
     enumerate_resonant_words,
     iter_bracket_levels,
     resonant_subset_trivial,
+    structural_linearisability,
     twin,
 )
 from isocenter.operators import Derivation, bracket_oracle, lie_bracket, nested_bracket
-from isocenter.prenormal import projection_sum, random_mould, structural_linearisability
+from isocenter.prenormal import projection_sum, random_mould
 from isocenter.prepared import Alphabet, PlanarField, decompose, weight
 from isocenter.samples import quadratic, random_cr_field, random_field, random_ui_homogeneous
 
@@ -104,8 +105,9 @@ def test_resonant_letter_counts_homogeneous_cubic():
 def test_resonant_subset_trivial_cases():
     # CR field: all brackets of resonant words vanish, structurally proven
     rng = random.Random(0)
-    rep = resonant_subset_trivial(decompose(random_cr_field(rng, 3)), 6)
-    assert rep.all_brackets_zero and rep.structurally_proven
+    a = decompose(random_cr_field(rng, 3))
+    assert resonant_subset_trivial(a, 6).all_brackets_zero
+    assert structural_linearisability(a, 6) == "LinearisableStructural"
     # zero perturbation: trivially true
     rep = resonant_subset_trivial(decompose(PlanarField(degree=2, coefficients={})), 6)
     assert rep.all_brackets_zero
@@ -133,7 +135,7 @@ def test_cr_structural_predicate():
     a = x_and_y_letters({-1: 1, 1: 1}, {})
     word = ((-1, 0), (1, 0))
     assert weight(word) == 0 and nested_bracket(word, a.entries) == Derivation.from_terms({(0, 0): (G(-2), G(0))})
-    assert not _cr_structural_predicate(a) and not resonant_subset_trivial(a, 1).structurally_proven
+    assert not _cr_structural_predicate(a)
     assert structural_linearisability(a, 1) == structural_linearisability(a, 2) == "Unknown"
     assert not _cr_structural_predicate(x_and_y_letters({}, {-1: 1, 1: 2}))
     assert not _cr_structural_predicate(x_and_y_letters({0: 1}, {}))
@@ -499,9 +501,10 @@ def test_resonance_dp_matches_the_slow_route(monkeypatch):
 def test_structural_verdict_does_not_depend_on_max_len(monkeypatch):
     # the verdict is the components' certificate, run with neither the
     # central series, the CR predicate nor the span DP: the same at
-    # L = 1..6 and equal to structurally_proven there.  The CR predicate
-    # implies it, and d/dx with x^2 d/dx, x-only letters of weights -1 and
-    # +1 that do not commute, are Unknown at every L
+    # L = 1..6, and where it is LinearisableStructural the span DP, an
+    # independent route, finds no resonant witness at L = 1..6.  The CR
+    # predicate implies it, and d/dx with x^2 d/dx, x-only letters of
+    # weights -1 and +1 that do not commute, are Unknown at every L
     def refuse(*args):
         raise AssertionError("the verdict left the certificate")
 
@@ -517,7 +520,6 @@ def test_structural_verdict_does_not_depend_on_max_len(monkeypatch):
         for name in ("central_series", "_first_resonant_basis"):
             m.setattr(lie_analysis, name, refuse)
         m.setattr(lemmas, "_cr_structural_predicate", refuse)
-        m.setattr(prenormal, "central_series", refuse)
         verdicts = [{structural_linearisability(a, L) for L in range(1, 7)} for a in alphabets]
         for a in alphabets:
             for max_len in (0, -3):
@@ -525,10 +527,11 @@ def test_structural_verdict_does_not_depend_on_max_len(monkeypatch):
                     structural_linearisability(a, max_len)
     seen = Counter()
     for a, verdict in zip(alphabets, verdicts):
-        proven = {resonant_subset_trivial(a, L).structurally_proven for L in range(1, 7)}
-        assert len(verdict) == len(proven) == 1, a
-        assert verdict == {"LinearisableStructural" if True in proven else "Unknown"}
-        assert proven == {True} or not _cr_structural_predicate(a), a
+        assert len(verdict) == 1, a
+        if verdict == {"LinearisableStructural"}:
+            assert all(resonant_subset_trivial(a, L).all_brackets_zero for L in range(1, 7)), a
+        else:
+            assert not _cr_structural_predicate(a), a
         seen[verdict.pop(), _cr_structural_predicate(a)] += 1
     assert structural_linearisability(alphabets[-2], 1) == "Unknown"
     assert min(seen.values()) >= 10, seen
@@ -793,7 +796,7 @@ def test_exact_hot_path_builds_no_scalar_object():
     assert [len(level) for level in series.levels] == [9, 68, 580]
     assert (built, entered) == (0, Counter())
     report, built, entered = scalar_work(lambda: resonant_subset_trivial(a, 6))
-    assert not report.all_brackets_zero and not report.structurally_proven
+    assert not report.all_brackets_zero
     assert (built, entered) == (0, Counter())
     # the projection sum hands mould values, bracket weights and 1/r
     # factors to linear_combination as integer triples

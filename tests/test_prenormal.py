@@ -15,15 +15,16 @@ from isocenter.algebra import ONE, ZERO, GaussianRational
 from isocenter.errors import InputError
 from isocenter.lemmas import _cr_structural_predicate
 from isocenter.lie_analysis import (
+    LINEARISABLE_STRUCTURAL,
+    UNKNOWN,
     central_series,
     iter_bracket_levels,
     resonant_subset_trivial,
+    structural_linearisability,
     twin,
 )
 from isocenter.operators import ZERO_DERIVATION, lie_bracket, linear_combination, nested_bracket
 from isocenter.prenormal import (
-    LINEARISABLE_STRUCTURAL,
-    UNKNOWN,
     _MASK,
     Mould,
     _mix,
@@ -32,7 +33,6 @@ from isocenter.prenormal import (
     letter_sum,
     projection_sum,
     random_mould,
-    structural_linearisability,
     table_mould,
     verify_fond3,
 )
@@ -46,7 +46,7 @@ def G(re, im=0):
 
 def test_projection_sum_zero_field():
     a = decompose(PlanarField(degree=2, coefficients={}))
-    assert projection_sum(random_mould(0), a, 6) == ZERO_DERIVATION
+    assert projection_sum(random_mould(0, True), a, 6) == ZERO_DERIVATION
 
 
 def test_projection_sum_nilpotent_reduces_to_letters():
@@ -472,7 +472,7 @@ def test_projection_sum_matches_the_level_by_level_route():
 
 
 def _draws(seed, word):
-    """The integers p, q, r, s behind ``random_mould(seed)``'s value on a word."""
+    """The integers p, q, r, s behind ``random_mould(seed, True)``'s value on a word."""
     return _split(reduce(_mix, word, seed & _MASK))
 
 
@@ -521,7 +521,7 @@ def test_verify_fond3_cases():
     f4 = random_ui_homogeneous(rng, 4)
     a4 = decompose(f4)
     assert verify_fond3(a4, 20, 6, seed=1)
-    assert letter_sum(random_mould(1), a4) == ZERO_DERIVATION
+    assert letter_sum(random_mould(1, True), a4) == ZERO_DERIVATION
     # odd homogeneous degree with nonzero middle: letter part is the
     # single weight-zero letter
     f5 = random_ui_homogeneous(rng, 5)
@@ -544,6 +544,12 @@ def test_verify_fond3_rejects_empty_bounds(monkeypatch):
     for trials, max_len in ((0, 6), (-3, 6), (5, 0), (5, -1), (0, 0)):
         with pytest.raises(InputError):
             verify_fond3(a4, trials, max_len)
+
+
+def test_prenormal_names_the_one_structural_verdict():
+    # the mould layer only re-exports lie_analysis's verdict, and defines no constant of its own
+    assert prenormal.structural_linearisability is lie_analysis.structural_linearisability
+    assert not {"LINEARISABLE_STRUCTURAL", "UNKNOWN"} & set(vars(prenormal))
 
 
 def test_structural_linearisability_verdicts():
@@ -1235,10 +1241,10 @@ def test_support_is_set_by_finite_moulds_only():
     assert table_mould({word: G(2), word[:1]: G(3)}).support == (word, word[:1])
     assert table_mould({}).support == ()
     assert Mould(lambda w: G(1)).support is None
-    assert random_mould(1).support is None and random_mould(1, False).support is None
+    assert random_mould(1, True).support is None and random_mould(1, False).support is None
     # max_len below 1 is refused alike on both routes
     a = decompose(quadratic(1, 2, 3))
-    for m in (indicator_mould(word), table_mould({}), random_mould(1), Mould(lambda w: G(1))):
+    for m in (indicator_mould(word), table_mould({}), random_mould(1, True), Mould(lambda w: G(1))):
         for max_len in (0, -2):
             with pytest.raises(InputError, match=f"^max_len must be >= 1, got {max_len}$"):
                 projection_sum(m, a, max_len)

@@ -35,9 +35,7 @@ CASES = [
     (SeriesReport, ([[OPS[0]]], [(((1, 0), (0, 1)), OPS[1])]),
      dict(levels=[[OPS[0]]], witnesses=[(((1, 0), (0, 1)), OPS[1])]),
      ([[OPS[0]]], [])),
-    (ResonanceReport, ([(((1, 1),), OPS[2])], True),
-     dict(witnesses=[(((1, 1),), OPS[2])], structurally_proven=True),
-     ([(((1, 1),), OPS[2])], False)),
+    (ResonanceReport, ([(((1, 1),), OPS[2])],), dict(witnesses=[(((1, 1),), OPS[2])]), ([(((1, 1),), OPS[1])],)),
     (ConditionVerdict, ("UI", [("p_{0,2}=0", HALF)]),
      dict(condition_id="UI", failing_relations=[("p_{0,2}=0", HALF)]),
      ("CR", [("p_{0,2}=0", HALF)])),
@@ -142,7 +140,7 @@ def test_defaults_are_fresh_per_instance():
     assert all(v == [] for v in values) and len({id(v) for v in values}) == len(values)
     values[0].append(1)
     assert SeriesReport([]).witnesses == [] and values[1] == []
-    assert ResonanceReport().structurally_proven is False and LemmaResult("a", True).detail == ""
+    assert LemmaResult("a", True).detail == ""
     assert PlanarField(2, {}).xi_sign == "+"
     a, b = Alphabet(), Alphabet()
     assert a == b and a.entries == {} and a.entries is not b.entries

@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 
 from isocenter.conditions import check_cauchy_riemann, classify_quadratic, homogeneous_uniform_verdict
+from isocenter.lie_analysis import LINEARISABLE_STRUCTURAL, UNKNOWN, structural_linearisability
 from isocenter.numverify import DEFAULT_TOL, isochrony_scan
-from isocenter.prenormal import LINEARISABLE_STRUCTURAL, UNKNOWN, structural_linearisability
 from isocenter.prepared import PlanarField, decompose
 from isocenter.samples import (
     quadratic,
