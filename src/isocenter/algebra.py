@@ -269,8 +269,8 @@ class BiPoly:
         return out
 
     @staticmethod
-    def monomial(i: int, j: int, coef=ONE) -> "BiPoly":
-        return BiPoly({(i, j): coef})
+    def monomial(i: int, j: int) -> "BiPoly":
+        return BiPoly({(i, j): ONE})
 
     @property
     def terms(self) -> dict[Exponent, GaussianRational]:

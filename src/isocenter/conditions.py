@@ -19,12 +19,13 @@ if TYPE_CHECKING:  # the checkers import these when they run, so `complexity` lo
 
 
 class ConditionVerdict(Record):
-    """Whether a condition holds, with the residual of each failing relation."""
+    """Whether a condition holds: ``failing_relations`` lists the residual of
+    each failing relation, and is empty when it holds."""
 
     __slots__ = ("condition_id", "failing_relations")
 
-    def __init__(self, condition_id: str, failing_relations: list[tuple[str, GaussianRational]] | None = None):
-        self._fill(condition_id, [] if failing_relations is None else failing_relations)
+    def __init__(self, condition_id: str, failing_relations: list[tuple[str, GaussianRational]]):
+        self._fill(condition_id, failing_relations)
 
     @property
     def holds(self) -> bool:
@@ -193,6 +194,8 @@ def geometric_complexity(condition_id: str, d: int) -> GeomComplexity:
     ambient dimension is the generic coefficient count of a degree-d
     perturbation.
     """
+    if type(d) is not int:  # type(), as PlanarField's degree: bool is an int subclass
+        raise InputError("'degree' must be an integer")
     if d < 2:
         raise InputError(f"degree must be >= 2, got {d}")
     ambient = (d + 1) * (d + 2) // 2 - 3

@@ -33,7 +33,7 @@ class LemmaResult(Record):
 
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str = ""):
+    def __init__(self, name: str, passed: bool, detail: str):
         self._fill(name, passed, detail)
 
     def to_json_obj(self) -> dict:

@@ -92,13 +92,13 @@ def _gc_paused(fn: Callable) -> Callable:
 
 
 class SeriesReport(Record):
-    """Central-series generating sets plus the order-1 nilpotency verdict."""
+    """Central-series generating sets plus the order-1 nilpotency verdict:
+    ``witnesses`` is empty when every letter pair commutes."""
 
     __slots__ = ("levels", "witnesses")
 
-    def __init__(self, levels: list[list[Derivation]],
-                 witnesses: list[tuple[tuple[Letter, Letter], Derivation]] | None = None):
-        self._fill(levels, [] if witnesses is None else witnesses)
+    def __init__(self, levels: list[list[Derivation]], witnesses: list[tuple[tuple[Letter, Letter], Derivation]]):
+        self._fill(levels, witnesses)
 
     @property
     def nilpotent_order1(self) -> bool:
@@ -118,8 +118,8 @@ class ResonanceReport(Record):
 
     __slots__ = ("witnesses",)
 
-    def __init__(self, witnesses: list[tuple[Word, Derivation]] | None = None):
-        self._fill([] if witnesses is None else witnesses)
+    def __init__(self, witnesses: list[tuple[Word, Derivation]]):
+        self._fill(witnesses)
 
     @property
     def all_brackets_zero(self) -> bool:

@@ -62,12 +62,13 @@ class Mould:
     add in unreduced; a ``finish`` with d <= 0 raises InputError naming
     the word, and no value is kept for it.  ``Mould(fn)`` has the word
     fold: the state is the word so far, ``step`` appends a letter and
-    ``finish`` is the triple of ``fn``'s value.  Exactly one of ``fn``
-    and ``fold`` must be given; a sum of moulds is a word fold,
-    ``Mould(lambda w: m1.value(w) + m2.value(w))``.  ``value`` takes a
-    JSON word (letters as lists) too: it makes every word a tuple of tuples
-    first, so the fold and ``fn`` see tuple words only, and a JSON word
-    shares its tuple word's kept state and value.
+    ``finish`` is the triple of ``fn``'s value, which may be an int or a
+    ``Fraction`` as in ``table_mould``: any other type raises TypeError.
+    Exactly one of ``fn`` and ``fold`` must be given; a sum of moulds is a
+    word fold, ``Mould(lambda w: m1.value(w) + m2.value(w))``.  ``value``
+    takes a JSON word (letters as lists) too: it makes every word a tuple
+    of tuples first, so the fold and ``fn`` see tuple words only, and a
+    JSON word shares its tuple word's kept state and value.
 
     A mould keeps the value of each word it evaluates, in a dict
     private to the mould from the word's parent word (all but its last
@@ -105,11 +106,11 @@ class Mould:
         self.support = None
         self._states = None if fold is None else {}  # the word fold's state is the word: none kept
         self._values = {}
-        word_fold = (), lambda w, n: w + (n,), lambda w: _parts(evaluate_fn(w))
+        word_fold = (), lambda w, n: w + (n,), lambda w: _parts(_coerce(evaluate_fn(w)))
         self.start, self.step, self.finish = fold or word_fold
 
     def value(self, word: Word) -> GaussianRational:
-        word = tuple([tuple(n) for n in word])  # a JSON word's letters are lists; a tuple letter is kept as it is
+        word = _tuple_word(word)
         if not word or self.support_resonant_only and weight(word):
             return ZERO
         return _reduced(*self._value(word))
@@ -158,6 +159,11 @@ class Mould:
             state = reduce(self.step, word, self.start) if parent is _NONE else self.step(parent, word[-1])
             states[word] = state
         return state
+
+
+def _tuple_word(word) -> Word:
+    """The word as a tuple of tuples: a JSON word's letters are lists; a tuple letter is kept as it is."""
+    return tuple([tuple(n) for n in word])
 
 
 def _refuse(word: Word, value: tuple[int, int, int]) -> None:
@@ -215,21 +221,22 @@ def random_mould(seed: int, support_resonant_only: bool) -> Mould:
 def indicator_mould(word: Word) -> Mould:
     """Mould equal to 1 on one chosen word and 0 elsewhere.
 
-    Letters are taken as int tuples, so a JSON word (letters as lists)
-    matches.  Its support is that one word, so ``projection_sum`` brackets
-    it alone.
+    The word is made a tuple word as ``Mould.value`` makes it, so a JSON
+    word (letters as lists) matches, and no letter is rounded.  Its
+    support is that one word, so ``projection_sum`` brackets it alone.
     """
-    return _finite({tuple(tuple(map(int, n)) for n in word): ONE})
+    return _finite({_tuple_word(word): ONE})
 
 
 def table_mould(entries: Mapping[Word, GaussianRational | int | Fraction]) -> Mould:
     """Mould with the given value on each listed word and 0 elsewhere.
 
     Values may be ints or ``Fraction``s too; each is made a scalar once,
-    here.  Its support is the listed words, so ``projection_sum`` brackets
-    each of them once and no other word.
+    here, and each word a tuple word as ``Mould.value`` makes it.  Its
+    support is the listed words, so ``projection_sum`` brackets each of
+    them once and no other word.
     """
-    return _finite({tuple(w): _coerce(v) for w, v in entries.items()})
+    return _finite({_tuple_word(w): _coerce(v) for w, v in entries.items()})
 
 
 def _finite(table: dict[Word, GaussianRational]) -> Mould:

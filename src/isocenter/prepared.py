@@ -30,20 +30,23 @@ class PlanarField(Record):
     ``coefficients`` keeps the nonzero entries of the given map in its
     order, each an int, Fraction-like value or scalar made a
     ``GaussianRational``: any other value raises TypeError, and a non-int
-    exponent InputError.
+    degree or exponent InputError.
     """
 
     __slots__ = ("degree", "coefficients", "xi_sign")
 
     def __init__(self, degree: int, coefficients: Mapping[tuple[int, int], GaussianRational],
                  xi_sign: str = "+"):
+        # type() rather than isinstance: bool is an int subclass, and JSON true/false load as bool
+        if type(degree) is not int:
+            raise InputError("'degree' must be an integer")
         if degree < 2:
             raise InputError(f"degree must be >= 2, got {degree}")
         if xi_sign not in ("+", "-"):
             raise InputError(f"xi_sign must be '+' or '-', got {xi_sign!r}")
         clean = {}
         for (i, j), c in coefficients.items():
-            # type() rather than isinstance, as in the loader: bool is an int subclass
+            # type() rather than isinstance, as for the degree
             if type(i) is not int or type(j) is not int:
                 raise InputError(f"coefficient exponents must be integers: {(i, j)!r}")
             if not (2 <= i + j <= degree) or i < 0 or j < 0:
@@ -87,15 +90,13 @@ class PlanarField(Record):
             raise InputError(f"unknown keys in field file: {sorted(unknown)}")
         if "degree" not in obj or "coefficients" not in obj:
             raise InputError("field file requires 'degree' and 'coefficients'")
-        # type() rather than isinstance: JSON true/false load as bool, an int subclass
-        if type(obj["degree"]) is not int:
-            raise InputError("'degree' must be an integer")
         coeffs = {}
         if not isinstance(obj["coefficients"], list):
             raise InputError("'coefficients' must be a list")
         for entry in obj["coefficients"]:
             if not isinstance(entry, dict) or set(entry) != _COEFF_KEYS:
                 raise InputError(f"bad coefficient entry: {entry!r}")
+            # checked before the duplicate-key test, as JSON true equals 1 as a dict key
             if type(entry["i"]) is not int or type(entry["j"]) is not int:
                 raise InputError(f"coefficient exponents must be integers: {entry!r}")
             if not isinstance(entry["value"], str):
@@ -138,8 +139,8 @@ class Alphabet(Record):
 
     __slots__ = ("entries", "_trees")
 
-    def __init__(self, entries: Mapping[Letter, Derivation] | None = None):
-        self._fill({n: entries[n] for n in sorted(entries or {}, key=grlex_key) if entries[n]})
+    def __init__(self, entries: Mapping[Letter, Derivation]):
+        self._fill({n: entries[n] for n in sorted(entries, key=grlex_key) if entries[n]})
         object.__setattr__(self, "_trees", {})
 
     def letters(self) -> list[Letter]:

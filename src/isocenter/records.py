@@ -5,8 +5,10 @@ series, resonance and condition reports, ``GeomComplexity``,
 ``LemmaResult``) subclass ``Record``.  Each lists its fields in
 ``__slots__``, in the order of its ``__init__`` parameters, and sets them
 once through ``_fill``; a flag that a report derives from them is a
-property.  A record compares ``==`` by type and field values, hashes as
-the tuple of them, so only when every field is hashable, prints as
+property.  Every field but ``PlanarField.xi_sign`` (``"+"``) is a required
+parameter: the function that builds a report passes its empty list.  A
+record compares ``==`` by type and field values, hashes as the tuple of
+them, so only when every field is hashable, prints as
 ``Name(field=value, ...)`` and refuses assignment and deletion, as a
 frozen dataclass does.  A slot whose name starts with ``_`` is not a field
 but private state of the class (``Alphabet``'s bracket trees): it is not

@@ -9,10 +9,10 @@ from .operators import Derivation
 from .prepared import PlanarField
 
 
-def random_scalar(rng: random.Random, bound: int = 9) -> GaussianRational:
-    """p/q + (r/s) i from the draws p, q, r, s in this order, q and s >= 1."""
-    p, q = rng.randint(-bound, bound), rng.randint(1, bound)
-    r, s = rng.randint(-bound, bound), rng.randint(1, bound)
+def random_scalar(rng: random.Random) -> GaussianRational:
+    """p/q + (r/s) i from the draws p, q, r, s in this order: p, r in -9..9 and q, s in 1..9."""
+    p, q = rng.randint(-9, 9), rng.randint(1, 9)
+    r, s = rng.randint(-9, 9), rng.randint(1, 9)
     return _reduced(p * s, r * q, q * s)
 
 

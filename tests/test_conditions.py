@@ -175,6 +175,12 @@ class TestGeometricComplexity:
         with pytest.raises(InputError):
             geometric_complexity("XX", 3)
 
+    @pytest.mark.parametrize("degree", [2.5, 3.0, "3", True])
+    def test_degree_must_be_an_int(self, degree):
+        for condition in ("CR", "UI"):
+            with pytest.raises(InputError, match="^'degree' must be an integer$"):
+                geometric_complexity(condition, degree)
+
     def test_cr_count_matches_relation_count(self):
         # for homogeneous degree d the CR checker emits exactly d
         # coefficient relations

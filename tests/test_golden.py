@@ -1,4 +1,5 @@
-"""Byte comparison of `--format json` reports against committed output.
+"""Byte comparison of `--format json` reports against committed output,
+and of fresh runs under two hash seeds against each other.
 
 The files under tests/golden/ pin scalar formatting, key order and the
 order of resonant words.  A change that alters any of them on purpose
@@ -9,6 +10,9 @@ regenerates the files with
 and the diff of tests/golden/ shows what moved.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +47,29 @@ CASES = list(cases())
 @pytest.mark.parametrize("name,args", CASES, ids=[name for name, _ in CASES])
 def test_json_matches_golden(name, args):
     assert render(args) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# no set or dict order may leak into a report: each command, run in fresh
+# interpreters under two hash seeds, writes the same bytes
+HASH_SEED_CASES = [
+    ["analyze", "--input", str(GOLDEN / "fields" / "cubic.json"), "--max-word-length", "5"],
+    ["verify-lemmas", "--seed", "3"],
+    ["classify", "--input", str(GOLDEN / "fields" / "witness.json")],
+]
+
+
+@pytest.mark.parametrize("args", HASH_SEED_CASES, ids=[args[0] for args in HASH_SEED_CASES])
+def test_json_is_identical_across_hash_seeds(args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "isocenter.cli", *args, "--format", "json"],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

@@ -44,15 +44,15 @@ def test_apply_to_coordinate():
 
 def test_apply_quadratic_family():
     # x(p_{2,0} x d/dx + conj(p_{1,1}) y d/dy) applied to x
-    op = Derivation(BiPoly.monomial(2, 0), BiPoly.monomial(1, 1, G(2)))
+    op = Derivation(BiPoly.monomial(2, 0), BiPoly({(1, 1): G(2)}))
     assert applied(op, X) == BiPoly.monomial(2, 0)
-    assert applied(op, Y) == BiPoly.monomial(1, 1, G(2))
+    assert applied(op, Y) == BiPoly({(1, 1): G(2)})
 
 
 def test_apply_extreme_family():
-    op = Derivation(BiPoly.monomial(0, 2, G(3)), BiPoly())
+    op = Derivation(BiPoly({(0, 2): G(3)}), BiPoly())
     # 3 y^2 d/dx applied to x^2 gives 6 x y^2
-    assert applied(op, BiPoly.monomial(2, 0)) == BiPoly.monomial(1, 2, G(6))
+    assert applied(op, BiPoly.monomial(2, 0)) == BiPoly({(1, 2): G(6)})
 
 
 def test_bracket_antisymmetry_and_self():
@@ -164,8 +164,8 @@ def test_lemmas_call_the_oracle_once_per_operator_pair(monkeypatch):
 def op_with_letter(rng, n):
     """Random operator of letter n, drawn apart from any other of that letter."""
     n1, n2 = n
-    dx = BiPoly.monomial(n1 + 1, n2, random_scalar(rng)) if n2 >= 0 else BiPoly()
-    dy = BiPoly.monomial(n1, n2 + 1, random_scalar(rng)) if n1 >= 0 else BiPoly()
+    dx = BiPoly({(n1 + 1, n2): random_scalar(rng)}) if n2 >= 0 else BiPoly()
+    dy = BiPoly({(n1, n2 + 1): random_scalar(rng)}) if n1 >= 0 else BiPoly()
     d = Derivation(dx, dy)
     assert not d or d.letter == n
     return d
@@ -271,8 +271,8 @@ def test_extreme_pair_bracket_instance():
     # p_{0,2} = 3 gives [B_{(2,-1)}, B_{(-1,2)}] = 18 xy (x d/dx - y d/dy)
     a = decompose(quadratic(0, 0, 3))
     br = lie_bracket(a[(2, -1)], a[(-1, 2)])
-    assert br.dx == BiPoly.monomial(2, 1, G(18))
-    assert br.dy == BiPoly.monomial(1, 2, G(-18))
+    assert br.dx == BiPoly({(2, 1): G(18)})
+    assert br.dy == BiPoly({(1, 2): G(-18)})
     assert br == transpose_pair_bracket(2, 3, ZERO, G(3))
 
 
@@ -281,8 +281,8 @@ def test_quadratic_bracket_instance():
     # [B_{(1,0)}, B_{(0,1)}] = (1 - i) x^2 y d/dx + (-1 - i) x y^2 d/dy
     a = decompose(quadratic(1, G(0, 1), 0))
     br = lie_bracket(a[(1, 0)], a[(0, 1)])
-    assert br.dx == BiPoly.monomial(2, 1, G(1, -1))
-    assert br.dy == BiPoly.monomial(1, 2, G(-1, -1))
+    assert br.dx == BiPoly({(2, 1): G(1, -1)})
+    assert br.dy == BiPoly({(1, 2): G(-1, -1)})
     assert br == transpose_pair_bracket(2, 2, G(1), G(0, 1))
 
 
@@ -310,7 +310,7 @@ def test_nested_bracket_errors():
 
 
 def test_zero_derivations_compare_equal():
-    d = Derivation(BiPoly.monomial(2, 0), BiPoly.monomial(1, 1, G(2)))
+    d = Derivation(BiPoly.monomial(2, 0), BiPoly({(1, 1): G(2)}))
     zeros = [Derivation(BiPoly(), BiPoly()), d.scale(0), d - d, lie_bracket(d, d)]
     assert all(z == ZERO_DERIVATION and z.letter is None for z in zeros)
     assert d.letter == (1, 0) and (-d).letter == (1, 0) and d.scale(G(0, 3)).letter == (1, 0)

@@ -129,6 +129,26 @@ def test_indicator_and_table_moulds():
     assert plain.value(json_word[:1]) == G(Fraction(-1, 3)) and not tab.value([[0, 1]])
 
 
+def test_moulds_take_words_and_values_as_tables_do():
+    # an indicator word is the tuple word value makes, so no letter is
+    # truncated, and a word fold's fn may give an int or a Fraction, as a
+    # table's values may, while a float raises TypeError naming its type
+    a = decompose(quadratic(1, 2, 0))
+    m = indicator_mould([[1.5, 0], [0, 1]])
+    assert m.support == (((1.5, 0), (0, 1)),) and not projection_sum(m, a, 3)
+    assert indicator_mould([[1, 0], [0, 1]]).support == (((1, 0), (0, 1)),)
+    assert table_mould({((1, 0), (0, 1)): 1}).support == (((1, 0), (0, 1)),)
+    for value in (1, Fraction(-2, 3)):
+        for L in (1, 2, 3):
+            want = projection_sum(Mould(lambda w: G(value)), a, L)
+            assert projection_sum(Mould(lambda w: value), a, L) == want
+    assert Mould(lambda w: 2).value([[1, 0]]) == G(2)
+    with pytest.raises(TypeError, match="^cannot coerce float to GaussianRational$"):
+        projection_sum(Mould(lambda w: 0.5), a, 3)
+    with pytest.raises(TypeError, match="float"):
+        Mould(lambda w: 0.5).value([[1, 0]])
+
+
 MOULD_LETTERS = [(1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (1 << 33, -3)]
 MOULD_WORDS = [w for r in range(1, 5) for w in product(MOULD_LETTERS, repeat=r)]
 

@@ -19,13 +19,13 @@ def G(re, im=0):
 def test_decompose_quadratic_example():
     a = decompose(quadratic(1, 2, 3))
     assert set(a.letters()) == {(1, 0), (0, 1), (-1, 2), (2, -1)}
-    assert a[(1, 0)].dx == BiPoly.monomial(2, 0, G(1))
-    assert a[(1, 0)].dy == BiPoly.monomial(1, 1, G(2))
-    assert a[(0, 1)].dx == BiPoly.monomial(1, 1, G(2))
-    assert a[(0, 1)].dy == BiPoly.monomial(0, 2, G(1))
-    assert a[(-1, 2)].dx == BiPoly.monomial(0, 2, G(3))
+    assert a[(1, 0)].dx == BiPoly({(2, 0): G(1)})
+    assert a[(1, 0)].dy == BiPoly({(1, 1): G(2)})
+    assert a[(0, 1)].dx == BiPoly({(1, 1): G(2)})
+    assert a[(0, 1)].dy == BiPoly({(0, 2): G(1)})
+    assert a[(-1, 2)].dx == BiPoly({(0, 2): G(3)})
     assert not a[(-1, 2)].dy
-    assert a[(2, -1)].dy == BiPoly.monomial(2, 0, G(3))
+    assert a[(2, -1)].dy == BiPoly({(2, 0): G(3)})
     assert not a[(2, -1)].dx
 
 
@@ -50,12 +50,12 @@ def test_decompose_matches_families():
                 b = f.coeff(k - i + 1, i - 1).conj()
                 if a or b:
                     want[(i - 1, k - i)] = (
-                        BiPoly.monomial(i, k - i, a),
-                        BiPoly.monomial(i - 1, k - i + 1, b),
+                        BiPoly({(i, k - i): a}),
+                        BiPoly({(i - 1, k - i + 1): b}),
                     )
             p0k = f.coeff(0, k)
-            want[(-1, k)] = (BiPoly.monomial(0, k, p0k), BiPoly())
-            want[(k, -1)] = (BiPoly(), BiPoly.monomial(k, 0, p0k.conj()))
+            want[(-1, k)] = (BiPoly({(0, k): p0k}), BiPoly())
+            want[(k, -1)] = (BiPoly(), BiPoly({(k, 0): p0k.conj()}))
         a = decompose(f)
         assert set(a.letters()) == set(want)
         for n, (dx, dy) in want.items():
@@ -106,12 +106,12 @@ def test_resonant_letter_parity():
 def test_reconstruct_linear_and_quadratic():
     lin = PlanarField(degree=2, coefficients={})
     dx, dy = reconstruct(lin)
-    assert dx == BiPoly.monomial(1, 0, G(0, 1))
-    assert dy == BiPoly.monomial(0, 1, G(0, -1))
+    assert dx == BiPoly({(1, 0): G(0, 1)})
+    assert dy == BiPoly({(0, 1): G(0, -1)})
     dx, dy = reconstruct(quadratic(1, 2, 3))
     p = BiPoly({(2, 0): G(1), (1, 1): G(2), (0, 2): G(3)})
-    assert dx == BiPoly.monomial(1, 0, G(0, 1)) + p
-    assert dy == BiPoly.monomial(0, 1, G(0, -1)) + p.swap_conj()
+    assert dx == BiPoly({(1, 0): G(0, 1)}) + p
+    assert dy == BiPoly({(0, 1): G(0, -1)}) + p.swap_conj()
 
 
 def test_reconstruct_roundtrip_random():
@@ -126,7 +126,7 @@ def test_xi_sign():
     f = PlanarField(degree=2, coefficients={}, xi_sign="-")
     assert f.xi == G(0, -1)
     dx, _ = reconstruct(f)
-    assert dx == BiPoly.monomial(1, 0, G(0, -1))
+    assert dx == BiPoly({(1, 0): G(0, -1)})
 
 
 def test_field_validation():
@@ -222,6 +222,18 @@ class TestFieldFile:
         obj = self.good_obj()
         obj["degree"] = True
         with pytest.raises(InputError, match="integer"):
+            PlanarField.from_json_obj(obj)
+
+    @pytest.mark.parametrize("degree", [2.5, 3.0, "3", True])
+    def test_constructor_takes_an_int_degree_only(self, degree):
+        # checked before the range test, so "3" never reaches <, and the
+        # loader's message is the constructor's
+        for coefficients in ({(2, 0): 1}, {}):
+            with pytest.raises(InputError, match="^'degree' must be an integer$"):
+                PlanarField(degree, coefficients)
+        obj = self.good_obj()
+        obj["degree"] = degree
+        with pytest.raises(InputError, match="^'degree' must be an integer$"):
             PlanarField.from_json_obj(obj)
 
     def test_missing_file(self, tmp_path):

@@ -1,5 +1,5 @@
 """The package's result records: construction by position or keyword, value
-equality, a fresh default list per instance, and no assignment."""
+equality, fresh entries per alphabet, and no assignment."""
 
 import copy
 import pickle
@@ -66,9 +66,9 @@ def test_record_is_an_immutable_value(cls, args, kwargs, changed):
 
 # (record with no witness or failing relation, one with, the derived flag)
 FLAGGED = [
-    (SeriesReport([[OPS[0]]]), SeriesReport([[OPS[0]]], [(((1, 0), (0, 1)), OPS[1])]), "nilpotent_order1"),
-    (ResonanceReport(), ResonanceReport([(((1, 1),), OPS[2])]), "all_brackets_zero"),
-    (ConditionVerdict("UI"), ConditionVerdict("UI", [("p_{0,2}=0", HALF)]), "holds"),
+    (SeriesReport([[OPS[0]]], []), SeriesReport([[OPS[0]]], [(((1, 0), (0, 1)), OPS[1])]), "nilpotent_order1"),
+    (ResonanceReport([]), ResonanceReport([(((1, 1),), OPS[2])]), "all_brackets_zero"),
+    (ConditionVerdict("UI", []), ConditionVerdict("UI", [("p_{0,2}=0", HALF)]), "holds"),
 ]
 
 
@@ -94,13 +94,13 @@ def test_condition_verdict_json_reads_its_failing_relations():
     obj = ConditionVerdict("UI", [("p_{0,2}=0", HALF)]).to_json_obj()
     assert obj == {"condition": "UI", "holds": False,
                    "failing": [{"relation": "p_{0,2}=0", "residual": str(HALF)}]}
-    assert ConditionVerdict("CR").to_json_obj() == {"condition": "CR", "holds": True, "failing": []}
+    assert ConditionVerdict("CR", []).to_json_obj() == {"condition": "CR", "holds": True, "failing": []}
 
 
 def test_hash_follows_the_values():
     assert hash(GeomComplexity(6, 1, 18)) == hash(GeomComplexity(q=6, m=1, ambient_dim=18))
-    assert hash(LemmaResult("a", True)) == hash(LemmaResult("a", True, ""))
-    assert {LemmaResult("a", True), LemmaResult("a", True)} == {LemmaResult("a", True)}
+    assert hash(LemmaResult("a", True, "")) == hash(LemmaResult(name="a", passed=True, detail=""))
+    assert {LemmaResult("a", True, ""), LemmaResult("a", True, "")} == {LemmaResult("a", True, "")}
     with pytest.raises(TypeError):  # a dict field is unhashable
         hash(PlanarField(2, {}))
 
@@ -128,21 +128,9 @@ def test_alphabet_trees_are_not_a_field():
 
 
 def test_defaults_are_fresh_per_instance():
-    lists = [
-        (SeriesReport([]), "witnesses"),
-        (SeriesReport([]), "witnesses"),
-        (ResonanceReport(), "witnesses"),
-        (ResonanceReport(), "witnesses"),
-        (ConditionVerdict("UI"), "failing_relations"),
-        (ConditionVerdict("UI"), "failing_relations"),
-    ]
-    values = [getattr(r, name) for r, name in lists]
-    assert all(v == [] for v in values) and len({id(v) for v in values}) == len(values)
-    values[0].append(1)
-    assert SeriesReport([]).witnesses == [] and values[1] == []
-    assert LemmaResult("a", True).detail == ""
+    # xi_sign is the one default of a record; an alphabet copies its entries
     assert PlanarField(2, {}).xi_sign == "+"
-    a, b = Alphabet(), Alphabet()
+    a, b = Alphabet({}), Alphabet({})
     assert a == b and a.entries == {} and a.entries is not b.entries
 
 
